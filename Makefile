@@ -1,7 +1,7 @@
 # Verification tiers. `make verify` is the tier-1 gate every change must
 # pass: build, the full test suite, and the domain-invariant lint tier.
 # `make race` adds vet plus the full suite under the race detector, which
-# exercises the parallel collection engine and the Lab's sharded
+# exercises the parallel collection engine and the Lab's bounded
 # singleflight cache under real contention. `make lint` runs cmd/mcdvfsvet,
 # the stdlib-only analyzer suite enforcing determinism, unit safety, float
 # equality, context discipline, and lock hygiene (see DESIGN.md §7).

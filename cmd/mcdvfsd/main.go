@@ -41,7 +41,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	poolSize := flag.Int("pool", 2, "concurrent grid collections")
 	queueDepth := flag.Int("queue", 8, "admissions waiting behind a full pool before shedding (-1 = none)")
-	lruSize := flag.Int("lru", 16, "benchmarks kept characterized (LRU)")
+	lruSize := flag.Int("lru", serve.DefaultMaxBenchmarks,
+		"grids kept resident, least recently used evicted first (a benchmark cached in both spaces takes two; cluster nodes hold -replicas × this)")
 	gridCache := flag.String("gridcache", "", "persistent grid cache directory (empty = memory only)")
 	collectWorkers := flag.Int("collect-workers", 0, "worker pool inside one collection (0 = all cores)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown grace period")

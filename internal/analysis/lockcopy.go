@@ -2,10 +2,10 @@ package analysis
 
 // lockcopy: copying a struct that contains a sync.Mutex forks the lock —
 // two goroutines each locking their own copy exclude nobody, and the race
-// only manifests under contention. The Lab and its sharded grid cache both
-// embed mutexes, so a refactor that changes a pointer receiver to a value
-// receiver, or ranges over a shard slice by value, compiles cleanly and
-// corrupts the singleflight invariant. This check re-implements the core
+// only manifests under contention. The Lab's grid cache and its entries
+// embed a mutex and a sync.Once, so a refactor that changes a pointer
+// receiver to a value receiver, or ranges over entries by value, compiles
+// cleanly and corrupts the singleflight invariant. This check re-implements the core
 // of vet's copylocks inside the suite so `make lint` stands alone.
 
 import (

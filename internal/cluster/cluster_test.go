@@ -411,6 +411,45 @@ func TestWarmReplicaStaleFallback(t *testing.T) {
 	}
 }
 
+// TestReplicaSeedsCountAgainstBound: replica copies are ordinary Lab
+// entries, so a node never holds more than Replicas × MaxBenchmarks grids,
+// and its cached-benchmarks gauge counts the copies too.
+func TestReplicaSeedsCountAgainstBound(t *testing.T) {
+	h, err := NewTestHarness(HarnessConfig{
+		Nodes:    3,
+		Replicas: 2,
+		Serve:    serve.Config{MaxBenchmarks: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	for _, bench := range workload.Names() {
+		for i := 0; i < h.Len(); i++ {
+			resp, data := post(t, h.URL(i), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s via node %d: status %d: %s", bench, i, resp.StatusCode, data)
+			}
+		}
+	}
+	if got := sumMetric(t, h, "mcdvfsd_cluster_replica_seeds_total"); got == 0 {
+		t.Fatal("no replica seeds; the bound was never tested against them")
+	}
+	for i := 0; i < h.Len(); i++ {
+		resident := 0
+		for _, bench := range workload.Names() {
+			if _, ok := h.Node(i).Server().Lab().PeekGrid(bench, "coarse"); ok {
+				resident++
+			}
+		}
+		gauge := metric(t, h.URL(i), "mcdvfsd_cached_benchmarks")
+		if resident > 2 || int64(resident) != gauge {
+			t.Errorf("node %d: %d grids resident, gauge %d; want <= 2 and equal", i, resident, gauge)
+		}
+	}
+}
+
 // TestProxyWaitsOnOwnerInflight pins the peer-aware singleflight edge: a
 // proxy whose forward times out while the owner's collection is still
 // running must wait for that flight and re-ask — never re-collect.
@@ -450,7 +489,7 @@ func TestProxyWaitsOnOwnerInflight(t *testing.T) {
 		flightDone <- resp.StatusCode
 	}()
 	if !waitFor(t, 5*time.Second, func() bool {
-		for _, k := range ownerNode.inflight.snapshot() {
+		for _, k := range ownerNode.inflightKeys() {
 			if k == key {
 				return true
 			}
@@ -537,7 +576,7 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 	}()
 	key := ownerNode.gridKey(inflightBench, "coarse")
 	if !waitFor(t, 5*time.Second, func() bool {
-		for _, k := range ownerNode.inflight.snapshot() {
+		for _, k := range ownerNode.inflightKeys() {
 			if k == key {
 				return true
 			}

@@ -44,7 +44,7 @@ type HarnessConfig struct {
 	Replicas     int
 	VirtualNodes int
 	// Serve seeds every node's embedded daemon config. Each node gets its
-	// own copy; CollectSpan is overwritten by the node.
+	// own copy, with MaxBenchmarks scaled by the replica count.
 	Serve serve.Config
 	// Mutate, when set, edits node i's assembled Config before NewNode —
 	// the hook for per-node tweaks like a tiny ProxyTimeout on one proxy.

@@ -14,7 +14,7 @@ package cluster
 //     landed rather than bouncing.
 //   - Peer-aware singleflight: proxies forward to the owner, whose Lab
 //     singleflight coalesces every caller cluster-wide. If the forward
-//     sheds or times out while the owner publishes the key in flight,
+//     sheds or times out while the owner's Lab lists the key in flight,
 //     the proxy waits for that flight and re-asks — it never starts a
 //     second collection for a key someone is already collecting.
 //   - Warm-replica fallback: when the owner sheds (429) or is
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -42,11 +43,6 @@ import (
 	"mcdvfs/internal/serve"
 	"mcdvfs/internal/trace"
 )
-
-// readGridJSON decodes a proxied grid body, validation included.
-func readGridJSON(body []byte) (*trace.Grid, error) {
-	return trace.ReadJSON(bytes.NewReader(body))
-}
 
 // Wire headers of the cluster protocol.
 const (
@@ -76,7 +72,8 @@ type Config struct {
 	Peers map[string]string
 	// Replicas is the replica-set size per key, owner included. Each key
 	// has Replicas-1 designated warm replicas. Default 2, clamped to the
-	// cluster size.
+	// cluster size. Replica copies are ordinary Lab entries, so the node's
+	// Lab holds up to Replicas × Serve.MaxBenchmarks grids.
 	Replicas int
 	// VirtualNodes is the ring's per-node vnode count; <= 0 selects
 	// DefaultVirtualNodes.
@@ -119,7 +116,6 @@ type Node struct {
 	self     string
 	ring     *Ring
 	srv      *serve.Server
-	inflight *inflightRegistry
 	met      *clusterMetrics
 	client   *http.Client
 	mux      *http.ServeMux
@@ -150,21 +146,19 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.Replicas = ring.Len()
 	}
 	n := &Node{
-		cfg:      cfg,
-		self:     cfg.Self,
-		ring:     ring,
-		inflight: newInflightRegistry(),
-		met:      &clusterMetrics{},
-		client:   &http.Client{},
-		mux:      http.NewServeMux(),
+		cfg:    cfg,
+		self:   cfg.Self,
+		ring:   ring,
+		met:    &clusterMetrics{},
+		client: &http.Client{},
+		mux:    http.NewServeMux(),
 	}
-	// The span publishes this node's flights to peers. It closes over n
-	// before the embedded server exists; that is safe because flights only
-	// start from HTTP handlers, which cannot run until NewNode returns.
+	// The node's Lab holds the keys it owns and the keys it replicates.
 	serveCfg := cfg.Serve
-	serveCfg.CollectSpan = func(bench, space string) func() {
-		return n.inflight.enter(n.gridKey(bench, space))
+	if serveCfg.MaxBenchmarks <= 0 {
+		serveCfg.MaxBenchmarks = serve.DefaultMaxBenchmarks
 	}
+	serveCfg.MaxBenchmarks *= cfg.Replicas
 	n.srv, err = serve.New(serveCfg)
 	if err != nil {
 		return nil, err
@@ -195,11 +189,7 @@ func (n *Node) ID() string { return n.self }
 // config hash, so nodes simulating different platforms can never be
 // conflated into one shard.
 func (n *Node) gridKey(bench, space string) string {
-	hash := ""
-	if n.keyHash != nil {
-		hash = n.keyHash[space]
-	}
-	return bench + "|" + space + "|" + hash
+	return bench + "|" + space + "|" + n.keyHash[space]
 }
 
 func (n *Node) peerURL(id string) string {
@@ -327,8 +317,9 @@ func (n *Node) serveCachedOnly(w http.ResponseWriter, bench, space string) {
 // replica when the owner sheds.
 func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, bench, space, owner string, isGrid bool) {
 	ctx := r.Context()
+	contentType := r.Header.Get("Content-Type")
 	n.met.proxied.Add(1)
-	resp, err := n.forward(ctx, owner, r.URL.Path, r.Header.Get("Content-Type"), body)
+	resp, err := n.forward(ctx, owner, r.URL.Path, contentType, body, false)
 	if err != nil {
 		n.met.proxyErrors.Add(1)
 		if ctx.Err() != nil {
@@ -340,11 +331,9 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, b
 		// instead of re-collecting (peer-aware singleflight). Otherwise a
 		// warm replica is the best answer left.
 		if n.awaitOwnerFlight(ctx, owner, key) {
-			if retry, rerr := n.forward(ctx, owner, r.URL.Path, r.Header.Get("Content-Type"), body); rerr == nil {
-				if retry.status < 300 {
-					n.relay(w, retry, bench, space, isGrid)
-					return
-				}
+			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
+				n.relay(w, retry, bench, space, isGrid)
+				return
 			}
 		}
 		if isGrid && n.serveStaleFallback(ctx, w, key, bench, space) {
@@ -361,7 +350,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, b
 		// owner's warm cache). No flight in sight: serve a replica's warm
 		// copy, marked stale; else pass the shed through, hint intact.
 		if n.awaitOwnerFlight(ctx, owner, key) {
-			if retry, rerr := n.forward(ctx, owner, r.URL.Path, r.Header.Get("Content-Type"), body); rerr == nil && retry.status < 300 {
+			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
 				n.relay(w, retry, bench, space, isGrid)
 				return
 			}
@@ -382,7 +371,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, b
 				n.serveLocal(w, r)
 				return
 			}
-			if fo, ferr := n.forward(ctx, id, r.URL.Path, r.Header.Get("Content-Type"), body); ferr == nil && fo.status < 500 {
+			if fo, ferr := n.forward(ctx, id, r.URL.Path, contentType, body, false); ferr == nil && fo.status < 500 {
 				n.relay(w, fo, bench, space, isGrid)
 				return
 			}
@@ -400,9 +389,10 @@ type proxyResponse struct {
 	body   []byte
 }
 
-// forward sends one request to a peer with the loop-guard header, bounded
-// by ProxyTimeout, and reads the full response.
-func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte) (*proxyResponse, error) {
+// forward is the one request path to a peer: a POST carrying the
+// loop-guard header (and, when cachedOnly, the never-collect header),
+// bounded by ProxyTimeout, with the full response read.
+func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte, cachedOnly bool) (*proxyResponse, error) {
 	fctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodPost, n.peerURL(id)+path, bytes.NewReader(body))
@@ -413,6 +403,9 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set(HeaderForwarded, n.self)
+	if cachedOnly {
+		req.Header.Set(HeaderCachedOnly, "1")
+	}
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -452,7 +445,7 @@ func (n *Node) seedReplica(bench, space string, body []byte) {
 	if _, ok := n.srv.Lab().PeekGrid(bench, space); ok {
 		return // already warm; skip the decode entirely
 	}
-	g, err := readGridJSON(body)
+	g, err := trace.ReadJSON(bytes.NewReader(body))
 	if err != nil {
 		return // not a grid body (error payload raced in); nothing to seed
 	}
@@ -484,11 +477,15 @@ func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, ke
 		writeJSON(w, http.StatusOK, g)
 		return true
 	}
+	probe, err := json.Marshal(serve.GridRequest{Benchmark: bench, Space: space})
+	if err != nil {
+		return false
+	}
 	for _, id := range n.ring.Replicas(key, n.ring.Len())[1:] {
 		if id == n.self {
 			continue
 		}
-		resp, err := n.forwardCachedOnly(ctx, id, bench, space)
+		resp, err := n.forward(ctx, id, "/v1/grid", "application/json", probe, true)
 		if err != nil || resp.status != http.StatusOK {
 			continue
 		}
@@ -506,40 +503,11 @@ func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, ke
 	return false
 }
 
-// forwardCachedOnly asks a peer for its cached copy of a grid — never a
-// collection.
-func (n *Node) forwardCachedOnly(ctx context.Context, id, bench, space string) (*proxyResponse, error) {
-	body, err := json.Marshal(serve.GridRequest{Benchmark: bench, Space: space})
-	if err != nil {
-		return nil, err
-	}
-	fctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, n.peerURL(id)+"/v1/grid", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderForwarded, n.self)
-	req.Header.Set(HeaderCachedOnly, "1")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow errflow read-only response body; a close error after a full read carries no data loss
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return &proxyResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
-}
-
 // awaitOwnerFlight implements the proxy side of peer-aware singleflight:
-// if the owner currently publishes key in its in-flight list, poll until
-// the flight ends (the result is then in the owner's cache) and report
-// true — the caller should re-ask the owner. Reports false when no flight
-// is visible, the owner is unreachable, or the caller's context ends.
+// if the owner currently lists key in flight, poll until the flight ends
+// (the result is then in the owner's cache) and report true — the caller
+// should re-ask the owner. Reports false when no flight is visible, the
+// owner is unreachable, or the caller's context ends.
 func (n *Node) awaitOwnerFlight(ctx context.Context, owner, key string) bool {
 	listed, err := n.ownerInflight(ctx, owner, key)
 	if err != nil || !listed {
@@ -598,9 +566,21 @@ func (n *Node) ownerInflight(ctx context.Context, owner, key string) (bool, erro
 	return false, nil
 }
 
+// inflightKeys lists the grids whose flight is running in this node's Lab
+// as sorted routing keys.
+func (n *Node) inflightKeys() []string {
+	grids := n.srv.Lab().InflightGrids()
+	keys := make([]string, 0, len(grids))
+	for _, k := range grids {
+		keys = append(keys, n.gridKey(k.Benchmark, k.Space))
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // handleInflight publishes this node's in-flight keys.
 func (n *Node) handleInflight(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, InflightResponse{Node: n.self, Keys: n.inflight.snapshot()})
+	writeJSON(w, http.StatusOK, InflightResponse{Node: n.self, Keys: n.inflightKeys()})
 }
 
 // RingResponse is the JSON body of GET /v1/cluster/ring.
@@ -627,7 +607,7 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 // counters appended — one scrape shows both layers.
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n.srv.Handler().ServeHTTP(w, r)
-	n.met.write(w, n.inflight.len(), n.ring.Len())
+	n.met.write(w, len(n.srv.Lab().InflightGrids()), n.ring.Len())
 }
 
 // BeginDrain starts phase one of the drain: newly proxied ring writes are

@@ -1,159 +1,39 @@
 package experiments
 
-// The grid cache behind Lab: a sharded, mutex-guarded map with
-// singleflight semantics (N concurrent requests for one benchmark trigger
-// exactly one collection) and an optional persistent JSON layer keyed by
-// (benchmark, space, platform-config hash).
+// The persistent layer under the Lab's in-memory grid cache: JSON files
+// keyed by (benchmark, space, platform-config hash), plus the validity
+// check every externally obtained grid — loaded from disk or replicated
+// from a peer — must pass before it is cached.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 
 	"mcdvfs/internal/freq"
 	"mcdvfs/internal/sim"
 	"mcdvfs/internal/trace"
 )
 
-// gridShardCount spreads keys over independent locks so concurrent
-// collections of different benchmarks never contend on one mutex.
-const gridShardCount = 16
-
-// gridCache is the in-memory layer. Each shard owns its key range; an
-// entry's done channel closes once its grid (or error) is final, which is
-// what waiters block on — never a lock held across a collection.
-type gridCache struct {
-	shards [gridShardCount]gridShard
-}
-
-type gridShard struct {
-	mu      sync.Mutex
-	entries map[string]*gridEntry
-}
-
-type gridEntry struct {
-	done chan struct{} // closed when g and err are final
-	g    *trace.Grid
-	err  error
-}
-
-func newGridCache() *gridCache {
-	c := &gridCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*gridEntry)
-	}
-	return c
-}
-
-func (c *gridCache) shard(key string) *gridShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%gridShardCount]
-}
-
-// do returns the grid for key, invoking collect at most once per key no
-// matter how many goroutines ask concurrently. Late callers join the
-// in-flight collection and wait on it; a waiter whose ctx is cancelled
-// abandons the flight immediately while the owner keeps collecting, so
-// the grid still lands in the cache for everyone after it.
-//
-// A flight that fails (including owner cancellation) deletes its entry
-// before publishing the error: no partial or poisoned grid stays cached,
-// and the next request simply retries.
-//
-// The joined result reports whether the caller found an existing entry —
-// either a completed grid or an in-flight collection it waited on — as
-// opposed to owning the collect call itself. Cache observers use it to
-// count coalesced requests.
-func (c *gridCache) do(ctx context.Context, key string, collect func() (*trace.Grid, error)) (g *trace.Grid, joined bool, err error) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.g, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	e := &gridEntry{done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-
-	g, err = collect()
-	if err != nil {
-		sh.mu.Lock()
-		// The entry may already be gone if forget ran mid-flight; delete is
-		// a no-op then.
-		delete(sh.entries, key)
-		sh.mu.Unlock()
-	}
-	e.g, e.err = g, err
-	close(e.done)
-	return g, false, err
-}
-
-// peek returns key's completed grid, if any, without joining or starting
-// a flight. An in-flight collection reads as absent: peek never blocks,
-// which is what lets a cluster replica answer "do you have a warm copy"
-// without being dragged into a collection.
-func (c *gridCache) peek(key string) (*trace.Grid, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	sh.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return nil, false
-		}
-		return e.g, true
-	default:
-		return nil, false
-	}
-}
-
-// put installs an externally obtained completed grid under key if no
-// entry — completed or in flight — exists. It reports whether the grid
-// was stored; losing to an existing entry is not an error, the resident
-// entry simply wins (matching the cache's exactly-once result identity).
-func (c *gridCache) put(key string, g *trace.Grid) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[key]; ok {
+// gridMatches reports whether g is bench's grid over exactly space's
+// setting list. A grid the lab did not collect itself is valid only under
+// this match; anything else is recollected rather than cached.
+func gridMatches(g *trace.Grid, bench string, space *freq.Space) bool {
+	if g.Benchmark != bench || g.NumSettings() != space.Len() {
 		return false
 	}
-	e := &gridEntry{done: make(chan struct{}), g: g}
-	close(e.done)
-	sh.entries[key] = e
+	for k, st := range space.Settings() {
+		if g.Settings[k] != st { //lint:allow floateq a stored or replicated grid is valid only under a bit-exact setting match
+			return false
+		}
+	}
 	return true
-}
-
-// forget drops key's entry. An in-flight collection is unaffected — its
-// waiters hold the entry pointer and still receive the result — but no new
-// request will find it, so the next lookup recollects. It reports whether
-// an entry was present.
-func (c *gridCache) forget(key string) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
-	delete(sh.entries, key)
-	return ok
 }
 
 // gridKeyHash fingerprints everything a stored grid depends on: the full
@@ -259,16 +139,8 @@ func (d diskCache) load(path, bench string, space *freq.Space) *trace.Grid {
 	//lint:allow errflow read-only file; a close error after a successful read carries no data loss
 	defer f.Close()
 	g, err := trace.ReadJSON(f)
-	if err != nil {
+	if err != nil || !gridMatches(g, bench, space) {
 		return nil
-	}
-	if g.Benchmark != bench || g.NumSettings() != space.Len() {
-		return nil
-	}
-	for k, st := range space.Settings() {
-		if g.Settings[k] != st { //lint:allow floateq a stored grid is valid only under a bit-exact setting match
-			return nil
-		}
 	}
 	return g
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mcdvfs/internal/cache/lru"
 	"mcdvfs/internal/core"
 	"mcdvfs/internal/freq"
 	"mcdvfs/internal/sim"
@@ -20,9 +21,10 @@ import (
 
 // Lab owns the simulated platform and caches collected grids, since grid
 // collection is the expensive step shared by every experiment. It is safe
-// for concurrent use: grids live in a sharded singleflight cache, so N
-// goroutines requesting the same benchmark trigger exactly one collection
-// and requests for different benchmarks proceed independently.
+// for concurrent use: grids live in one bounded singleflight cache
+// (internal/cache/lru) keyed by benchmark and space, so N goroutines
+// requesting the same grid trigger exactly one collection and requests for
+// different grids proceed independently.
 type Lab struct {
 	sys    *sim.System
 	cfg    sim.Config
@@ -31,18 +33,14 @@ type Lab struct {
 
 	workers  int    // Collect worker-pool size; 0 means GOMAXPROCS
 	cacheDir string // persistent grid cache directory; "" disables
+	maxGrids int    // resident-grid bound; <= 0 means every registry key in both spaces
 
 	observer func(GridEvent)                  // grid-cache outcome hook; nil disables
 	gate     CollectGate                      // admission control around collections; nil admits all
 	progress func(done, total int)            // per-column collection progress; nil disables
 	span     func(bench, space string) func() // brackets every owned grid flight; nil disables
 
-	coarseGrids *gridCache
-	fineGrids   *gridCache
-
-	mu           sync.Mutex
-	analyses     map[string]*core.Analysis
-	fineAnalyses map[string]*core.Analysis
+	grids *lru.Cache[GridKey, *gridEntry]
 
 	// collect is the collection entry point; tests swap it to count
 	// flights or inject faults.
@@ -63,6 +61,35 @@ func WithWorkers(n int) Option { return func(l *Lab) { l.workers = n } }
 // used regardless.
 func WithGridCacheDir(dir string) Option { return func(l *Lab) { l.cacheDir = dir } }
 
+// WithMaxGrids bounds how many grids the lab keeps resident, counting a
+// benchmark's coarse and fine grids separately; an insertion past the
+// bound evicts the least recently used grid with its analysis. Zero or
+// negative selects the default, every registry benchmark in both spaces,
+// so nothing is ever evicted.
+func WithMaxGrids(n int) Option { return func(l *Lab) { l.maxGrids = n } }
+
+// GridKey names one cached grid: a benchmark in the "coarse" or "fine"
+// space.
+type GridKey struct {
+	Benchmark string
+	Space     string
+}
+
+// gridEntry is one resident grid and its analysis, built at most once on
+// first use. Evicting the entry drops both.
+type gridEntry struct {
+	grid *trace.Grid
+
+	once     sync.Once
+	analysis *core.Analysis
+	err      error
+}
+
+func (e *gridEntry) analyze() (*core.Analysis, error) {
+	e.once.Do(func() { e.analysis, e.err = core.NewAnalysis(e.grid) })
+	return e.analysis, e.err
+}
+
 // GridEventKind classifies how one grid request was satisfied.
 type GridEventKind int
 
@@ -74,9 +101,13 @@ const (
 	GridDiskLoad
 	// GridCollect: a full collection ran.
 	GridCollect
+	// GridEvict: the resident-grid bound displaced this grid. Forget does
+	// not emit it.
+	GridEvict
 )
 
-// GridEvent describes one successfully satisfied grid request.
+// GridEvent describes one successfully satisfied grid request, or one
+// eviction.
 type GridEvent struct {
 	Benchmark string
 	Space     string // "coarse" or "fine"
@@ -84,10 +115,11 @@ type GridEvent struct {
 }
 
 // WithGridObserver registers fn to be called once per successful grid
-// request with how it was satisfied. fn runs on the requesting goroutine
-// (or the collecting one, for GridCollect/GridDiskLoad) and must be safe
-// for concurrent use and fast — it sits on the grid hot path. The serve
-// layer uses it to export cache and coalescing counters.
+// request with how it was satisfied, and once per eviction. fn runs on the
+// requesting goroutine (or the collecting one, for GridCollect/GridDiskLoad,
+// or the inserting one, for GridEvict) and must be safe for concurrent use
+// and fast — it sits on the grid hot path. The serve layer uses it to
+// export cache, coalescing and eviction counters.
 func WithGridObserver(fn func(GridEvent)) Option { return func(l *Lab) { l.observer = fn } }
 
 // CollectGate admits one grid collection. Implementations return a release
@@ -115,9 +147,7 @@ func WithCollectProgress(fn func(done, total int)) Option {
 // starts (before the persistent-cache probe, the admission gate, and the
 // collection itself) and the returned done func when the flight finishes,
 // success or failure. Coalesced joiners never trigger fn — exactly one
-// span per flight. The cluster router uses it to publish in-flight keys
-// to peers, so a collection running anywhere in the cluster is
-// discoverable while it runs.
+// span per flight. Tracing harnesses use it to time flights.
 func WithCollectSpan(fn func(bench, space string) (done func())) Option {
 	return func(l *Lab) { l.span = fn }
 }
@@ -134,18 +164,21 @@ func NewLabWithConfig(cfg sim.Config, opts ...Option) (*Lab, error) {
 		return nil, err
 	}
 	l := &Lab{
-		sys:          sys,
-		cfg:          cfg,
-		coarse:       freq.CoarseSpace(),
-		fine:         freq.FineSpace(),
-		coarseGrids:  newGridCache(),
-		fineGrids:    newGridCache(),
-		analyses:     make(map[string]*core.Analysis),
-		fineAnalyses: make(map[string]*core.Analysis),
-		collect:      trace.CollectContext,
+		sys:     sys,
+		cfg:     cfg,
+		coarse:  freq.CoarseSpace(),
+		fine:    freq.FineSpace(),
+		collect: trace.CollectContext,
 	}
 	for _, opt := range opts {
 		opt(l)
+	}
+	if l.maxGrids <= 0 {
+		l.maxGrids = 2 * len(workload.Names())
+	}
+	l.grids, err = lru.New[GridKey, *gridEntry](l.maxGrids, func(k GridKey) { l.emit(k, GridEvict) })
+	if err != nil {
+		return nil, err
 	}
 	return l, nil
 }
@@ -170,7 +203,7 @@ func (l *Lab) Grid(bench string) (*trace.Grid, error) {
 // caller is cancelled, the flight is abandoned and no partial grid stays
 // cached.
 func (l *Lab) GridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.gridFor(ctx, l.coarseGrids, bench, l.coarse, "coarse")
+	return l.gridFor(ctx, bench, "coarse")
 }
 
 // FineGrid returns the fine-step grid for a benchmark.
@@ -180,20 +213,39 @@ func (l *Lab) FineGrid(bench string) (*trace.Grid, error) {
 
 // FineGridContext is FineGrid with cancellation (see GridContext).
 func (l *Lab) FineGridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.gridFor(ctx, l.fineGrids, bench, l.fine, "fine")
+	return l.gridFor(ctx, bench, "fine")
 }
 
-func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space *freq.Space, spaceName string) (*trace.Grid, error) {
+func (l *Lab) gridFor(ctx context.Context, bench, spaceName string) (*trace.Grid, error) {
+	e, err := l.entry(ctx, bench, spaceName)
+	if err != nil {
+		return nil, err
+	}
+	return e.grid, nil
+}
+
+func (l *Lab) analysisFor(ctx context.Context, bench, spaceName string) (*core.Analysis, error) {
+	e, err := l.entry(ctx, bench, spaceName)
+	if err != nil {
+		return nil, err
+	}
+	return e.analyze()
+}
+
+// entry returns the resident entry for (bench, spaceName), running at most
+// one flight per entry: persistent-cache probe, admission gate, then
+// collection.
+func (l *Lab) entry(ctx context.Context, bench, spaceName string) (*gridEntry, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	emit := func(kind GridEventKind) {
-		if l.observer != nil {
-			l.observer(GridEvent{Benchmark: bench, Space: spaceName, Kind: kind})
-		}
+	space, err := l.spaceFor(spaceName)
+	if err != nil {
+		return nil, err
 	}
-	g, joined, err := cache.do(ctx, bench, func() (*trace.Grid, error) {
+	key := GridKey{Benchmark: bench, Space: spaceName}
+	e, joined, err := l.grids.Do(ctx, key, func() (*gridEntry, error) {
 		if l.span != nil {
 			done := l.span(bench, spaceName)
 			defer done()
@@ -203,8 +255,8 @@ func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space
 			disk := diskCache{dir: l.cacheDir}
 			path = disk.path(bench, spaceName, gridKeyHash(l.cfg, space))
 			if g := disk.load(path, bench, space); g != nil {
-				emit(GridDiskLoad)
-				return g, nil
+				l.emit(key, GridDiskLoad)
+				return &gridEntry{grid: g}, nil
 			}
 		}
 		if l.gate != nil {
@@ -218,28 +270,37 @@ func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space
 		if err != nil {
 			return nil, fmt.Errorf("experiments: collecting %s %s: %w", spaceName, bench, err)
 		}
-		emit(GridCollect)
+		l.emit(key, GridCollect)
 		if path != "" {
 			_ = diskCache{dir: l.cacheDir}.store(path, g) // best-effort
 		}
-		return g, nil
+		return &gridEntry{grid: g}, nil
 	})
-	if err == nil && joined {
-		emit(GridHit)
+	if err != nil {
+		return nil, err
 	}
-	return g, err
+	if joined {
+		l.emit(key, GridHit)
+	}
+	return e, nil
+}
+
+func (l *Lab) emit(k GridKey, kind GridEventKind) {
+	if l.observer != nil {
+		l.observer(GridEvent{Benchmark: k.Benchmark, Space: k.Space, Kind: kind})
+	}
 }
 
 // spaceFor resolves a published space name. Only "coarse" and "fine"
 // exist; the empty string is not accepted here — callers normalize first.
-func (l *Lab) spaceFor(spaceName string) (*gridCache, *freq.Space, error) {
+func (l *Lab) spaceFor(spaceName string) (*freq.Space, error) {
 	switch spaceName {
 	case "coarse":
-		return l.coarseGrids, l.coarse, nil
+		return l.coarse, nil
 	case "fine":
-		return l.fineGrids, l.fine, nil
+		return l.fine, nil
 	default:
-		return nil, nil, fmt.Errorf("experiments: unknown space %q (use coarse or fine)", spaceName)
+		return nil, fmt.Errorf("experiments: unknown space %q (use coarse or fine)", spaceName)
 	}
 }
 
@@ -250,7 +311,7 @@ func (l *Lab) spaceFor(spaceName string) (*gridCache, *freq.Space, error) {
 // key iff this hash matches, so a recalibrated platform can never be
 // routed onto a peer's stale shard.
 func (l *Lab) GridKeyHash(spaceName string) (string, error) {
-	_, space, err := l.spaceFor(spaceName)
+	space, err := l.spaceFor(spaceName)
 	if err != nil {
 		return "", err
 	}
@@ -263,55 +324,44 @@ func (l *Lab) GridKeyHash(spaceName string) (string, error) {
 // answering a cached-only request must never be dragged into a
 // collection.
 func (l *Lab) PeekGrid(bench, spaceName string) (*trace.Grid, bool) {
-	cache, _, err := l.spaceFor(spaceName)
-	if err != nil {
+	e, ok := l.grids.Peek(GridKey{Benchmark: bench, Space: spaceName})
+	if !ok {
 		return nil, false
 	}
-	return cache.peek(bench)
+	return e.grid, true
 }
 
 // SeedGrid installs an externally obtained grid — typically replicated
 // from a cluster peer's response — into the in-memory cache, if no entry
-// for the benchmark exists. The grid is validated the same way a
-// persistent-cache load is (benchmark name and a bit-exact setting-list
-// match against the named space); a mismatched grid is rejected rather
-// than poisoning the cache. It reports whether the grid was stored.
-func (l *Lab) SeedGrid(bench, spaceName string, g *trace.Grid) bool { //lint:allow ctx validation-only walk over an already collected grid; no sweep is performed
-	cache, space, err := l.spaceFor(spaceName)
-	if err != nil || g == nil {
+// for the key exists. A seeded grid is an ordinary entry: it counts
+// against the resident bound and may evict. The grid is validated the same
+// way a persistent-cache load is (gridMatches); a mismatched grid is
+// rejected rather than poisoning the cache. It reports whether the grid
+// was stored.
+func (l *Lab) SeedGrid(bench, spaceName string, g *trace.Grid) bool {
+	space, err := l.spaceFor(spaceName)
+	if err != nil || g == nil || !gridMatches(g, bench, space) {
 		return false
 	}
-	if g.Benchmark != bench || g.NumSettings() != space.Len() {
-		return false
-	}
-	for k, st := range space.Settings() {
-		if g.Settings[k] != st { //lint:allow floateq a replicated grid is valid only under a bit-exact setting match
-			return false
-		}
-	}
-	return cache.put(bench, g)
+	return l.grids.PutIfAbsent(GridKey{Benchmark: bench, Space: spaceName}, &gridEntry{grid: g})
 }
 
 // Forget drops every cached artifact for a benchmark — coarse and fine
 // grids plus their analyses — so the next request recollects. In-flight
 // collections are unaffected: their waiters still get the result, it just
-// is not retained. Size-bounding layers (the serve LRU) call this on
-// eviction. It reports whether anything was cached.
+// is not retained. It reports whether anything was cached.
 func (l *Lab) Forget(bench string) bool {
-	dropped := l.coarseGrids.forget(bench)
-	dropped = l.fineGrids.forget(bench) || dropped
-	l.mu.Lock()
-	if _, ok := l.analyses[bench]; ok {
-		delete(l.analyses, bench)
-		dropped = true
-	}
-	if _, ok := l.fineAnalyses[bench]; ok {
-		delete(l.fineAnalyses, bench)
-		dropped = true
-	}
-	l.mu.Unlock()
-	return dropped
+	dropped := l.grids.Remove(GridKey{Benchmark: bench, Space: "coarse"})
+	return l.grids.Remove(GridKey{Benchmark: bench, Space: "fine"}) || dropped
 }
+
+// ResidentGrids returns how many grids the cache holds, running flights
+// included.
+func (l *Lab) ResidentGrids() int { return l.grids.Len() }
+
+// InflightGrids lists the resident grids whose flight is still running,
+// most recently used first.
+func (l *Lab) InflightGrids() []GridKey { return l.grids.Inflight() }
 
 // Analysis returns the cached coarse-grid analysis for a benchmark.
 func (l *Lab) Analysis(bench string) (*core.Analysis, error) {
@@ -321,7 +371,7 @@ func (l *Lab) Analysis(bench string) (*core.Analysis, error) {
 // AnalysisContext is Analysis with cancellation of the underlying
 // collection.
 func (l *Lab) AnalysisContext(ctx context.Context, bench string) (*core.Analysis, error) {
-	return l.analysisFor(ctx, l.analyses, bench, l.GridContext)
+	return l.analysisFor(ctx, bench, "coarse")
 }
 
 // FineAnalysis returns the cached fine-grid analysis for a benchmark.
@@ -332,33 +382,5 @@ func (l *Lab) FineAnalysis(bench string) (*core.Analysis, error) {
 // FineAnalysisContext is FineAnalysis with cancellation of the underlying
 // collection.
 func (l *Lab) FineAnalysisContext(ctx context.Context, bench string) (*core.Analysis, error) {
-	return l.analysisFor(ctx, l.fineAnalyses, bench, l.FineGridContext)
-}
-
-func (l *Lab) analysisFor(ctx context.Context, m map[string]*core.Analysis, bench string,
-	grid func(context.Context, string) (*trace.Grid, error)) (*core.Analysis, error) {
-	l.mu.Lock()
-	a, ok := m[bench]
-	l.mu.Unlock()
-	if ok {
-		return a, nil
-	}
-	g, err := grid(ctx, bench)
-	if err != nil {
-		return nil, err
-	}
-	a, err = core.NewAnalysis(g)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	// Keep the first stored analysis so concurrent builders agree on one
-	// pointer, matching the grid cache's exactly-once result identity.
-	if prev, ok := m[bench]; ok {
-		a = prev
-	} else {
-		m[bench] = a
-	}
-	l.mu.Unlock()
-	return a, nil
+	return l.analysisFor(ctx, bench, "fine")
 }

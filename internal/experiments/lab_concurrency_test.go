@@ -1,10 +1,12 @@
 package experiments
 
-// Concurrency suite for the Lab's sharded singleflight grid cache: N
+// Concurrency suite for the Lab's bounded singleflight grid cache: N
 // goroutines per key must trigger exactly one collection, losing waiters
 // must unblock on their own cancellation without killing the flight, an
-// owner's cancellation must leave no partial grid cached, and the optional
-// disk layer must satisfy a second lab without recollecting.
+// owner's cancellation must leave no partial grid cached, a flight that
+// outlives its entry must neither drop a newer grid nor keep its analysis,
+// and the optional disk layer must satisfy a second lab without
+// recollecting.
 
 import (
 	"bytes"
@@ -206,6 +208,88 @@ func TestLabOwnerCancellationLeavesNoPartialGrid(t *testing.T) {
 	}
 	if n := flightCount(counts, "milc/fine"); n != 2 {
 		t.Errorf("%d collections, want 2 (cancelled flight + clean retry)", n)
+	}
+}
+
+// TestLabFailedFlightKeepsNewerGrid: a flight that fails after Forget
+// dropped its entry must leave alone the newer grid collected meanwhile.
+func TestLabFailedFlightKeepsNewerGrid(t *testing.T) {
+	var admissions atomic.Int64
+	waiting := make(chan struct{})
+	release := make(chan struct{})
+	gate := func(ctx context.Context) (func(), error) {
+		if admissions.Add(1) == 1 {
+			close(waiting)
+			<-release
+			return nil, errors.New("shed")
+		}
+		return func() {}, nil
+	}
+	l, counts := countingLab(t, 0, WithCollectGate(gate))
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := l.Grid("gobmk")
+		first <- err
+	}()
+	<-waiting
+	if !l.Forget("gobmk") {
+		t.Fatal("Forget found no entry for the waiting flight")
+	}
+	if _, err := l.Grid("gobmk"); err != nil {
+		t.Fatalf("second Grid: %v", err)
+	}
+	close(release)
+	if err := <-first; err == nil {
+		t.Fatal("first flight succeeded, want the gate's error")
+	}
+
+	if _, ok := l.PeekGrid("gobmk", "coarse"); !ok {
+		t.Error("the failed flight dropped the newer grid")
+	}
+	if _, err := l.Grid("gobmk"); err != nil {
+		t.Fatal(err)
+	}
+	if n := flightCount(counts, "gobmk/coarse"); n != 1 {
+		t.Errorf("%d collections, want 1", n)
+	}
+}
+
+// TestLabForgetMidFlightDropsAnalysis: an analysis built from a flight
+// whose entry was forgotten mid-flight must not outlive the entry.
+func TestLabForgetMidFlightDropsAnalysis(t *testing.T) {
+	l, counts := countingLab(t, 0)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	inner := l.collect
+	var calls atomic.Int64
+	l.collect = func(ctx context.Context, sys *sim.System, b workload.Benchmark, space *freq.Space, o trace.CollectOptions) (*trace.Grid, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return inner(ctx, sys, b, space, o)
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := l.Analysis("gobmk")
+		first <- err
+	}()
+	<-started
+	if !l.Forget("gobmk") {
+		t.Fatal("Forget found no entry for the running flight")
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("first Analysis: %v", err)
+	}
+
+	if _, err := l.Analysis("gobmk"); err != nil {
+		t.Fatal(err)
+	}
+	if n := flightCount(counts, "gobmk/coarse"); n != 2 {
+		t.Errorf("%d collections, want 2 (the forgotten flight's analysis must not be kept)", n)
 	}
 }
 

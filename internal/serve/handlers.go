@@ -143,7 +143,6 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.met.gridRequests.Add(1)
-		s.touch(req.Benchmark)
 		if spaceName == "fine" {
 			g, err = s.lab.FineGridContext(ctx, req.Benchmark)
 		} else {
@@ -213,7 +212,7 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 
 	s.met.optimalRequests.Add(1)
 	key := fmt.Sprintf("%s|%s|%x", req.Benchmark, spaceName, math.Float64bits(req.Budget))
-	resp, hit, err := s.optMemo.do(ctx, key, func() (*OptimalResponse, error) {
+	resp, hit, err := s.optMemo.Do(ctx, key, func() (*OptimalResponse, error) {
 		return s.computeOptimal(ctx, req.Benchmark, spaceName, req.Budget)
 	})
 	if hit {
@@ -228,7 +227,6 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) computeOptimal(ctx context.Context, bench, spaceName string, budget float64) (*OptimalResponse, error) {
 	s.met.gridRequests.Add(1)
-	s.touch(bench)
 	var (
 		a   *core.Analysis
 		err error
@@ -459,5 +457,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.pool.running(), s.pool.queued(), s.benches.Len())
+	s.met.write(w, s.pool.running(), s.pool.queued(), s.lab.ResidentGrids())
 }

@@ -30,7 +30,7 @@ type metrics struct {
 
 	optimalRequests atomic.Int64
 	optimalMemoHits atomic.Int64
-	benchEvictions  atomic.Int64 // benchmarks evicted from the LRU back into Lab.Forget
+	benchEvictions  atomic.Int64 // grids the Lab's resident bound evicted (GridEvict)
 }
 
 // gridEvent is the experiments.WithGridObserver hook.
@@ -42,6 +42,8 @@ func (m *metrics) gridEvent(ev experiments.GridEvent) {
 		m.gridDiskLoads.Add(1)
 	case experiments.GridCollect:
 		m.gridCollections.Add(1)
+	case experiments.GridEvict:
+		m.benchEvictions.Add(1)
 	}
 }
 
@@ -64,7 +66,7 @@ func (m *metrics) countResponse(code int) {
 }
 
 // write renders the exposition text. Gauges that live outside the struct
-// (pool occupancy, LRU size) are passed in.
+// (pool occupancy, resident grids) are passed in.
 func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchmarks int) {
 	counter := func(name string, v int64) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)

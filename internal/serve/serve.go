@@ -3,14 +3,14 @@
 // the (CPU, memory) frequency schedule minimizing runtime — exposed as an
 // HTTP/JSON service instead of one-shot CLIs.
 //
-// The service layers on the Lab's sharded singleflight grid cache:
-// identical in-flight grid requests coalesce to one collection, completed
-// grids stay cached under a size-bounded LRU of benchmarks (evicted
-// benchmarks are released back through Lab.Forget), collections run behind
-// a bounded admission pool with a finite wait queue (saturation sheds with
-// 429 + Retry-After), and /v1/optimal answers are memoized with their own
-// singleflight. Every handler threads the request context, so a client
-// disconnect cancels the work it owns. See DESIGN.md §8.
+// The service layers on the Lab's bounded singleflight grid cache
+// (internal/cache/lru): identical in-flight grid requests coalesce to one
+// collection, at most MaxBenchmarks grids stay resident (the least
+// recently used is evicted with its analysis), collections run behind a
+// bounded admission pool with a finite wait queue (saturation sheds with
+// 429 + Retry-After), and /v1/optimal answers are memoized in a second
+// cache of the same type. Every handler threads the request context, so a
+// client disconnect cancels the work it owns. See DESIGN.md §8.
 package serve
 
 import (
@@ -39,9 +39,9 @@ type Config struct {
 	// QueueDepth is how many collection admissions may wait behind a full
 	// pool before requests are shed with 429. Default 8.
 	QueueDepth int
-	// MaxBenchmarks bounds how many benchmarks the daemon keeps
-	// characterized; the least recently requested is forgotten first.
-	// Default 16.
+	// MaxBenchmarks bounds how many grids the daemon's Lab keeps resident;
+	// the least recently requested is evicted first. A benchmark cached in
+	// both spaces takes two. Default DefaultMaxBenchmarks.
 	MaxBenchmarks int
 	// MemoSize bounds the /v1/optimal response memo. Default 256.
 	MemoSize int
@@ -53,11 +53,13 @@ type Config struct {
 	RetryAfter time.Duration
 	// CollectSpan, when set, brackets every grid-cache flight the daemon's
 	// Lab owns (experiments.WithCollectSpan): called when a flight starts,
-	// the returned func when it finishes. The cluster router publishes
-	// in-flight keys through it so peers can wait on this node's
-	// collections instead of re-collecting.
+	// the returned func when it finishes. Tracing harnesses use it to time
+	// flights.
 	CollectSpan func(bench, space string) (done func())
 }
+
+// DefaultMaxBenchmarks is Config.MaxBenchmarks when unset.
+const DefaultMaxBenchmarks = 16
 
 func (c Config) withDefaults() Config {
 	if c.PoolSize <= 0 {
@@ -69,7 +71,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 8
 	}
 	if c.MaxBenchmarks <= 0 {
-		c.MaxBenchmarks = 16
+		c.MaxBenchmarks = DefaultMaxBenchmarks
 	}
 	if c.MemoSize <= 0 {
 		c.MemoSize = 256
@@ -81,20 +83,20 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the mcdvfsd daemon: a Lab wrapped in admission control,
-// eviction, memoization, and metrics, exposed over HTTP.
+// memoization, and metrics, exposed over HTTP.
 type Server struct {
 	cfg      Config
 	lab      *experiments.Lab
 	pool     *pool
 	met      *metrics
-	benches  *lru.Cache[string, struct{}]
-	optMemo  *memo[*OptimalResponse]
+	optMemo  *lru.Cache[string, *OptimalResponse] // answers are pure functions of benchmark|space|budget bits
 	mux      *http.ServeMux
 	draining atomic.Bool
 }
 
 // New builds a server. The Lab is constructed here so the cache hooks
-// (observer, gate, progress) and the eviction LRU are wired consistently.
+// (observer, gate, progress) and the resident-grid bound are wired
+// consistently.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -104,14 +106,7 @@ func New(cfg Config) (*Server, error) {
 		mux:  http.NewServeMux(),
 	}
 	var err error
-	s.benches, err = lru.New[string, struct{}](cfg.MaxBenchmarks, func(bench string, _ struct{}) {
-		s.lab.Forget(bench)
-		s.met.benchEvictions.Add(1)
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.optMemo, err = newMemo[*OptimalResponse](cfg.MemoSize)
+	s.optMemo, err = lru.New[string, *OptimalResponse](cfg.MemoSize, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +117,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	opts := []experiments.Option{
 		experiments.WithWorkers(cfg.CollectWorkers),
+		experiments.WithMaxGrids(cfg.MaxBenchmarks),
 		experiments.WithGridObserver(s.met.gridEvent),
 		experiments.WithCollectGate(s.pool.acquire),
 		experiments.WithCollectProgress(s.met.collectProgress),
@@ -139,10 +135,6 @@ func New(cfg Config) (*Server, error) {
 	s.routes()
 	return s, nil
 }
-
-// touch marks a benchmark recently used, evicting the coldest one (through
-// Lab.Forget) if the LRU is over capacity.
-func (s *Server) touch(bench string) { s.benches.Add(bench, struct{}{}) }
 
 // requestCtx derives the handler context: the request's own context (so a
 // client disconnect cancels work the request owns) bounded by the
