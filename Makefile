@@ -2,9 +2,12 @@
 # pass: build, the full test suite, and the domain-invariant lint tier.
 # `make race` adds vet plus the full suite under the race detector, which
 # exercises the parallel collection engine and the Lab's bounded
-# singleflight cache under real contention. `make lint` runs cmd/mcdvfsvet,
-# the stdlib-only analyzer suite enforcing determinism, unit safety, float
-# equality, context discipline, and lock hygiene (see DESIGN.md §7).
+# singleflight cache under real contention. `make lint` runs go vet first
+# (`go test` runs only part of vet, and not copylocks, which catches copied
+# mutexes and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
+# enforcing determinism, unit safety, context discipline, goroutine joins,
+# error flow, value ranges, allocation-free hot paths, and model contracts
+# (see DESIGN.md §7).
 
 GO ?= go
 
@@ -21,6 +24,7 @@ verify: lint
 	$(GO) build ./... && $(GO) test ./...
 
 lint:
+	$(GO) vet ./...
 	$(GO) run ./cmd/mcdvfsvet ./...
 
 race:
@@ -72,8 +76,8 @@ bench-serve:
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
 # Analyzer benchmark record: the full mcdvfsvet suite (BenchmarkVet) and
-# the isolated abstract-interpretation tier (BenchmarkAbsint — rangecheck,
-# nilflow, and the purity-summary determinism prep), each serial vs
+# the isolated abstract-interpretation tier (BenchmarkAbsint — rangecheck
+# and the purity-summary determinism prep), each serial vs
 # parallel, captured as BENCH_vet.json for regression tracking.
 bench-vet:
 	$(GO) test ./internal/analysis -run '^$$' -bench 'BenchmarkVet|BenchmarkAbsint' -benchmem \

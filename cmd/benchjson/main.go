@@ -10,11 +10,13 @@
 //
 //	BenchmarkVet/serial-8   5   212345678 ns/op   123456 B/op   1234 allocs/op
 //
-// becomes {"name", "procs", "iterations", "ns_per_op", ...}; the goos /
-// goarch / pkg / cpu header lines are captured as run metadata, and a
-// "meta" block records the collecting environment (go version, GOOS /
-// GOARCH, GOMAXPROCS, git commit) for provenance — benchdiff ignores it
-// when diffing, so records from different toolchains stay comparable.
+// becomes {"name", "pkg", "procs", "iterations", "ns_per_op", ...}. A run
+// over several packages prints one "pkg:" header per package, so each
+// result carries the package of the header above it. The goos / goarch /
+// cpu header lines are captured as run metadata, and a "meta" block records
+// the collecting environment (go version, GOOS / GOARCH, GOMAXPROCS, git
+// commit) for provenance — benchdiff ignores it when diffing, so records
+// from different toolchains stay comparable.
 // Stdlib only, matching the repo's no-dependency rule.
 package main
 
@@ -23,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -32,7 +35,10 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the import path of the package the benchmark ran in.
+	Pkg string `json:"pkg,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran at.
 	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -72,7 +78,6 @@ func collectMeta() Meta {
 type Record struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Meta    Meta     `json:"meta"`
 	Results []Result `json:"results"`
@@ -86,31 +91,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	rec := Record{Meta: collectMeta()}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rec.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rec.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			rec.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rec.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseResult(line); ok {
-				rec.Results = append(rec.Results, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rec, err := parse(os.Stdin, os.Stdout)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: read stdin: %v\n", err)
 		os.Exit(1)
 	}
+	rec.Meta = collectMeta()
 	if len(rec.Results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
@@ -129,15 +115,44 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d result(s) to %s\n", len(rec.Results), *out)
 }
 
+// parse reads `go test -bench` output from r, echoing every line to echo,
+// and returns the parsed record without Meta.
+func parse(r io.Reader, echo io.Writer) (Record, error) {
+	var rec Record
+	var pkg string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			rec.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			rec.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "pkg: "):
+			pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			rec.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			if res, ok := parseResult(line); ok {
+				res.Pkg = pkg
+				rec.Results = append(rec.Results, res)
+			}
+		}
+	}
+	return rec, sc.Err()
+}
+
 // parseResult decodes one benchmark result line. The name's trailing
-// "-N" is the GOMAXPROCS suffix the testing package appends.
+// "-N" is the GOMAXPROCS suffix the testing package appends; it omits the
+// suffix only when GOMAXPROCS is 1.
 func parseResult(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {
 		return Result{}, false
 	}
-	var r Result
-	r.Name = fields[0]
+	r := Result{Name: fields[0], Procs: 1}
 	if i := strings.LastIndex(r.Name, "-"); i > 0 {
 		if p, err := strconv.Atoi(r.Name[i+1:]); err == nil {
 			r.Procs = p

@@ -1,0 +1,60 @@
+package main
+
+import (
+	"io"
+	"strings"
+	"testing"
+)
+
+// A two-package run, as `make bench-serve` produces it: the second "pkg:"
+// header must not relabel the first package's results, and a name without
+// a -N suffix was measured at GOMAXPROCS=1.
+const twoPackageRun = `goos: linux
+goarch: amd64
+pkg: mcdvfs/internal/serve
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkServeOptimalCached-2   	    5000	    231000 ns/op	   4096 B/op	      40 allocs/op
+BenchmarkServeGridCached   	       5	   6300000 ns/op	5400000 B/op	     184 allocs/op
+PASS
+ok  	mcdvfs/internal/serve	3.210s
+goos: linux
+goarch: amd64
+pkg: mcdvfs/internal/cluster
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkClusterGrid/nodes=3-2   	       5	   4600000 ns/op
+PASS
+ok  	mcdvfs/internal/cluster	5.100s
+`
+
+func TestParseTwoPackages(t *testing.T) {
+	rec, err := parse(strings.NewReader(twoPackageRun), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkServeOptimalCached", Pkg: "mcdvfs/internal/serve", Procs: 2, Iterations: 5000, NsPerOp: 231000, BytesPerOp: 4096, AllocsPerOp: 40},
+		{Name: "BenchmarkServeGridCached", Pkg: "mcdvfs/internal/serve", Procs: 1, Iterations: 5, NsPerOp: 6300000, BytesPerOp: 5400000, AllocsPerOp: 184},
+		{Name: "BenchmarkClusterGrid/nodes=3", Pkg: "mcdvfs/internal/cluster", Procs: 2, Iterations: 5, NsPerOp: 4600000},
+	}
+	if len(rec.Results) != len(want) {
+		t.Fatalf("got %d results, want %d: %+v", len(rec.Results), len(want), rec.Results)
+	}
+	for i, w := range want {
+		if rec.Results[i] != w {
+			t.Errorf("result %d = %+v, want %+v", i, rec.Results[i], w)
+		}
+	}
+	if rec.Goos != "linux" || rec.Goarch != "amd64" || rec.CPU == "" {
+		t.Errorf("header = %q/%q/%q, want linux/amd64 and a cpu", rec.Goos, rec.Goarch, rec.CPU)
+	}
+}
+
+func TestParseEchoesInput(t *testing.T) {
+	var echo strings.Builder
+	if _, err := parse(strings.NewReader(twoPackageRun), &echo); err != nil {
+		t.Fatal(err)
+	}
+	if echo.String() != twoPackageRun {
+		t.Errorf("echo differs from input:\n%s", echo.String())
+	}
+}

@@ -1,29 +1,18 @@
 // Command mcdvfsvet runs the repository's domain-invariant analyzer suite
-// (internal/analysis): determinism (including purity summaries that trace
-// entropy through helper calls), interprocedural unit safety, float
-// equality, context discipline, lock hygiene, goroutine-leak, lock-order,
-// error-flow, the abstract-interpretation checks — rangecheck
-// (interval analysis: zero-capable divisors, negative physical quantities
-// at call boundaries, provably out-of-range table indices) and nilflow
-// (nil-ness analysis: nil map writes, nil dereferences reachable on some
-// path, nil arguments to parameters the callee dereferences) — and the
-// simulator-core guards: hotpath (functions marked //vet:hotpath, and all
-// they statically call, are proven allocation-free — interface boxing,
-// escaping composite literals, unproven appends, map/chan/string traffic,
-// closures, defers in loops) and owned (values marked //vet:owned must not
-// leave their creating goroutine without //vet:transfer). The runtime
-// layers get three concurrency checks on a must-held lock dataflow:
-// guardedby (each struct field's mutex guard inferred from majority
-// access evidence; minority unguarded accesses and writes under RLock
-// flagged), atomicmix (fields and package variables accessed both via
-// sync/atomic and plainly), and spawnescape (every go statement and
-// goroutine-spawning callee audited; captures classified confined,
-// synchronized, read-only, or racy-unknown — only the last is reported).
-// The physical model carries declarative contracts: contract proves
-// //vet:requires / //vet:ensures / //vet:invariant annotations with the
-// interval interpreter — ensures on every return path, requires at every
-// static call site, invariants across mutating methods.
-// It is the `make lint` tier of `make verify`.
+// (internal/analysis), eight checks that go vet, the race detector and the
+// tests do not cover: determinism (including purity summaries that trace
+// entropy through helper calls), interprocedural unit safety, context
+// discipline, goroutine joins (goleak), error flow, rangecheck (interval
+// analysis: zero-capable divisors, negative physical quantities at call
+// boundaries, provably out-of-range table indices), hotpath (functions
+// marked //vet:hotpath, and all they statically call, are proven
+// allocation-free — interface boxing, escaping composite literals,
+// unproven appends, map/chan/string traffic, closures, defers in loops),
+// and contract, which proves //vet:requires / //vet:ensures /
+// //vet:invariant annotations with the interval interpreter — ensures on
+// every return path, requires at every static call site, invariants across
+// mutating methods. It is the `make lint` tier of `make verify`, after
+// go vet.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Package absint is the abstract-interpretation layer of mcdvfsvet: a
 // generic join-semilattice fixpoint engine over the flow package's
-// per-function CFGs, plus the two concrete domains the suite ships —
-// intervals (interval.go) and nil-ness (nilness.go).
+// per-function CFGs, plus the concrete domain the suite ships: intervals
+// (interval.go).
 //
 // The engine is deliberately classical. Abstract states are environments
 // mapping variables (and a few tracked l-value paths like "s.Requests" or
@@ -28,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"mcdvfs/internal/analysis/flow"
 )
@@ -418,15 +417,4 @@ func objVar(info *types.Info, id *ast.Ident) (*types.Var, bool) {
 		return v, true
 	}
 	return nil, false
-}
-
-// SortedVarNames is a test/debug helper: the names of all tracked vars in a
-// deterministic order.
-func (e *Env[V]) SortedVarNames() []string {
-	names := make([]string, 0, len(e.Vars))
-	for v := range e.Vars {
-		names = append(names, v.Name())
-	}
-	sort.Strings(names)
-	return names
 }

@@ -320,116 +320,6 @@ func F(s *S) int {
 	}
 }
 
-// ---- nil-ness ----
-
-func TestNilnessDeclAndMake(t *testing.T) {
-	info, fns := load(t, `package absfix
-func F() map[string]int {
-	var m map[string]int
-	m = make(map[string]int)
-	return m
-}`)
-	ev := &NilEval{Info: info}
-	cfg := flow.New(fns["F"])
-	envs := ev.Interp().Analyze(cfg, NewEnv[Nilness]())
-	exit := envs[cfg.Exit]
-	for v, n := range exit.Vars {
-		if v.Name() == "m" && n != NilNonNil {
-			t.Errorf("m after make = %v, want non-nil", n)
-		}
-	}
-
-	// Walk to the point between the declaration and the make: m must be nil.
-	entry := envs[cfg.Entry]
-	sawNil := false
-	ev.Interp().Walk(cfg.Entry, entry, func(n ast.Node, env *Env[Nilness]) {
-		if _, ok := n.(*ast.AssignStmt); ok {
-			for v, f := range env.Vars {
-				if v.Name() == "m" && f == NilIsNil {
-					sawNil = true
-				}
-			}
-		}
-	})
-	if !sawNil {
-		t.Error("m not IsNil between var decl and make")
-	}
-}
-
-func TestNilnessJoinPreservesEvidence(t *testing.T) {
-	lat := NilLattice{}
-	if got := lat.Join(NilUnknown, NilIsNil); got != NilMaybe {
-		t.Errorf("unknown join nil = %v, want maybe (evidence preserved)", got)
-	}
-	if got := lat.Join(NilUnknown, NilNonNil); got != NilUnknown {
-		t.Errorf("unknown join non-nil = %v, want unknown", got)
-	}
-	if got := lat.Join(NilIsNil, NilNonNil); got != NilMaybe {
-		t.Errorf("nil join non-nil = %v, want maybe", got)
-	}
-}
-
-func TestNilnessBranchRefinement(t *testing.T) {
-	info, fns := load(t, `package absfix
-func F(p *int) int {
-	if p == nil {
-		return 0
-	}
-	return *p
-}`)
-	ev := &NilEval{Info: info}
-	cfg := flow.New(fns["F"])
-	envs := ev.Interp().Analyze(cfg, NewEnv[Nilness]())
-	for _, blk := range cfg.Blocks {
-		env := envs[blk]
-		if env == nil {
-			continue
-		}
-		for v, n := range env.Vars {
-			if v.Name() != "p" {
-				continue
-			}
-			switch blk.Kind {
-			case "if.then":
-				if n != NilIsNil {
-					t.Errorf("in then-branch p = %v, want nil", n)
-				}
-			case "if.done":
-				if n != NilNonNil {
-					t.Errorf("below guard p = %v, want non-nil", n)
-				}
-			}
-		}
-	}
-}
-
-func TestNilnessMergeSomePath(t *testing.T) {
-	info, fns := load(t, `package absfix
-func F(ok bool) map[string]int {
-	var m map[string]int
-	if ok {
-		m = make(map[string]int)
-	}
-	return m
-}`)
-	ev := &NilEval{Info: info}
-	cfg := flow.New(fns["F"])
-	envs := ev.Interp().Analyze(cfg, NewEnv[Nilness]())
-	exit := envs[cfg.Exit]
-	found := false
-	for v, n := range exit.Vars {
-		if v.Name() == "m" {
-			found = true
-			if n != NilMaybe {
-				t.Errorf("m at merge = %v, want maybe-nil (nil on the !ok path)", n)
-			}
-		}
-	}
-	if !found {
-		t.Error("no fact for m at exit")
-	}
-}
-
 func TestPathOf(t *testing.T) {
 	info, fns := load(t, `package absfix
 type Inner struct{ V int }

@@ -38,7 +38,7 @@ func Top() Interval { return Interval{} }
 
 // Exact is the singleton interval [v, v].
 func Exact(v float64) Interval {
-	return Interval{Lo: v, Hi: v, NonZero: v != 0, Known: true} //lint:allow floateq interval bounds are exact rationals from source literals, not computed floats
+	return Interval{Lo: v, Hi: v, NonZero: v != 0, Known: true}
 }
 
 // Range is the interval [lo, hi] (use math.Inf for open ends).
@@ -62,9 +62,6 @@ func (iv Interval) ContainsZero() bool {
 
 // DefinitelyNegative reports a fact whose every value is < 0.
 func (iv Interval) DefinitelyNegative() bool { return iv.Known && iv.Hi < 0 }
-
-// MayBeNegative reports a fact that admits a value < 0.
-func (iv Interval) MayBeNegative() bool { return iv.Known && iv.Lo < 0 }
 
 // String renders the fact for diagnostics: "[0, 3200]", "[1, +inf)", "top".
 func (iv Interval) String() string {
@@ -145,7 +142,8 @@ func (IntervalLattice) Narrow(prev, next Interval) Interval {
 	return n.norm()
 }
 
-func (IntervalLattice) Equal(a, b Interval) bool { return a == b } //lint:allow floateq lattice equality is definitionally exact; an epsilon would break fixpoint termination
+// Equal is exact: an epsilon would break fixpoint termination.
+func (IntervalLattice) Equal(a, b Interval) bool { return a == b }
 
 // IntervalEval evaluates expressions and drives transfer/refinement for the
 // interval domain. The three hooks are how physics knowledge gets in without
@@ -859,14 +857,14 @@ func applyCmp(cur Interval, op token.Token, bound Interval, integer bool) Interv
 		out.Hi = math.Min(out.Hi, bound.Hi)
 		out.NonZero = out.NonZero || bound.NonZero
 	case token.NEQ:
-		if bound.Known && bound.Lo == 0 && bound.Hi == 0 { //lint:allow floateq exact-zero bound test implements the x != 0 refinement
+		if bound.Known && bound.Lo == 0 && bound.Hi == 0 {
 			out.NonZero = true
 		}
-		if integer && bound.Known && bound.Lo == bound.Hi { //lint:allow floateq singleton-bound test on exact literal bounds
-			if out.Lo == bound.Lo { //lint:allow floateq endpoint tightening compares exact integer bounds
+		if integer && bound.Known && bound.Lo == bound.Hi {
+			if out.Lo == bound.Lo {
 				out.Lo++
 			}
-			if out.Hi == bound.Hi { //lint:allow floateq endpoint tightening compares exact integer bounds
+			if out.Hi == bound.Hi {
 				out.Hi--
 			}
 		}
@@ -874,7 +872,7 @@ func applyCmp(cur Interval, op token.Token, bound Interval, integer bool) Interv
 		if bound.Known && !math.IsInf(bound.Hi, 1) {
 			out.Hi = math.Min(out.Hi, bound.Hi-eps)
 		}
-		if bound.Known && bound.Hi <= 0 && eps == 0 { //lint:allow floateq eps is exactly 0 or 1 by construction
+		if bound.Known && bound.Hi <= 0 && eps == 0 {
 			out.NonZero = true // x < y <= 0 means x < 0 even when bounds can't say
 		}
 	case token.LEQ:
@@ -885,7 +883,7 @@ func applyCmp(cur Interval, op token.Token, bound Interval, integer bool) Interv
 		if bound.Known && !math.IsInf(bound.Lo, -1) {
 			out.Lo = math.Max(out.Lo, bound.Lo+eps)
 		}
-		if bound.Known && bound.Lo >= 0 && eps == 0 { //lint:allow floateq eps is exactly 0 or 1 by construction
+		if bound.Known && bound.Lo >= 0 && eps == 0 {
 			out.NonZero = true // x > y >= 0 means x > 0
 		}
 	case token.GEQ:
@@ -961,7 +959,7 @@ func subIv(a, b Interval) Interval {
 // interval is built from attainable finite values; infinities only mark
 // unboundedness).
 func mulBound(a, b float64) float64 {
-	if a == 0 || b == 0 { //lint:allow floateq exact-zero operand makes 0*inf well-defined as 0
+	if a == 0 || b == 0 {
 		return 0
 	}
 	return a * b

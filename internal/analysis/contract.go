@@ -49,13 +49,6 @@ import (
 	"mcdvfs/internal/analysis/flow"
 )
 
-// contractVerbs are the recognized //vet: annotation verbs across the whole
-// suite; anything else starting with //vet: is a typo worth a diagnostic.
-var contractVerbs = map[string]bool{
-	"hotpath": true, "owned": true, "transfer": true,
-	"requires": true, "ensures": true, "invariant": true,
-}
-
 // cOperand is one side of a comparison: a literal or a dotted path.
 type cOperand struct {
 	isConst bool
@@ -311,8 +304,8 @@ func collectContracts(prog *flow.Program) *contractIndex {
 			}
 			// Anything //vet:-shaped not consumed above: unknown verbs
 			// anywhere, contract verbs outside the doc position they bind to.
-			// hotpath/owned/transfer are line-positioned marks owned by their
-			// own checks and legal anywhere.
+			// hotpath is a line-positioned mark owned by its own check and
+			// legal anywhere.
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					verb, _, ok := vetVerb(c.Text)
@@ -320,13 +313,13 @@ func collectContracts(prog *flow.Program) *contractIndex {
 						continue
 					}
 					switch verb {
-					case "hotpath", "owned", "transfer":
+					case "hotpath":
 					case "requires", "ensures":
 						ix.issue(pkg, c.Pos(), "//vet:%s must be in a function's doc comment", verb)
 					case "invariant":
 						ix.issue(pkg, c.Pos(), "//vet:invariant must be in a struct type's doc comment")
 					default:
-						ix.issue(pkg, c.Pos(), "unknown //vet: verb %q (known: ensures, hotpath, invariant, owned, requires, transfer)", verb)
+						ix.issue(pkg, c.Pos(), "unknown //vet: verb %q (known: ensures, hotpath, invariant, requires)", verb)
 					}
 				}
 			}
@@ -747,7 +740,7 @@ func proves(l, r absint.Interval, op token.Token) bool {
 	if !l.Known || !r.Known {
 		return false
 	}
-	exactZeroR := r.Lo == 0 && r.Hi == 0 //lint:allow floateq exact-zero bound test mirrors the NonZero refinement
+	exactZeroR := r.Lo == 0 && r.Hi == 0
 	switch op {
 	case token.LSS:
 		return l.Hi < r.Lo || (exactZeroR && l.NonZero && l.Hi <= 0)
@@ -758,7 +751,7 @@ func proves(l, r absint.Interval, op token.Token) bool {
 	case token.GEQ:
 		return l.Lo >= r.Hi
 	case token.EQL:
-		return l.Lo == l.Hi && r.Lo == r.Hi && l.Lo == r.Lo //lint:allow floateq singleton-interval equality is the only provable ==
+		return l.Lo == l.Hi && r.Lo == r.Hi && l.Lo == r.Lo
 	case token.NEQ:
 		return l.Hi < r.Lo || l.Lo > r.Hi || (exactZeroR && l.NonZero)
 	}

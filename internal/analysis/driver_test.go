@@ -22,9 +22,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // fixtures lists every fixture package and the check it exercises.
-var fixtures = []string{"determfix", "unitfix", "floatfix", "ctxfix", "lockfix", "lintfix",
-	"goleakfix", "lockorderfix", "errflowfix", "rangefix", "nilflowfix", "hotpathfix", "ownedfix",
-	"guardedfix", "atomicfix", "spawnfix", "contractfix"}
+var fixtures = []string{"determfix", "unitfix", "ctxfix", "lintfix",
+	"goleakfix", "errflowfix", "rangefix", "hotpathfix", "contractfix"}
 
 // runFixture executes the whole suite, scope-free, over one fixture.
 func runFixture(t *testing.T, name string, disable map[string]bool) string {
@@ -89,8 +88,8 @@ func TestFixturesHaveHitsAndSuppressions(t *testing.T) {
 }
 
 func TestDisableSkipsCheck(t *testing.T) {
-	got := runFixture(t, "floatfix", map[string]bool{"floateq": true})
-	if strings.Contains(got, "[floateq]") {
+	got := runFixture(t, "rangefix", map[string]bool{"rangecheck": true})
+	if strings.Contains(got, "[rangecheck]") {
 		t.Errorf("disabled check still reported:\n%s", got)
 	}
 }
@@ -136,15 +135,15 @@ func BenchmarkVet(b *testing.B) {
 }
 
 // BenchmarkAbsint isolates the abstract-interpretation tier: only the
-// checks that run the interval/nil-ness fixpoints (rangecheck, nilflow)
-// and the purity-summary determinism check stay enabled, so the number
+// check that runs the interval fixpoint (rangecheck) and the
+// purity-summary determinism check stay enabled, so the number
 // tracks the cost of the absint engine itself — Prepare's interprocedural
 // summary rounds plus the per-function analyses — over the whole module.
 func BenchmarkAbsint(b *testing.B) {
 	disable := map[string]bool{}
 	for _, a := range analysis.Suite() {
 		switch a.Name {
-		case "rangecheck", "nilflow", "determinism":
+		case "rangecheck", "determinism":
 		default:
 			disable[a.Name] = true
 		}
@@ -194,7 +193,7 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 	runJSON := func(workers int) []byte {
 		diags, err := analysis.Run(analysis.Options{
 			Patterns: []string{
-				"./testdata/src/rangefix", "./testdata/src/nilflowfix",
+				"./testdata/src/rangefix",
 				"./testdata/src/determfix", "./testdata/src/goleakfix",
 				"./testdata/src/contractfix",
 			},
@@ -212,7 +211,7 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 		return b
 	}
 	serial := runJSON(1)
-	if !strings.Contains(string(serial), "rangecheck") || !strings.Contains(string(serial), "nilflow") {
+	if !strings.Contains(string(serial), "rangecheck") {
 		t.Fatalf("serial run missing expected findings:\n%s", serial)
 	}
 	for _, w := range []int{2, 8} {

@@ -3,8 +3,8 @@
 // x/tools, matching the suite's zero-dependency contract), reaching
 // definitions with def-use chains over those CFGs, an every-path reachability
 // query, and a module-wide function index that resolves static call sites so
-// facts (unit summaries, lock acquisition sets, join obligations) can
-// propagate across call boundaries.
+// facts (unit summaries, join obligations) can propagate across call
+// boundaries.
 //
 // The CFG is deliberately SSA-lite. Blocks hold the original ast nodes in
 // evaluation order — statements, plus loop/branch condition expressions,

@@ -98,9 +98,9 @@ func fixtureFuncs(f *ast.File) map[string]*ast.FuncDecl {
 	return fns
 }
 
-// TestDefUseRangeLoop asserts the chains the nil-ness and interval domains
-// rely on over a range loop: the key/value defs at the header reach the body
-// uses, and the accumulator's body def flows around the back edge to itself.
+// TestDefUseRangeLoop asserts the chains errflow relies on over a range
+// loop: the key/value defs at the header reach the body uses, and the
+// accumulator's body def flows around the back edge to itself.
 func TestDefUseRangeLoop(t *testing.T) {
 	fset, f, info := loadFixture(t)
 	fd := fixtureFuncs(f)["RangeCaptures"]

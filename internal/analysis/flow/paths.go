@@ -58,11 +58,6 @@ func EveryPathHits(c *CFG, from ast.Node, ok func(ast.Node) bool, bad func(ast.N
 	return walk(startBlk, startIdx+1)
 }
 
-// SomePathMisses is EveryPathHits negated, for readable call sites.
-func SomePathMisses(c *CFG, from ast.Node, ok func(ast.Node) bool, bad func(ast.Node) bool) bool {
-	return !EveryPathHits(c, from, ok, bad)
-}
-
 // find locates the block and in-block index of a node. Exact identity wins;
 // only if the node is not itself a CFG node does containment resolve it to
 // an enclosing node's slot (a call inside an assignment). The identity pass

@@ -39,20 +39,12 @@ type Func struct {
 
 	cfgOnce sync.Once
 	cfg     *CFG
-	duOnce  sync.Once
-	du      *DefUse
 }
 
 // CFG returns the function's control-flow graph, built on first use.
 func (f *Func) CFG() *CFG {
 	f.cfgOnce.Do(func() { f.cfg = New(f.Decl) })
 	return f.cfg
-}
-
-// DefUse returns the function's def-use chains, built on first use.
-func (f *Func) DefUse() *DefUse {
-	f.duOnce.Do(func() { f.du = BuildDefUse(f.CFG(), f.Pkg.Info) })
-	return f.du
 }
 
 // Program indexes every function declaration across the loaded module

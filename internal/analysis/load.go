@@ -46,8 +46,8 @@ type Loader struct {
 // type-check). One process-wide importer serves every Loader, so repeated
 // Run calls — the fixture tests, an editor loop, the benchmark — pay for the
 // stdlib exactly once. It owns a private FileSet: stdlib object positions
-// resolve only against that set, which is safe because diagnostics and lock
-// sites only ever point into module syntax. The source importer is not
+// resolve only against that set, which is safe because diagnostics only
+// ever point into module syntax. The source importer is not
 // documented concurrency-safe, so all access serializes behind stdImportMu —
 // stdlib type-checking serializes, module packages and the analyzer passes
 // over them parallelize.
@@ -80,9 +80,6 @@ func NewLoader(dir string) (*Loader, error) {
 		flights: make(map[string]*pkgFlight),
 	}, nil
 }
-
-// ModuleRoot returns the directory containing go.mod.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
 
 // Loaded returns every successfully loaded module package, sorted by import
 // path — the set the flow.Program indexes, including transitive

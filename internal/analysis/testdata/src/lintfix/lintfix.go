@@ -8,16 +8,16 @@ package lintfix
 
 // A directive with no reason. want: lint hit.
 //
-//lint:allow floateq
+//lint:allow rangecheck
 
 // A directive with no check name at all. want: lint hit.
 //
 //lint:allow
 
-// A well-formed waiver with nothing left to suppress: the comparison it
+// A well-formed waiver with nothing left to suppress: the division it
 // excused was fixed without deleting the directive. want: stale lint hit.
 //
-//lint:allow floateq this comparison was fixed long ago
+//lint:allow rangecheck this division was fixed long ago
 const Fixed = 1.0
 
 // Value exists so the package has a declaration.

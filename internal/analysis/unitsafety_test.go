@@ -45,8 +45,7 @@ func TestSuffixUnit(t *testing.T) {
 // TestSuiteNamesStable pins the check names: they are the -disable and
 // //lint:allow vocabulary, so renaming one silently orphans every waiver.
 func TestSuiteNamesStable(t *testing.T) {
-	want := []string{"determinism", "units", "floateq", "ctx", "lockcopy", "goleak", "lockorder", "errflow", "rangecheck", "nilflow", "hotpath", "owned",
-		"guardedby", "atomicmix", "spawnescape", "contract"}
+	want := []string{"determinism", "units", "ctx", "goleak", "errflow", "rangecheck", "hotpath", "contract"}
 	suite := Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d checks, want %d", len(suite), len(want))

@@ -75,14 +75,11 @@ func (n *Node) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		err error
 	}
 	results := make([]scrape, len(ids))
-	// The request context is resolved once here rather than inside each
-	// goroutine: ctx is a synchronized-by-type capture, while r escaping
-	// into every scrape goroutine is opaque to the spawn audit.
+	// The scrape goroutines share the request's context, not the request.
 	ctx := r.Context()
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
-		//lint:allow spawnescape each goroutine writes only its own results index; wg.Wait orders the reads
 		go func(i int, id string) {
 			defer wg.Done()
 			m, err := n.scrapePeer(ctx, id)

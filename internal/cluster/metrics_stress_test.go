@@ -43,7 +43,6 @@ func TestClusterMetricsConcurrentRender(t *testing.T) {
 	done := make(chan struct{})
 	var renders sync.WaitGroup
 	renders.Add(1)
-	//lint:allow spawnescape renderer only reads the atomic counters; done+Wait order the shutdown
 	go func() {
 		defer renders.Done()
 		for {
@@ -61,7 +60,6 @@ func TestClusterMetricsConcurrentRender(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
-		//lint:allow spawnescape workers only call atomic Add on the shared counters; wg.Wait orders the final read
 		go func() {
 			defer wg.Done()
 			for n := 0; n < bumps; n++ {
@@ -108,7 +106,6 @@ func TestClusterMetricsMonotonicUnderWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
-		//lint:allow spawnescape workers only call atomic Add on the shared counters; wg.Wait orders the final read
 		go func() {
 			defer wg.Done()
 			for n := 0; n < bumps; n++ {

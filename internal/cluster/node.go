@@ -632,7 +632,6 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 func (n *Node) Run(ctx context.Context, addr string, drain time.Duration) error {
 	srv := &http.Server{Addr: addr, Handler: n.Handler()}
 	errCh := make(chan error, 1)
-	//lint:allow spawnescape http.Server is internally synchronized; Shutdown after ListenAndServe is its documented protocol
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {
 	case err := <-errCh:

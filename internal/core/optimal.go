@@ -11,7 +11,7 @@ import (
 // memory frequency. Among similar-speedup settings this choice is "bound to
 // have highest performance among the other possibilities".
 func preferHigher(a, b freq.Setting) bool {
-	if a.CPU != b.CPU { //lint:allow floateq ladder frequencies are exact discrete values; identity, not arithmetic
+	if a.CPU != b.CPU {
 		return a.CPU > b.CPU
 	}
 	return a.Mem > b.Mem

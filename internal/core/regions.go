@@ -86,9 +86,9 @@ func closeRegion(a *Analysis, start, end int, avail []freq.SettingID) Region {
 		switch {
 		case e < bestE:
 			choice, bestE = k, e
-		case e == bestE: //lint:allow floateq exact tie between deterministically replayed energies
+		case e == bestE:
 			cand, cur := a.grid.Setting(k), a.grid.Setting(choice)
-			if cand.CPU > cur.CPU || (cand.CPU == cur.CPU && cand.Mem < cur.Mem) { //lint:allow floateq ladder frequencies are exact discrete values
+			if cand.CPU > cur.CPU || (cand.CPU == cur.CPU && cand.Mem < cur.Mem) {
 				choice = k
 			}
 		}

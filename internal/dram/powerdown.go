@@ -55,7 +55,7 @@ func (m *EnergyModel) IdleSavings(pd PowerDown, accessPerNS float64) (float64, e
 		return 0, fmt.Errorf("dram: invalid access rate %v", accessPerNS)
 	}
 	maxSave := 1 - pd.BackgroundFrac
-	if accessPerNS == 0 { //lint:allow floateq zero is the exact fully-idle sentinel
+	if accessPerNS == 0 {
 		return maxSave, nil // fully idle: always powered down
 	}
 	roundTrip := pd.EntryNS + pd.ExitNS

@@ -128,7 +128,7 @@ func (t Transition) TotalNS() float64 {
 // returns an empty transition.
 func (s *Sequencer) Plan(from, to freq.Setting) (Transition, error) {
 	tr := Transition{From: from, To: to}
-	if from.CPU != to.CPU { //lint:allow floateq ladder frequencies are exact discrete values; no-op transitions must detect exactly
+	if from.CPU != to.CPU {
 		vFrom, err := s.p.CPUOPPs.VoltageAt(from.CPU)
 		if err != nil {
 			return Transition{}, fmt.Errorf("dvfsm: %w", err)
@@ -152,7 +152,7 @@ func (s *Sequencer) Plan(from, to freq.Setting) (Transition, error) {
 			)
 		}
 	}
-	if from.Mem != to.Mem { //lint:allow floateq ladder frequencies are exact discrete values; no-op transitions must detect exactly
+	if from.Mem != to.Mem {
 		tr.Steps = append(tr.Steps,
 			Step{Name: "mem-drain", NS: s.p.MemDrainNS},
 			Step{Name: "mem-relock", NS: s.p.PLLLockNS},

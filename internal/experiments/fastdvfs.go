@@ -85,7 +85,7 @@ func (l *Lab) FastDVFS(bench string, budget float64, thresholds []float64) (*Fas
 // Cell returns the entry for (hardware, threshold).
 func (r *FastDVFSResult) Cell(hardware string, threshold float64) (FastDVFSCell, error) {
 	for _, c := range r.Cells {
-		if c.Hardware == hardware && c.Threshold == threshold { //lint:allow floateq cells are keyed by the exact threshold they were built with
+		if c.Hardware == hardware && c.Threshold == threshold {
 			return c, nil
 		}
 	}

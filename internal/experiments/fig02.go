@@ -87,7 +87,7 @@ func (r *Fig02Result) Table(space *freq.Space) *report.Table {
 		cells := []string{fc.String()}
 		for _, fm := range space.MemLadder() {
 			for _, p := range byCPU[fc] {
-				if p.Setting.Mem == fm { //lint:allow floateq ladder frequencies are exact discrete values
+				if p.Setting.Mem == fm {
 					cells = append(cells, fmt.Sprintf("%.2f (%.2fx)", p.Inefficiency, p.Speedup))
 					break
 				}
@@ -109,7 +109,7 @@ func (r *Fig02Result) Heatmap(space *freq.Space) string {
 		var row []float64
 		for _, fm := range space.MemLadder() {
 			for _, p := range r.Points {
-				if p.Setting.CPU == fc && p.Setting.Mem == fm { //lint:allow floateq ladder frequencies are exact discrete values
+				if p.Setting.CPU == fc && p.Setting.Mem == fm {
 					row = append(row, p.Inefficiency)
 					break
 				}
@@ -154,7 +154,7 @@ func Fig03Budgets() []float64 { return []float64{1, 1.3, 1.6, core.Unconstrained
 
 // BudgetLabel formats a budget the way the paper's figures do.
 func BudgetLabel(b float64) string {
-	if b == core.Unconstrained { //lint:allow floateq core.Unconstrained is an exact sentinel
+	if b == core.Unconstrained {
 		return "inf"
 	}
 	return fmt.Sprintf("%.1f", b)

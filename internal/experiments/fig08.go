@@ -47,7 +47,7 @@ func (l *Lab) Fig08(benches []string, budgets, thresholds []float64) (*Fig08Resu
 		for _, b := range budgets {
 			for _, th := range thresholds {
 				var transitions int
-				if th == OptimalTracking { //lint:allow floateq OptimalTracking is an exact sentinel threshold
+				if th == OptimalTracking {
 					sch, err := a.OptimalSchedule(b)
 					if err != nil {
 						return nil, err
@@ -76,7 +76,7 @@ func (l *Lab) Fig08(benches []string, budgets, thresholds []float64) (*Fig08Resu
 // error if the combination was not computed.
 func (r *Fig08Result) Rate(bench string, budget, threshold float64) (float64, error) {
 	for _, c := range r.Cells {
-		if c.Benchmark == bench && c.Budget == budget && c.Threshold == threshold { //lint:allow floateq cells are keyed by the exact budget/threshold they were built with
+		if c.Benchmark == bench && c.Budget == budget && c.Threshold == threshold {
 			return c.TransitionsPerBillion, nil
 		}
 	}
@@ -87,7 +87,7 @@ func (r *Fig08Result) Rate(bench string, budget, threshold float64) (float64, er
 func (r *Fig08Result) Table(budget float64) *report.Table {
 	cols := []string{"benchmark"}
 	for _, th := range r.Thresholds {
-		if th == OptimalTracking { //lint:allow floateq OptimalTracking is an exact sentinel threshold
+		if th == OptimalTracking {
 			cols = append(cols, "optimal")
 		} else {
 			cols = append(cols, fmt.Sprintf("%.0f%%", th*100))
@@ -156,7 +156,7 @@ func (l *Lab) Fig09(benches []string, budgets, thresholds []float64) (*Fig09Resu
 // Box returns the summary for a (benchmark, budget, threshold).
 func (r *Fig09Result) Box(bench string, budget, threshold float64) (stats.Summary, error) {
 	for _, b := range r.Boxes {
-		if b.Benchmark == bench && b.Budget == budget && b.Threshold == threshold { //lint:allow floateq boxes are keyed by the exact budget/threshold they were built with
+		if b.Benchmark == bench && b.Budget == budget && b.Threshold == threshold {
 			return b.Summary, nil
 		}
 	}

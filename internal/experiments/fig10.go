@@ -30,7 +30,7 @@ func Fig10Budgets() []float64 { return []float64{1.0, 1.1, 1.2, 1.3, 1.6} }
 
 // Fig10 computes the budget-performance sweep.
 func (l *Lab) Fig10(benches []string, budgets []float64) (*Fig10Result, error) {
-	if len(budgets) == 0 || budgets[0] != 1.0 { //lint:allow floateq 1.0 is the exact normalization anchor callers must pass
+	if len(budgets) == 0 || budgets[0] != 1.0 {
 		return nil, fmt.Errorf("experiments: Fig10 budgets must start at 1.0 for normalization")
 	}
 	res := &Fig10Result{Benchmarks: benches, Budgets: budgets}
@@ -66,7 +66,7 @@ func (l *Lab) Fig10(benches []string, budgets []float64) (*Fig10Result, error) {
 // Cell returns the entry for (benchmark, budget).
 func (r *Fig10Result) Cell(bench string, budget float64) (Fig10Cell, error) {
 	for _, c := range r.Cells {
-		if c.Benchmark == bench && c.Budget == budget { //lint:allow floateq cells are keyed by the exact budget they were built with
+		if c.Benchmark == bench && c.Budget == budget {
 			return c, nil
 		}
 	}

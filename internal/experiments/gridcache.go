@@ -29,7 +29,7 @@ func gridMatches(g *trace.Grid, bench string, space *freq.Space) bool {
 		return false
 	}
 	for k, st := range space.Settings() {
-		if g.Settings[k] != st { //lint:allow floateq a stored or replicated grid is valid only under a bit-exact setting match
+		if g.Settings[k] != st {
 			return false
 		}
 	}

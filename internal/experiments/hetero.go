@@ -124,7 +124,7 @@ func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error)
 // Cell returns the entry for (benchmark, budget).
 func (r *HeteroResult) Cell(bench string, budget float64) (HeteroCell, error) {
 	for _, c := range r.Cells {
-		if c.Benchmark == bench && c.Budget == budget { //lint:allow floateq cells are keyed by the exact budget they were built with
+		if c.Benchmark == bench && c.Budget == budget {
 			return c, nil
 		}
 	}

@@ -43,7 +43,7 @@ func (f MHz) PeriodNS() float64 {
 // String renders the frequency as an integer MHz count when exact,
 // otherwise with one decimal.
 func (f MHz) String() string {
-	if f == MHz(math.Trunc(float64(f))) { //lint:allow floateq exact integrality probe for display formatting
+	if f == MHz(math.Trunc(float64(f))) {
 		return fmt.Sprintf("%dMHz", int64(f))
 	}
 	return fmt.Sprintf("%.1fMHz", float64(f))

@@ -104,7 +104,7 @@ func (t *OPPTable) VoltageAt(f MHz) (Volts, error) {
 		return 0, fmt.Errorf("freq: %v outside OPP range [%v, %v]", f, pts[0].F, pts[len(pts)-1].F)
 	}
 	i := searchOPP(pts, f)
-	if pts[i].F == f { //lint:allow floateq OPP tables hold exact discrete frequencies; lookup is identity
+	if pts[i].F == f {
 		return pts[i].V, nil
 	}
 	lo, hi := pts[i-1], pts[i]

@@ -4,7 +4,8 @@ import "fmt"
 
 // Setting is one joint operating choice: a CPU frequency and a memory
 // frequency. It is the unit over which the paper's entire characterization —
-// inefficiency, clusters, stable regions — is defined.
+// inefficiency, clusters, stable regions — is defined. Ladder frequencies
+// are exact values, so settings compare with == and key maps.
 type Setting struct {
 	CPU MHz
 	Mem MHz

@@ -141,7 +141,7 @@ func (b *Budget) Decide(prev *Observation, prevProfile *workload.SampleSpec) (De
 		return Decision{}, err
 	}
 	if b.cfg.UseStability {
-		if dec.Setting == b.current { //lint:allow floateq setting identity over exact ladder values
+		if dec.Setting == b.current {
 			b.stability.ObserveStable()
 			b.skipBudget = b.stability.PredictRemaining()
 		} else {
@@ -157,11 +157,11 @@ func (b *Budget) Decide(prev *Observation, prevProfile *workload.SampleSpec) (De
 // drifted reports whether the profile moved beyond the drift tolerance
 // since the current setting was chosen.
 func (b *Budget) drifted(p workload.SampleSpec) bool {
-	if b.cfg.DriftTolerance == 0 { //lint:allow floateq zero is the exact disabled sentinel
+	if b.cfg.DriftTolerance == 0 {
 		return false
 	}
 	rel := func(a, c float64) float64 {
-		if c == 0 { //lint:allow floateq exact zero guard before division
+		if c == 0 {
 			return math.Abs(a)
 		}
 		return math.Abs(a-c) / c
@@ -317,19 +317,21 @@ func (b *Budget) pickWithEmin(cands []candidate, emin float64, searched int) (De
 				opt = c
 			}
 		}
-		if b.haveSet && c.st == b.current && c.timeNS <= bestTime*(1+b.cfg.Threshold) { //lint:allow floateq setting identity over exact ladder values
+		if b.haveSet && c.st == b.current && c.timeNS <= bestTime*(1+b.cfg.Threshold) {
 			currentOK = c
 		}
 	}
 	if currentOK != nil {
 		return Decision{Setting: currentOK.st, Searched: searched}, nil
 	}
-	return Decision{Setting: opt.st, Searched: searched}, nil //lint:allow nilflow admissible is never empty (fallback above) and its minimum-time candidate always sits inside its own tie band, so opt is assigned
+	// opt is set: admissible is never empty (fallback above) and its
+	// minimum-time candidate sits inside its own tie band.
+	return Decision{Setting: opt.st, Searched: searched}, nil
 }
 
 // preferHigher mirrors the core package's tie-break rule.
 func preferHigher(a, b freq.Setting) bool {
-	if a.CPU != b.CPU { //lint:allow floateq ladder frequencies are exact discrete values
+	if a.CPU != b.CPU {
 		return a.CPU > b.CPU
 	}
 	return a.Mem > b.Mem

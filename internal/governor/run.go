@@ -93,7 +93,7 @@ func RunWith(sys *sim.System, specs []workload.SampleSpec, gov Governor, oh Over
 			res.OverheadNS += float64(dec.Searched) * oh.PerSettingNS
 			res.OverheadJ += float64(dec.Searched) * oh.PerSettingJ
 		}
-		if haveCurrent && dec.Setting != current { //lint:allow floateq setting identity over exact ladder values
+		if haveCurrent && dec.Setting != current {
 			res.Transitions++
 			if tc != nil {
 				ns, j, err := tc.Cost(current, dec.Setting)

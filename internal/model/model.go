@@ -104,7 +104,7 @@ func New(cfg Config) (*CrossComponent, error) {
 		return nil, err
 	}
 	forget := cfg.Forget
-	if forget == 0 { //lint:allow floateq zero is the exact unset sentinel for the default
+	if forget == 0 {
 		forget = 0.95
 	}
 	if forget <= 0.8 || forget > 1 {

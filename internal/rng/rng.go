@@ -70,7 +70,7 @@ func (s *Source) Norm() float64 {
 // LogNormFactor returns a multiplicative jitter factor with median 1 whose
 // log has standard deviation sigma. sigma = 0 returns exactly 1.
 func (s *Source) LogNormFactor(sigma float64) float64 {
-	if sigma == 0 { //lint:allow floateq zero sigma is an exact no-jitter sentinel
+	if sigma == 0 {
 		return 1
 	}
 	return math.Exp(sigma * s.Norm())
@@ -79,7 +79,7 @@ func (s *Source) LogNormFactor(sigma float64) float64 {
 // Exp returns an exponentially distributed value with the given mean.
 func (s *Source) Exp(mean float64) float64 {
 	u := s.Float64()
-	for u == 0 { //lint:allow floateq rejection-samples the exact zero the generator can emit
+	for u == 0 {
 		u = s.Float64()
 	}
 	return -mean * math.Log(u)

@@ -233,7 +233,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Clients; i++ {
 		wg.Add(1)
-		//lint:allow spawnescape each client writes only its own results slot; wg.Wait orders the reads
 		go func(id int) {
 			defer wg.Done()
 			results[id] = runClient(ctx, cfg, id, perClient[id])

@@ -170,7 +170,6 @@ func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) erro
 	// requests finish, not cancel them the moment shutdown begins.
 	srv := &http.Server{Addr: addr, Handler: s.Handler()}
 	errCh := make(chan error, 1)
-	//lint:allow spawnescape http.Server is internally synchronized; Shutdown after ListenAndServe is its documented protocol
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {
 	case err := <-errCh:

@@ -266,6 +266,67 @@ func TestSheddingWhenSaturated(t *testing.T) {
 	}
 }
 
+// TestDisconnectLeavesAdmissionQueue queues a /v1/grid collection behind a
+// primed slot, then disconnects its client: the request must leave the
+// queue at once and never collect once capacity frees. A handler context
+// not rooted in the request's would wait in the queue for the slot and then
+// collect for nobody.
+func TestDisconnectLeavesAdmissionQueue(t *testing.T) {
+	s, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: 1})
+	release, err := s.pool.acquire(context.Background())
+	if err != nil {
+		t.Fatalf("priming acquire: %v", err)
+	}
+	// Cleanups run last-in first-out, so the slot is freed before the
+	// server closes even when an assertion below fails.
+	releaseOnce := sync.OnceFunc(release)
+	t.Cleanup(releaseOnce)
+
+	waitQueued := func(want int64) {
+		t.Helper()
+		deadline := time.After(2 * time.Second)
+		for metricValue(t, ts, "mcdvfsd_collections_queued") != want {
+			select {
+			case <-deadline:
+				t.Fatalf("mcdvfsd_collections_queued never reached %d", want)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/grid",
+		strings.NewReader(`{"benchmark":"gobmk"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	done := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+
+	waitQueued(1)
+	cancel()
+	if err := <-done; err == nil {
+		t.Error("client request succeeded after its context was cancelled")
+	}
+	waitQueued(0)
+
+	releaseOnce()
+	if got := s.pool.running(); got != 0 {
+		t.Errorf("%d collections hold a slot after release, want 0", got)
+	}
+	if got := metricValue(t, ts, "mcdvfsd_grid_collections_total"); got != 0 {
+		t.Errorf("collections = %d, want 0: the disconnected request collected", got)
+	}
+}
+
 func TestOptimalEndpointAndMemo(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := OptimalRequest{Benchmark: "gobmk", Budget: 1.3}

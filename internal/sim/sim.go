@@ -113,7 +113,7 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("sim: measurement noise %v outside [0, 0.2]", cfg.MeasurementNoise)
 	}
 	cpiFactor := cfg.CPIFactor
-	if cpiFactor == 0 { //lint:allow floateq zero is the exact unset sentinel for the default
+	if cpiFactor == 0 {
 		cpiFactor = 1
 	}
 	if cpiFactor < 0.1 || cpiFactor > 10 {

@@ -207,10 +207,11 @@ func CollectContext(ctx context.Context, sys *sim.System, bench workload.Benchma
 	var convergenceFailures atomic.Uint64
 	for w := 0; w < opts.workers(nc); w++ {
 		wg.Add(1)
-		//lint:allow spawnescape workers only read g until wg.Wait; the launcher writes it after the join
 		go func() {
 			defer wg.Done()
-			r, err := sim.NewRunner(sys, specs) //vet:owned each worker's Runner arena is goroutine-private
+			// Each worker builds its own Runner: the arena is not safe
+			// for concurrent use.
+			r, err := sim.NewRunner(sys, specs)
 			if err != nil {
 				fail(fmt.Errorf("trace: %w", err))
 				return
