@@ -39,12 +39,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		bestK, bestE := mcdvfs.SettingID(0), -1.0
-		for k := 0; k < g.NumSettings(); k++ {
-			if e := g.TotalEnergyJ(mcdvfs.SettingID(k)); bestE < 0 || e < bestE {
-				bestE, bestK = e, mcdvfs.SettingID(k)
-			}
-		}
+		bestK, _ := g.EminSetting()
 		sch, err := a.OptimalSchedule(1.3)
 		if err != nil {
 			return err

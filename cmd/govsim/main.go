@@ -92,13 +92,7 @@ func run(ctx context.Context, bench, govName string, budget, threshold float64, 
 	if err != nil {
 		return err
 	}
-	emin := -1.0
-	for k := 0; k < grid.NumSettings(); k++ {
-		e := grid.TotalEnergyJ(mcdvfs.SettingID(k))
-		if emin < 0 || e < emin {
-			emin = e
-		}
-	}
+	_, emin := grid.EminSetting()
 
 	fmt.Printf("benchmark          %s\n", bench)
 	fmt.Printf("governor           %s\n", res.Governor)

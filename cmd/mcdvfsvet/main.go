@@ -23,10 +23,7 @@
 // check, reason) and marks the stale ones — waivers whose check no longer
 // fires on the waived line. -contracts inventories every well-formed
 // //vet:requires / ensures / invariant annotation in scope (file:line, kind,
-// target, expression), machine-readable with -json. -write-baseline records the current findings
-// as a baseline file; -baseline reads one and fails only on findings it
-// does not cover (matched line-insensitively on file/check/message, count-
-// aware), which is how CI gates pull requests on introduced diagnostics.
+// target, expression), machine-readable with -json.
 // Exit status: 0 clean, 1 violations found (or stale waivers under
 // -waivers), 2 the run itself failed.
 package main
@@ -54,8 +51,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	waivers := fs.Bool("waivers", false, "list every //lint:allow waiver in scope and flag stale ones")
 	contracts := fs.Bool("contracts", false, "list every //vet: contract annotation in scope")
 	workers := fs.Int("workers", 0, "package load/check worker-pool size (0 = all cores)")
-	baselinePath := fs.String("baseline", "", "read a baseline file and report only findings it does not cover")
-	writeBaseline := fs.String("write-baseline", "", "record the current findings as a baseline file and exit 0")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mcdvfsvet [flags] [patterns ...]\n\nThe mcdvfs domain-invariant analyzer suite. Patterns default to ./...\n\n")
 		fs.PrintDefaults()
@@ -107,42 +102,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	if cwd, err := os.Getwd(); err == nil {
 		analysis.RelTo(diags, cwd)
-	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
-			return 2
-		}
-		werr := analysis.WriteBaseline(f, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "mcdvfsvet: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "mcdvfsvet: baseline of %d finding(s) written to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
-			return 2
-		}
-		base, err := analysis.ReadBaseline(f)
-		_ = f.Close() // read-only; the decode error is the signal
-		if err != nil {
-			fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
-			return 2
-		}
-		absorbed := len(diags)
-		diags = base.Filter(diags)
-		if absorbed -= len(diags); absorbed > 0 {
-			fmt.Fprintf(stderr, "mcdvfsvet: %d baseline finding(s) absorbed\n", absorbed)
-		}
 	}
 
 	if *jsonOut {

@@ -60,12 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	emin := -1.0
-	for k := 0; k < grid.NumSettings(); k++ {
-		if e := grid.TotalEnergyJ(mcdvfs.SettingID(k)); emin < 0 || e < emin {
-			emin = e
-		}
-	}
+	_, emin := grid.EminSetting()
 
 	fmt.Printf("benchmark %s, inefficiency budget %.1f, cluster threshold %.0f%%\n\n",
 		bench, budget, threshold*100)

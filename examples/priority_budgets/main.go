@@ -65,12 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		emin := -1.0
-		for k := 0; k < grid.NumSettings(); k++ {
-			if e := grid.TotalEnergyJ(mcdvfs.SettingID(k)); emin < 0 || e < emin {
-				emin = e
-			}
-		}
+		_, emin := grid.EminSetting()
 		perf, err := mcdvfs.RunGovernor(sys, a.bench, mcdvfs.NewPerformanceGovernor(space), mcdvfs.DefaultGovernorOverhead())
 		if err != nil {
 			log.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"mcdvfs/internal/experiments"
 	"mcdvfs/internal/serve"
 	"mcdvfs/internal/trace"
 	"mcdvfs/internal/workload"
@@ -91,6 +92,16 @@ func sumMetric(t *testing.T, h *TestHarness, name string) int64 {
 		total += metric(t, h.URL(i), name)
 	}
 	return total
+}
+
+// coarseKey is bench's coarse grid key as node n's Lab names it.
+func coarseKey(t *testing.T, n *Node, bench string) experiments.GridKey {
+	t.Helper()
+	k, err := n.Server().Lab().Key(bench, "coarse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 // benchesOwnedBy returns registry benchmarks whose coarse key the given
@@ -334,7 +345,7 @@ func TestWarmReplicaStaleFallback(t *testing.T) {
 	const bench = "milc"
 	ownerIdx := h.NodeFor(bench, "coarse")
 	ownerNode := h.Node(ownerIdx)
-	key := ownerNode.gridKey(bench, "coarse")
+	key := coarseKey(t, ownerNode, bench).String()
 	reps := ownerNode.ring.Replicas(key, 2)
 	var repIdx, proxyIdx = -1, -1
 	for i := 0; i < 3; i++ {
@@ -439,7 +450,7 @@ func TestReplicaSeedsCountAgainstBound(t *testing.T) {
 	for i := 0; i < h.Len(); i++ {
 		resident := 0
 		for _, bench := range workload.Names() {
-			if _, ok := h.Node(i).Server().Lab().PeekGrid(bench, "coarse"); ok {
+			if _, ok := h.Node(i).Server().Lab().PeekGrid(coarseKey(t, h.Node(i), bench)); ok {
 				resident++
 			}
 		}
@@ -464,7 +475,6 @@ func TestProxyWaitsOnOwnerInflight(t *testing.T) {
 		// under the race detector takes real time.
 		Mutate: func(i int, cfg *Config) {
 			cfg.ProxyTimeout = time.Second
-			cfg.InflightPoll = 5 * time.Millisecond
 		},
 	})
 	if err != nil {
@@ -476,7 +486,7 @@ func TestProxyWaitsOnOwnerInflight(t *testing.T) {
 	ownerIdx := h.NodeFor(bench, "coarse")
 	ownerNode := h.Node(ownerIdx)
 	proxyIdx := (ownerIdx + 1) % 3
-	key := ownerNode.gridKey(bench, "coarse")
+	key := coarseKey(t, ownerNode, bench).String()
 
 	// Hold the owner's only slot, then start a flight that queues on it.
 	release, err := ownerNode.Server().AcquireCollectSlot(context.Background())
@@ -574,7 +584,7 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 		resp, _ := post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: inflightBench}, nil)
 		inflightDone <- resp
 	}()
-	key := ownerNode.gridKey(inflightBench, "coarse")
+	key := coarseKey(t, ownerNode, inflightBench).String()
 	if !waitFor(t, 5*time.Second, func() bool {
 		for _, k := range ownerNode.inflightKeys() {
 			if k == key {

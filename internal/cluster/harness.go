@@ -38,11 +38,9 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type HarnessConfig struct {
 	// Nodes is the cluster size; <= 0 selects 3.
 	Nodes int
-	// Replicas, VirtualNodes, ProxyTimeout, InflightPoll, and DrainHint
-	// are applied to every node's Config (zero values select the node
-	// defaults).
-	Replicas     int
-	VirtualNodes int
+	// Replicas is applied to every node's Config (zero selects the node
+	// default).
+	Replicas int
 	// Serve seeds every node's embedded daemon config. Each node gets its
 	// own copy, with MaxBenchmarks scaled by the replica count.
 	Serve serve.Config
@@ -77,11 +75,10 @@ func NewTestHarness(cfg HarnessConfig) (*TestHarness, error) {
 			peers[id] = url
 		}
 		ncfg := Config{
-			Self:         nodeID(i),
-			Peers:        peers,
-			Replicas:     cfg.Replicas,
-			VirtualNodes: cfg.VirtualNodes,
-			Serve:        cfg.Serve,
+			Self:     nodeID(i),
+			Peers:    peers,
+			Replicas: cfg.Replicas,
+			Serve:    cfg.Serve,
 		}
 		if cfg.Mutate != nil {
 			cfg.Mutate(i, &ncfg)
@@ -129,7 +126,11 @@ func (h *TestHarness) URLs() []string {
 // the harness ring (every node shares one ring, so node 0's view is the
 // cluster's).
 func (h *TestHarness) NodeFor(bench, space string) int {
-	owner := h.nodes[0].ring.Owner(h.nodes[0].gridKey(bench, space))
+	key, err := h.nodes[0].srv.Lab().Key(bench, space)
+	if err != nil {
+		return -1
+	}
+	owner := h.nodes[0].ring.Owner(key.String())
 	for i := range h.nodes {
 		if h.nodes[i].self == owner {
 			return i

@@ -40,8 +40,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mcdvfs/internal/experiments"
 	"mcdvfs/internal/serve"
-	"mcdvfs/internal/trace"
 )
 
 // Wire headers of the cluster protocol.
@@ -75,16 +75,10 @@ type Config struct {
 	// cluster size. Replica copies are ordinary Lab entries, so the node's
 	// Lab holds up to Replicas × Serve.MaxBenchmarks grids.
 	Replicas int
-	// VirtualNodes is the ring's per-node vnode count; <= 0 selects
-	// DefaultVirtualNodes.
-	VirtualNodes int
 	// ProxyTimeout bounds one forward to a peer. On expiry the proxy
 	// consults the owner's in-flight list rather than failing outright.
 	// Default 15s.
 	ProxyTimeout time.Duration
-	// InflightPoll is the interval at which a waiting proxy re-reads the
-	// owner's in-flight list. Default 25ms.
-	InflightPoll time.Duration
 	// DrainHint is phase one of the two-phase drain: how long the node
 	// keeps answering (refusing ring writes with the draining hint) after
 	// shutdown begins, so peers observe the hint and fail over before the
@@ -101,14 +95,15 @@ func (c Config) withDefaults() Config {
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 15 * time.Second
 	}
-	if c.InflightPoll <= 0 {
-		c.InflightPoll = 25 * time.Millisecond
-	}
 	if c.DrainHint <= 0 {
 		c.DrainHint = 250 * time.Millisecond
 	}
 	return c
 }
+
+// inflightPoll is the interval at which a waiting proxy re-reads the
+// owner's in-flight list.
+const inflightPoll = 25 * time.Millisecond
 
 // Node is one cluster member.
 type Node struct {
@@ -119,7 +114,6 @@ type Node struct {
 	met      *clusterMetrics
 	client   *http.Client
 	mux      *http.ServeMux
-	keyHash  map[string]string // space name -> platform config hash
 	draining atomic.Bool
 }
 
@@ -138,7 +132,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for id := range cfg.Peers {
 		ids = append(ids, id)
 	}
-	ring, err := NewRing(ids, cfg.VirtualNodes)
+	ring, err := NewRing(ids, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -163,14 +157,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.keyHash = make(map[string]string, 2)
-	for _, space := range []string{"coarse", "fine"} {
-		h, err := n.srv.Lab().GridKeyHash(space)
-		if err != nil {
-			return nil, err
-		}
-		n.keyHash[space] = h
-	}
 	n.routes()
 	return n, nil
 }
@@ -184,13 +170,6 @@ func (n *Node) Ring() *Ring { return n.ring }
 
 // ID returns the node's ring ID.
 func (n *Node) ID() string { return n.self }
-
-// gridKey is the cluster routing key: benchmark, space, and the platform
-// config hash, so nodes simulating different platforms can never be
-// conflated into one shard.
-func (n *Node) gridKey(bench, space string) string {
-	return bench + "|" + space + "|" + n.keyHash[space]
-}
 
 func (n *Node) peerURL(id string) string {
 	return strings.TrimRight(n.cfg.Peers[id], "/")
@@ -261,47 +240,34 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
 
 	var probe routeProbe
 	_ = json.Unmarshal(body, &probe) // malformed bodies route local; the handler 400s
-	space, ok := normalizeSpace(probe.Space)
+	key, err := n.srv.Lab().Key(probe.Benchmark, probe.Space)
 	r.Body = io.NopCloser(bytes.NewReader(body))
-	if probe.Benchmark == "" || !ok {
+	if probe.Benchmark == "" || err != nil {
 		// Inline workloads and invalid requests are not key-addressable.
 		n.serveLocal(w, r)
 		return
 	}
-	key := n.gridKey(probe.Benchmark, space)
-	owner := n.ring.Owner(key)
+	owner := n.ring.Owner(key.String())
 
 	if owner == n.self || forwarded != "" {
 		if forwarded != "" {
 			n.met.forwardedServed.Add(1)
 		}
 		if isGrid && r.Header.Get(HeaderCachedOnly) != "" {
-			n.serveCachedOnly(w, probe.Benchmark, space)
+			n.serveCachedOnly(w, key)
 			return
 		}
 		n.serveLocal(w, r)
 		return
 	}
-	n.proxy(w, r, body, key, probe.Benchmark, space, owner, isGrid)
-}
-
-// normalizeSpace maps request space names onto the two published spaces.
-func normalizeSpace(name string) (string, bool) {
-	switch name {
-	case "", "coarse":
-		return "coarse", true
-	case "fine":
-		return "fine", true
-	default:
-		return "", false
-	}
+	n.proxy(w, r, body, key, owner, isGrid)
 }
 
 // serveCachedOnly answers a grid request from the completed cache or
 // refuses — the endpoint a proxy probes for warm copies, so it must never
 // collect.
-func (n *Node) serveCachedOnly(w http.ResponseWriter, bench, space string) {
-	g, ok := n.srv.Lab().PeekGrid(bench, space)
+func (n *Node) serveCachedOnly(w http.ResponseWriter, key experiments.GridKey) {
+	g, ok := n.srv.Lab().PeekGrid(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "grid not cached on this node")
 		return
@@ -315,7 +281,7 @@ func (n *Node) serveCachedOnly(w http.ResponseWriter, bench, space string) {
 // the key's replica set), wait-and-retry when the owner publishes the key
 // in flight, fail over past a draining owner, and fall back to a warm
 // replica when the owner sheds.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, bench, space, owner string, isGrid bool) {
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key experiments.GridKey, owner string, isGrid bool) {
 	ctx := r.Context()
 	contentType := r.Header.Get("Content-Type")
 	n.met.proxied.Add(1)
@@ -332,11 +298,11 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, b
 		// warm replica is the best answer left.
 		if n.awaitOwnerFlight(ctx, owner, key) {
 			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
-				n.relay(w, retry, bench, space, isGrid)
+				n.relay(w, retry, key, isGrid)
 				return
 			}
 		}
-		if isGrid && n.serveStaleFallback(ctx, w, key, bench, space) {
+		if isGrid && n.serveStaleFallback(ctx, w, key) {
 			return
 		}
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("forward to %s: %v", owner, err))
@@ -351,20 +317,20 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, b
 		// copy, marked stale; else pass the shed through, hint intact.
 		if n.awaitOwnerFlight(ctx, owner, key) {
 			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
-				n.relay(w, retry, bench, space, isGrid)
+				n.relay(w, retry, key, isGrid)
 				return
 			}
 		}
-		if isGrid && n.serveStaleFallback(ctx, w, key, bench, space) {
+		if isGrid && n.serveStaleFallback(ctx, w, key) {
 			return
 		}
-		n.relay(w, resp, bench, space, false)
+		n.relay(w, resp, key, false)
 	case resp.status == http.StatusServiceUnavailable && resp.header.Get(HeaderDraining) != "":
 		// The owner is leaving the ring: act as if it were gone and hand
 		// the key to the next replica in preference order, forwarded so the
 		// target serves it without re-proxying.
 		n.met.drainFailovers.Add(1)
-		for _, id := range n.ring.Replicas(key, n.ring.Len())[1:] {
+		for _, id := range n.ring.Replicas(key.String(), n.ring.Len())[1:] {
 			if id == n.self {
 				r.Body = io.NopCloser(bytes.NewReader(body))
 				n.met.forwardedServed.Add(1)
@@ -372,13 +338,13 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key, b
 				return
 			}
 			if fo, ferr := n.forward(ctx, id, r.URL.Path, contentType, body, false); ferr == nil && fo.status < 500 {
-				n.relay(w, fo, bench, space, isGrid)
+				n.relay(w, fo, key, isGrid)
 				return
 			}
 		}
-		n.relay(w, resp, bench, space, false)
+		n.relay(w, resp, key, false)
 	default:
-		n.relay(w, resp, bench, space, isGrid)
+		n.relay(w, resp, key, isGrid)
 	}
 }
 
@@ -422,7 +388,7 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 // relay writes a peer response through to the client, then — for
 // successful grid responses on a designated replica — seeds the local
 // cache so this node can serve the key warm if the owner later saturates.
-func (n *Node) relay(w http.ResponseWriter, resp *proxyResponse, bench, space string, seed bool) {
+func (n *Node) relay(w http.ResponseWriter, resp *proxyResponse, key experiments.GridKey, seed bool) {
 	for _, h := range []string{"Content-Type", "Retry-After", HeaderNode, HeaderStale, HeaderDraining} {
 		if v := resp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -431,33 +397,23 @@ func (n *Node) relay(w http.ResponseWriter, resp *proxyResponse, bench, space st
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body) // best effort: the peer response is already final
 	if seed && resp.status == http.StatusOK {
-		n.seedReplica(bench, space, resp.body)
+		n.seedReplica(key, resp.body)
 	}
 }
 
 // seedReplica stores a proxied grid locally when this node is in the
 // key's designated replica set. Decoding happens after the client already
 // has its response, so replication never adds latency to the hot path.
-func (n *Node) seedReplica(bench, space string, body []byte) {
-	if !n.isReplica(n.gridKey(bench, space)) {
-		return
-	}
-	if _, ok := n.srv.Lab().PeekGrid(bench, space); ok {
-		return // already warm; skip the decode entirely
-	}
-	g, err := trace.ReadJSON(bytes.NewReader(body))
-	if err != nil {
-		return // not a grid body (error payload raced in); nothing to seed
-	}
-	if n.srv.Lab().SeedGrid(bench, space, g) {
+func (n *Node) seedReplica(key experiments.GridKey, body []byte) {
+	if n.isReplica(key) && n.srv.Lab().SeedGrid(key, body) {
 		n.met.replicaSeeds.Add(1)
 	}
 }
 
 // isReplica reports whether this node is a designated non-owner replica
 // for key.
-func (n *Node) isReplica(key string) bool {
-	for _, id := range n.ring.Replicas(key, n.cfg.Replicas)[1:] {
+func (n *Node) isReplica(key experiments.GridKey) bool {
+	for _, id := range n.ring.Replicas(key.String(), n.cfg.Replicas)[1:] {
 		if id == n.self {
 			return true
 		}
@@ -469,19 +425,19 @@ func (n *Node) isReplica(key string) bool {
 // this node's own cache first, then cached-only probes of the other
 // replicas in ring order — marked X-MCDVFS-Stale: maybe. Reports whether
 // a response was written.
-func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, key, bench, space string) bool {
-	if g, ok := n.srv.Lab().PeekGrid(bench, space); ok {
+func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, key experiments.GridKey) bool {
+	if g, ok := n.srv.Lab().PeekGrid(key); ok {
 		n.met.staleFallbacks.Add(1)
 		w.Header().Set(HeaderNode, n.self)
 		w.Header().Set(HeaderStale, "maybe")
 		writeJSON(w, http.StatusOK, g)
 		return true
 	}
-	probe, err := json.Marshal(serve.GridRequest{Benchmark: bench, Space: space})
+	probe, err := json.Marshal(serve.GridRequest{Benchmark: key.Benchmark, Space: key.Space})
 	if err != nil {
 		return false
 	}
-	for _, id := range n.ring.Replicas(key, n.ring.Len())[1:] {
+	for _, id := range n.ring.Replicas(key.String(), n.ring.Len())[1:] {
 		if id == n.self {
 			continue
 		}
@@ -508,13 +464,13 @@ func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, ke
 // (the result is then in the owner's cache) and report true — the caller
 // should re-ask the owner. Reports false when no flight is visible, the
 // owner is unreachable, or the caller's context ends.
-func (n *Node) awaitOwnerFlight(ctx context.Context, owner, key string) bool {
+func (n *Node) awaitOwnerFlight(ctx context.Context, owner string, key experiments.GridKey) bool {
 	listed, err := n.ownerInflight(ctx, owner, key)
 	if err != nil || !listed {
 		return false
 	}
 	n.met.inflightWaits.Add(1)
-	t := time.NewTicker(n.cfg.InflightPoll)
+	t := time.NewTicker(inflightPoll)
 	defer t.Stop()
 	for {
 		select {
@@ -540,7 +496,7 @@ type InflightResponse struct {
 
 // ownerInflight reads a peer's published in-flight keys and reports
 // whether key is among them.
-func (n *Node) ownerInflight(ctx context.Context, owner, key string) (bool, error) {
+func (n *Node) ownerInflight(ctx context.Context, owner string, key experiments.GridKey) (bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.peerURL(owner)+"/v1/cluster/inflight", nil)
 	if err != nil {
 		return false, err
@@ -559,7 +515,7 @@ func (n *Node) ownerInflight(ctx context.Context, owner, key string) (bool, erro
 		return false, err
 	}
 	for _, k := range out.Keys {
-		if k == key {
+		if k == key.String() {
 			return true, nil
 		}
 	}
@@ -572,7 +528,7 @@ func (n *Node) inflightKeys() []string {
 	grids := n.srv.Lab().InflightGrids()
 	keys := make([]string, 0, len(grids))
 	for _, k := range grids {
-		keys = append(keys, n.gridKey(k.Benchmark, k.Space))
+		keys = append(keys, k.String())
 	}
 	sort.Strings(keys)
 	return keys

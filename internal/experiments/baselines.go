@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
-	"mcdvfs/internal/freq"
 	"mcdvfs/internal/governor"
 	"mcdvfs/internal/report"
 	"mcdvfs/internal/workload"
@@ -31,7 +31,7 @@ type BaselinesResult struct {
 // Baselines runs the comparison. The rate limiter's per-interval allowance
 // is set to the budget governor's average interval energy — the most
 // favorable calibration it could hope for — and still loses.
-func (l *Lab) Baselines(bench string, budget float64) (*BaselinesResult, error) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via Lab.GridContext
+func (l *Lab) Baselines(bench string, budget float64) (*BaselinesResult, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -44,12 +44,7 @@ func (l *Lab) Baselines(bench string, budget float64) (*BaselinesResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	eminRun := -1.0
-	for k := range g.Settings {
-		if e := g.TotalEnergyJ(freq.SettingID(k)); eminRun < 0 || e < eminRun {
-			eminRun = e
-		}
-	}
+	_, eminRun := g.EminSetting()
 	model, err := governor.NewSimModel()
 	if err != nil {
 		return nil, err
@@ -104,7 +99,7 @@ func (l *Lab) Baselines(bench string, budget float64) (*BaselinesResult, error) 
 // Row returns the entry whose policy name contains the substring.
 func (r *BaselinesResult) Row(nameContains string) (BaselineRow, error) {
 	for _, row := range r.Rows {
-		if contains(row.Policy, nameContains) {
+		if strings.Contains(row.Policy, nameContains) {
 			return row, nil
 		}
 	}

@@ -55,7 +55,7 @@ func cacheSensPhases() []workload.LocalityPhase {
 }
 
 // CacheSensitivity runs the study across L2 sizes.
-func (l *Lab) CacheSensitivity(budget float64, l2Sizes []int) (*CacheSensResult, error) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via Lab.GridContext
+func (l *Lab) CacheSensitivity(budget float64, l2Sizes []int) (*CacheSensResult, error) {
 	res := &CacheSensResult{Benchmark: "soplex-like", Budget: budget}
 	for _, size := range l2Sizes {
 		h := cache.Default().WithL2Size(size)
@@ -77,13 +77,8 @@ func (l *Lab) CacheSensitivity(budget float64, l2Sizes []int) (*CacheSensResult,
 		}
 		row.AvgMPKI /= float64(bench.NumSamples() / bench.Repeat)
 
-		row.EminJ = -1
-		for k := range g.Settings {
-			if e := g.TotalEnergyJ(freq.SettingID(k)); row.EminJ < 0 || e < row.EminJ {
-				row.EminJ = e
-				row.EminSetting = g.Settings[k]
-			}
-		}
+		id, emin := g.EminSetting()
+		row.EminJ, row.EminSetting = emin, g.Setting(id)
 		sch, err := a.OptimalSchedule(budget)
 		if err != nil {
 			return nil, err

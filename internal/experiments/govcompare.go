@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
+	"strings"
 
-	"mcdvfs/internal/freq"
 	"mcdvfs/internal/governor"
 	"mcdvfs/internal/report"
 	"mcdvfs/internal/workload"
@@ -34,7 +33,7 @@ type GovCompareResult struct {
 }
 
 // GovCompare runs the governor suite on one benchmark.
-func (l *Lab) GovCompare(bench string, budget, threshold float64) (*GovCompareResult, error) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via Lab.GridContext
+func (l *Lab) GovCompare(bench string, budget, threshold float64) (*GovCompareResult, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -48,12 +47,7 @@ func (l *Lab) GovCompare(bench string, budget, threshold float64) (*GovCompareRe
 	if err != nil {
 		return nil, err
 	}
-	eminRun := math.Inf(1)
-	for k := range g.Settings {
-		if e := g.TotalEnergyJ(freq.SettingID(k)); e < eminRun {
-			eminRun = e
-		}
-	}
+	_, eminRun := g.EminSetting()
 
 	model, err := governor.NewSimModel()
 	if err != nil {
@@ -117,20 +111,11 @@ func (l *Lab) GovCompare(bench string, budget, threshold float64) (*GovCompareRe
 // Row returns the entry whose governor name contains the given substring.
 func (r *GovCompareResult) Row(nameContains string) (GovRow, error) {
 	for _, row := range r.Rows {
-		if contains(row.Governor, nameContains) {
+		if strings.Contains(row.Governor, nameContains) {
 			return row, nil
 		}
 	}
 	return GovRow{}, fmt.Errorf("experiments: no governor row matching %q", nameContains)
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // Table renders the comparison.

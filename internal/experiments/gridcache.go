@@ -1,9 +1,9 @@
 package experiments
 
 // The persistent layer under the Lab's in-memory grid cache: JSON files
-// keyed by (benchmark, space, platform-config hash), plus the validity
-// check every externally obtained grid — loaded from disk or replicated
-// from a peer — must pass before it is cached.
+// named by GridKey, plus decodeGrid, the one door every externally
+// obtained grid — loaded from disk or replicated from a peer — passes
+// before it is cached.
 
 import (
 	"crypto/sha256"
@@ -21,9 +21,20 @@ import (
 	"mcdvfs/internal/trace"
 )
 
+// decodeGrid reads a grid from outside the lab and returns it only if it
+// decodes, validates (trace.ReadJSON), and is bench's grid over exactly
+// space's setting list (gridMatches); otherwise nil, and the caller
+// recollects or refuses rather than caching it.
+func decodeGrid(r io.Reader, bench string, space *freq.Space) *trace.Grid {
+	g, err := trace.ReadJSON(r)
+	if err != nil || !gridMatches(g, bench, space) {
+		return nil
+	}
+	return g
+}
+
 // gridMatches reports whether g is bench's grid over exactly space's
-// setting list. A grid the lab did not collect itself is valid only under
-// this match; anything else is recollected rather than cached.
+// setting list.
 func gridMatches(g *trace.Grid, bench string, space *freq.Space) bool {
 	if g.Benchmark != bench || g.NumSettings() != space.Len() {
 		return false
@@ -116,38 +127,33 @@ type diskCache struct {
 	dir string
 }
 
-// path derives the cache filename for one (benchmark, space, config) key.
-func (d diskCache) path(bench, spaceName, cfgHash string) string {
+// path derives the cache filename for one key.
+func (d diskCache) path(k GridKey) string {
 	safe := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.', r == '_':
 			return r
 		}
 		return '_'
-	}, bench)
-	return filepath.Join(d.dir, fmt.Sprintf("%s-%s-%s.grid.json", safe, spaceName, cfgHash))
+	}, k.Benchmark)
+	return filepath.Join(d.dir, fmt.Sprintf("%s-%s-%s.grid.json", safe, k.Space, k.Hash))
 }
 
-// load returns the stored grid, or nil if it is absent, unreadable, or no
-// longer matches the requested benchmark and space (then it is simply
-// recollected and rewritten).
-func (d diskCache) load(path, bench string, space *freq.Space) *trace.Grid {
-	f, err := os.Open(path)
+// load returns k's stored grid, or nil if it is absent or fails
+// decodeGrid (then it is simply recollected and rewritten).
+func (d diskCache) load(k GridKey, space *freq.Space) *trace.Grid {
+	f, err := os.Open(d.path(k))
 	if err != nil {
 		return nil
 	}
 	//lint:allow errflow read-only file; a close error after a successful read carries no data loss
 	defer f.Close()
-	g, err := trace.ReadJSON(f)
-	if err != nil || !gridMatches(g, bench, space) {
-		return nil
-	}
-	return g
+	return decodeGrid(f, k.Benchmark, space)
 }
 
 // store persists a grid atomically: written to a temp file and renamed
 // into place, so a concurrent load never observes partial JSON.
-func (d diskCache) store(path string, g *trace.Grid) error {
+func (d diskCache) store(k GridKey, g *trace.Grid) error {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return err
 	}
@@ -164,5 +170,5 @@ func (d diskCache) store(path string, g *trace.Grid) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return os.Rename(tmp.Name(), d.path(k))
 }

@@ -70,17 +70,9 @@ func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error)
 		}
 
 		// Global Emin across both cores' pinned settings.
-		eminGlobal := math.Inf(1)
-		for k := range bigGrid.Settings {
-			if e := bigGrid.TotalEnergyJ(freq.SettingID(k)); e < eminGlobal {
-				eminGlobal = e
-			}
-		}
-		for k := range littleGrid.Settings {
-			if e := littleGrid.TotalEnergyJ(freq.SettingID(k)); e < eminGlobal {
-				eminGlobal = e
-			}
-		}
+		_, bigEmin := bigGrid.EminSetting()
+		_, littleEmin := littleGrid.EminSetting()
+		eminGlobal := math.Min(bigEmin, littleEmin)
 
 		bestWithin := func(g *trace.Grid, budget float64) float64 {
 			best := math.Inf(1)

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -22,14 +23,14 @@ import (
 // Lab owns the simulated platform and caches collected grids, since grid
 // collection is the expensive step shared by every experiment. It is safe
 // for concurrent use: grids live in one bounded singleflight cache
-// (internal/cache/lru) keyed by benchmark and space, so N goroutines
-// requesting the same grid trigger exactly one collection and requests for
-// different grids proceed independently.
+// (internal/cache/lru) keyed by GridKey, so N goroutines requesting the
+// same grid trigger exactly one collection and requests for different
+// grids proceed independently.
 type Lab struct {
 	sys    *sim.System
-	cfg    sim.Config
 	coarse *freq.Space
 	fine   *freq.Space
+	spaces map[string]keyedSpace // "coarse" and "fine" with their hashes
 
 	workers  int    // Collect worker-pool size; 0 means GOMAXPROCS
 	cacheDir string // persistent grid cache directory; "" disables
@@ -68,11 +69,25 @@ func WithGridCacheDir(dir string) Option { return func(l *Lab) { l.cacheDir = di
 // so nothing is ever evicted.
 func WithMaxGrids(n int) Option { return func(l *Lab) { l.maxGrids = n } }
 
-// GridKey names one cached grid: a benchmark in the "coarse" or "fine"
-// space.
+// GridKey names one grid: a benchmark in the "coarse" or "fine" space on
+// one platform. Hash fingerprints the simulator configuration and the
+// space's setting list (gridKeyHash), so a recalibrated platform never
+// shares a key with the old one. Lab.Key is the only constructor; the Lab
+// refuses a key it did not issue.
 type GridKey struct {
 	Benchmark string
 	Space     string
+	Hash      string
+}
+
+// String renders the key as bench|space|hash: the cluster's routing key
+// and its published in-flight list entry.
+func (k GridKey) String() string { return k.Benchmark + "|" + k.Space + "|" + k.Hash }
+
+// keyedSpace is one published setting space with its platform fingerprint.
+type keyedSpace struct {
+	space *freq.Space
+	hash  string
 }
 
 // gridEntry is one resident grid and its analysis, built at most once on
@@ -165,10 +180,13 @@ func NewLabWithConfig(cfg sim.Config, opts ...Option) (*Lab, error) {
 	}
 	l := &Lab{
 		sys:     sys,
-		cfg:     cfg,
 		coarse:  freq.CoarseSpace(),
 		fine:    freq.FineSpace(),
 		collect: trace.CollectContext,
+	}
+	l.spaces = map[string]keyedSpace{
+		"coarse": {space: l.coarse, hash: gridKeyHash(cfg, l.coarse)},
+		"fine":   {space: l.fine, hash: gridKeyHash(cfg, l.fine)},
 	}
 	for _, opt := range opts {
 		opt(l)
@@ -192,18 +210,42 @@ func (l *Lab) CoarseSpace() *freq.Space { return l.coarse }
 // FineSpace returns the 496-setting space.
 func (l *Lab) FineSpace() *freq.Space { return l.fine }
 
+// Key names bench's grid in the named space; "" means coarse. It does not
+// check the benchmark name: an unknown benchmark fails when its grid is
+// requested.
+func (l *Lab) Key(bench, space string) (GridKey, error) {
+	if space == "" {
+		space = "coarse"
+	}
+	if _, ok := l.spaces[space]; !ok {
+		return GridKey{}, fmt.Errorf("unknown space %q (use coarse or fine)", space)
+	}
+	return l.key(bench, space), nil
+}
+
+// key is Key for a space name known to exist.
+func (l *Lab) key(bench, space string) GridKey {
+	return GridKey{Benchmark: bench, Space: space, Hash: l.spaces[space].hash}
+}
+
+// spaceOf resolves a key to its setting space, refusing a key this lab did
+// not issue: its grid belongs to another platform.
+func (l *Lab) spaceOf(k GridKey) (*freq.Space, error) {
+	s, ok := l.spaces[k.Space]
+	if !ok || s.hash != k.Hash {
+		return nil, fmt.Errorf("experiments: grid key %s does not belong to this lab", k)
+	}
+	return s.space, nil
+}
+
 // Grid returns the coarse grid for a benchmark, collecting it on first use.
 func (l *Lab) Grid(bench string) (*trace.Grid, error) {
 	return l.GridContext(context.Background(), bench)
 }
 
-// GridContext is Grid with cancellation: a caller that joins an in-flight
-// collection and is cancelled returns promptly with ctx's error while the
-// collection itself completes for the remaining waiters; if the collecting
-// caller is cancelled, the flight is abandoned and no partial grid stays
-// cached.
+// GridContext is Grid with cancellation (see GridFor).
 func (l *Lab) GridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.gridFor(ctx, bench, "coarse")
+	return l.GridFor(ctx, l.key(bench, "coarse"))
 }
 
 // FineGrid returns the fine-step grid for a benchmark.
@@ -211,68 +253,64 @@ func (l *Lab) FineGrid(bench string) (*trace.Grid, error) {
 	return l.FineGridContext(context.Background(), bench)
 }
 
-// FineGridContext is FineGrid with cancellation (see GridContext).
+// FineGridContext is FineGrid with cancellation (see GridFor).
 func (l *Lab) FineGridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.gridFor(ctx, bench, "fine")
+	return l.GridFor(ctx, l.key(bench, "fine"))
 }
 
-func (l *Lab) gridFor(ctx context.Context, bench, spaceName string) (*trace.Grid, error) {
-	e, err := l.entry(ctx, bench, spaceName)
+// GridFor returns the grid k names, collecting it on first use. A caller
+// that joins an in-flight collection and is cancelled returns promptly
+// with ctx's error while the collection itself completes for the
+// remaining waiters; if the collecting caller is cancelled, the flight is
+// abandoned and no partial grid stays cached.
+func (l *Lab) GridFor(ctx context.Context, k GridKey) (*trace.Grid, error) {
+	e, err := l.entry(ctx, k)
 	if err != nil {
 		return nil, err
 	}
 	return e.grid, nil
 }
 
-func (l *Lab) analysisFor(ctx context.Context, bench, spaceName string) (*core.Analysis, error) {
-	e, err := l.entry(ctx, bench, spaceName)
+// AnalysisFor returns the analysis of the grid k names, built once per
+// resident grid.
+func (l *Lab) AnalysisFor(ctx context.Context, k GridKey) (*core.Analysis, error) {
+	e, err := l.entry(ctx, k)
 	if err != nil {
 		return nil, err
 	}
 	return e.analyze()
 }
 
-// entry returns the resident entry for (bench, spaceName), running at most
-// one flight per entry: persistent-cache probe, admission gate, then
-// collection.
-func (l *Lab) entry(ctx context.Context, bench, spaceName string) (*gridEntry, error) {
-	b, err := workload.ByName(bench)
+// entry returns the resident entry for k, running at most one flight per
+// entry: persistent-cache probe, admission gate, then collection.
+func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
+	b, err := workload.ByName(k.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	space, err := l.spaceFor(spaceName)
+	space, err := l.spaceOf(k)
 	if err != nil {
 		return nil, err
 	}
-	key := GridKey{Benchmark: bench, Space: spaceName}
-	e, joined, err := l.grids.Do(ctx, key, func() (*gridEntry, error) {
+	e, joined, err := l.grids.Do(ctx, k, func() (*gridEntry, error) {
 		if l.span != nil {
-			done := l.span(bench, spaceName)
+			done := l.span(k.Benchmark, k.Space)
 			defer done()
 		}
-		var path string
-		if l.cacheDir != "" {
-			disk := diskCache{dir: l.cacheDir}
-			path = disk.path(bench, spaceName, gridKeyHash(l.cfg, space))
-			if g := disk.load(path, bench, space); g != nil {
-				l.emit(key, GridDiskLoad)
+		disk := diskCache{dir: l.cacheDir}
+		if disk.dir != "" {
+			if g := disk.load(k, space); g != nil {
+				l.emit(k, GridDiskLoad)
 				return &gridEntry{grid: g}, nil
 			}
 		}
-		if l.gate != nil {
-			release, err := l.gate(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: collecting %s %s: %w", spaceName, bench, err)
-			}
-			defer release()
-		}
-		g, err := l.collect(ctx, l.sys, b, space, trace.CollectOptions{Workers: l.workers, OnProgress: l.progress})
+		g, err := l.collectGated(ctx, b, space)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: collecting %s %s: %w", spaceName, bench, err)
+			return nil, fmt.Errorf("experiments: collecting %s %s: %w", k.Space, k.Benchmark, err)
 		}
-		l.emit(key, GridCollect)
-		if path != "" {
-			_ = diskCache{dir: l.cacheDir}.store(path, g) // best-effort
+		l.emit(k, GridCollect)
+		if disk.dir != "" {
+			_ = disk.store(k, g) // best-effort
 		}
 		return &gridEntry{grid: g}, nil
 	})
@@ -280,9 +318,35 @@ func (l *Lab) entry(ctx context.Context, bench, spaceName string) (*gridEntry, e
 		return nil, err
 	}
 	if joined {
-		l.emit(key, GridHit)
+		l.emit(k, GridHit)
 	}
 	return e, nil
+}
+
+// collectGated runs one collection behind the admission gate with the
+// lab's worker bound and progress hook.
+func (l *Lab) collectGated(ctx context.Context, b workload.Benchmark, space *freq.Space) (*trace.Grid, error) {
+	if l.gate != nil {
+		release, err := l.gate(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+	}
+	return l.collect(ctx, l.sys, b, space, trace.CollectOptions{Workers: l.workers, OnProgress: l.progress})
+}
+
+// CollectWorkload collects an inline workload's grid in the named space
+// ("" means coarse) without caching it: the same admission gate, worker
+// bound and progress hook as a cached collection, but no grid event.
+// Errors come back unwrapped, so callers can match the gate's and the
+// context's sentinels.
+func (l *Lab) CollectWorkload(ctx context.Context, b workload.Benchmark, space string) (*trace.Grid, error) {
+	k, err := l.Key(b.Name, space)
+	if err != nil {
+		return nil, err
+	}
+	return l.collectGated(ctx, b, l.spaces[k.Space].space)
 }
 
 func (l *Lab) emit(k GridKey, kind GridEventKind) {
@@ -291,59 +355,35 @@ func (l *Lab) emit(k GridKey, kind GridEventKind) {
 	}
 }
 
-// spaceFor resolves a published space name. Only "coarse" and "fine"
-// exist; the empty string is not accepted here — callers normalize first.
-func (l *Lab) spaceFor(spaceName string) (*freq.Space, error) {
-	switch spaceName {
-	case "coarse":
-		return l.coarse, nil
-	case "fine":
-		return l.fine, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown space %q (use coarse or fine)", spaceName)
-	}
-}
-
-// GridKeyHash returns the platform fingerprint a stored or replicated
-// grid depends on: the full simulator configuration plus the exact
-// setting list of the named space — the same hash that keys the
-// persistent disk cache. Two labs (or two cluster nodes) agree on a grid
-// key iff this hash matches, so a recalibrated platform can never be
-// routed onto a peer's stale shard.
-func (l *Lab) GridKeyHash(spaceName string) (string, error) {
-	space, err := l.spaceFor(spaceName)
-	if err != nil {
-		return "", err
-	}
-	return gridKeyHash(l.cfg, space), nil
-}
-
-// PeekGrid returns the completed cached grid for a benchmark in the named
-// space without collecting, joining an in-flight collection, or touching
-// the persistent cache. It is the cluster's warm-replica probe: a node
-// answering a cached-only request must never be dragged into a
-// collection.
-func (l *Lab) PeekGrid(bench, spaceName string) (*trace.Grid, bool) {
-	e, ok := l.grids.Peek(GridKey{Benchmark: bench, Space: spaceName})
+// PeekGrid returns the completed cached grid k names without collecting,
+// joining an in-flight collection, or touching the persistent cache. It is
+// the cluster's warm-replica probe: a node answering a cached-only request
+// must never be dragged into a collection.
+func (l *Lab) PeekGrid(k GridKey) (*trace.Grid, bool) {
+	e, ok := l.grids.Peek(k)
 	if !ok {
 		return nil, false
 	}
 	return e.grid, true
 }
 
-// SeedGrid installs an externally obtained grid — typically replicated
-// from a cluster peer's response — into the in-memory cache, if no entry
-// for the key exists. A seeded grid is an ordinary entry: it counts
-// against the resident bound and may evict. The grid is validated the same
-// way a persistent-cache load is (gridMatches); a mismatched grid is
-// rejected rather than poisoning the cache. It reports whether the grid
+// SeedGrid installs a grid obtained from outside the lab — typically a
+// cluster peer's /v1/grid response body — under k, if k is not resident
+// yet. The body passes the same decode and validation as a persistent-cache
+// load (decodeGrid); a body that is not k's grid is rejected rather than
+// poisoning the cache. A seeded grid is an ordinary entry: it counts
+// against the resident bound and may evict. It reports whether the grid
 // was stored.
-func (l *Lab) SeedGrid(bench, spaceName string, g *trace.Grid) bool {
-	space, err := l.spaceFor(spaceName)
-	if err != nil || g == nil || !gridMatches(g, bench, space) {
+func (l *Lab) SeedGrid(k GridKey, body []byte) bool {
+	if _, ok := l.grids.Peek(k); ok {
+		return false // already warm; skip the decode entirely
+	}
+	space, err := l.spaceOf(k)
+	if err != nil {
 		return false
 	}
-	return l.grids.PutIfAbsent(GridKey{Benchmark: bench, Space: spaceName}, &gridEntry{grid: g})
+	g := decodeGrid(bytes.NewReader(body), k.Benchmark, space)
+	return g != nil && l.grids.PutIfAbsent(k, &gridEntry{grid: g})
 }
 
 // Forget drops every cached artifact for a benchmark — coarse and fine
@@ -351,8 +391,8 @@ func (l *Lab) SeedGrid(bench, spaceName string, g *trace.Grid) bool {
 // collections are unaffected: their waiters still get the result, it just
 // is not retained. It reports whether anything was cached.
 func (l *Lab) Forget(bench string) bool {
-	dropped := l.grids.Remove(GridKey{Benchmark: bench, Space: "coarse"})
-	return l.grids.Remove(GridKey{Benchmark: bench, Space: "fine"}) || dropped
+	dropped := l.grids.Remove(l.key(bench, "coarse"))
+	return l.grids.Remove(l.key(bench, "fine")) || dropped
 }
 
 // ResidentGrids returns how many grids the cache holds, running flights
@@ -371,7 +411,7 @@ func (l *Lab) Analysis(bench string) (*core.Analysis, error) {
 // AnalysisContext is Analysis with cancellation of the underlying
 // collection.
 func (l *Lab) AnalysisContext(ctx context.Context, bench string) (*core.Analysis, error) {
-	return l.analysisFor(ctx, bench, "coarse")
+	return l.AnalysisFor(ctx, l.key(bench, "coarse"))
 }
 
 // FineAnalysis returns the cached fine-grid analysis for a benchmark.
@@ -382,5 +422,5 @@ func (l *Lab) FineAnalysis(bench string) (*core.Analysis, error) {
 // FineAnalysisContext is FineAnalysis with cancellation of the underlying
 // collection.
 func (l *Lab) FineAnalysisContext(ctx context.Context, bench string) (*core.Analysis, error) {
-	return l.analysisFor(ctx, bench, "fine")
+	return l.AnalysisFor(ctx, l.key(bench, "fine"))
 }

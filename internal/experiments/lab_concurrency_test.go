@@ -244,7 +244,7 @@ func TestLabFailedFlightKeepsNewerGrid(t *testing.T) {
 		t.Fatal("first flight succeeded, want the gate's error")
 	}
 
-	if _, ok := l.PeekGrid("gobmk", "coarse"); !ok {
+	if _, ok := l.PeekGrid(l.key("gobmk", "coarse")); !ok {
 		t.Error("the failed flight dropped the newer grid")
 	}
 	if _, err := l.Grid("gobmk"); err != nil {

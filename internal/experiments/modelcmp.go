@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mcdvfs/internal/freq"
 	"mcdvfs/internal/governor"
 	"mcdvfs/internal/model"
 	"mcdvfs/internal/report"
@@ -32,7 +31,7 @@ type ModelCmpResult struct {
 }
 
 // ModelCompare runs the comparison on the given benchmarks.
-func (l *Lab) ModelCompare(benches []string, budget, threshold float64) (*ModelCmpResult, error) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via Lab.GridContext
+func (l *Lab) ModelCompare(benches []string, budget, threshold float64) (*ModelCmpResult, error) {
 	res := &ModelCmpResult{Budget: budget, Threshold: threshold}
 	for _, bench := range benches {
 		b, err := workload.ByName(bench)
@@ -47,12 +46,7 @@ func (l *Lab) ModelCompare(benches []string, budget, threshold float64) (*ModelC
 		if err != nil {
 			return nil, err
 		}
-		eminRun := -1.0
-		for k := range g.Settings {
-			if e := g.TotalEnergyJ(freq.SettingID(k)); eminRun < 0 || e < eminRun {
-				eminRun = e
-			}
-		}
+		_, eminRun := g.EminSetting()
 
 		oracle, err := governor.NewSimModel()
 		if err != nil {

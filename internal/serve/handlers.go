@@ -17,7 +17,7 @@ import (
 	"sort"
 	"strconv"
 
-	"mcdvfs/internal/core"
+	"mcdvfs/internal/experiments"
 	"mcdvfs/internal/freq"
 	"mcdvfs/internal/predict"
 	"mcdvfs/internal/trace"
@@ -74,18 +74,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	}
 }
 
-// spaceByName resolves the two published setting spaces; "" means coarse.
-func (s *Server) spaceByName(name string) (*freq.Space, string, error) {
-	switch name {
-	case "", "coarse":
-		return s.lab.CoarseSpace(), "coarse", nil
-	case "fine":
-		return s.lab.FineSpace(), "fine", nil
-	default:
-		return nil, "", fmt.Errorf("unknown space %q (use coarse or fine)", name)
-	}
-}
-
 // GridRequest asks for a characterization grid: either a named built-in
 // benchmark (cached, coalesced) or an inline workload definition
 // (collected per request, never cached).
@@ -101,7 +89,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	space, spaceName, err := s.spaceByName(req.Space)
+	key, err := s.lab.Key(req.Benchmark, req.Space)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -122,16 +110,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		}
 		// Inline workloads bypass the Lab cache but not admission control:
 		// they are always a full collection, so they always take a slot.
-		release, err := s.pool.acquire(ctx)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		g, err = trace.CollectContext(ctx, s.lab.System(), b, space, trace.CollectOptions{
-			Workers:    s.cfg.CollectWorkers,
-			OnProgress: s.met.collectProgress,
-		})
-		release()
+		g, err = s.lab.CollectWorkload(ctx, b, key.Space)
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -143,11 +122,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.met.gridRequests.Add(1)
-		if spaceName == "fine" {
-			g, err = s.lab.FineGridContext(ctx, req.Benchmark)
-		} else {
-			g, err = s.lab.GridContext(ctx, req.Benchmark)
-		}
+		g, err = s.lab.GridFor(ctx, key)
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -197,7 +172,7 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	_, spaceName, err := s.spaceByName(req.Space)
+	key, err := s.lab.Key(req.Benchmark, req.Space)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -211,9 +186,9 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	s.met.optimalRequests.Add(1)
-	key := fmt.Sprintf("%s|%s|%x", req.Benchmark, spaceName, math.Float64bits(req.Budget))
-	resp, hit, err := s.optMemo.Do(ctx, key, func() (*OptimalResponse, error) {
-		return s.computeOptimal(ctx, req.Benchmark, spaceName, req.Budget)
+	memoKey := optimalKey{grid: key, budget: math.Float64bits(req.Budget)}
+	resp, hit, err := s.optMemo.Do(ctx, memoKey, func() (*OptimalResponse, error) {
+		return s.computeOptimal(ctx, key, req.Budget)
 	})
 	if hit {
 		s.met.optimalMemoHits.Add(1)
@@ -225,17 +200,16 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) computeOptimal(ctx context.Context, bench, spaceName string, budget float64) (*OptimalResponse, error) {
+// optimalKey names one memoized /v1/optimal answer: a grid and the exact
+// bits of the budget.
+type optimalKey struct {
+	grid   experiments.GridKey
+	budget uint64
+}
+
+func (s *Server) computeOptimal(ctx context.Context, key experiments.GridKey, budget float64) (*OptimalResponse, error) {
 	s.met.gridRequests.Add(1)
-	var (
-		a   *core.Analysis
-		err error
-	)
-	if spaceName == "fine" {
-		a, err = s.lab.FineAnalysisContext(ctx, bench)
-	} else {
-		a, err = s.lab.AnalysisContext(ctx, bench)
-	}
+	a, err := s.lab.AnalysisFor(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -244,8 +218,8 @@ func (s *Server) computeOptimal(ctx context.Context, bench, spaceName string, bu
 		return nil, err
 	}
 	resp := &OptimalResponse{
-		Benchmark:                  bench,
-		Space:                      spaceName,
+		Benchmark:                  key.Benchmark,
+		Space:                      key.Space,
 		Budget:                     budget,
 		NumSamples:                 a.NumSamples(),
 		Transitions:                sch.Transitions(),

@@ -22,14 +22,10 @@ import (
 
 	"mcdvfs/internal/cache/lru"
 	"mcdvfs/internal/experiments"
-	"mcdvfs/internal/sim"
 )
 
 // Config tunes the daemon. The zero value serves with the defaults below.
 type Config struct {
-	// SimConfig selects the simulated platform; nil means the default
-	// calibrated configuration.
-	SimConfig *sim.Config
 	// CollectWorkers bounds the worker pool inside one grid collection
 	// (trace.CollectOptions.Workers). Zero means GOMAXPROCS.
 	CollectWorkers int
@@ -89,7 +85,7 @@ type Server struct {
 	lab      *experiments.Lab
 	pool     *pool
 	met      *metrics
-	optMemo  *lru.Cache[string, *OptimalResponse] // answers are pure functions of benchmark|space|budget bits
+	optMemo  *lru.Cache[optimalKey, *OptimalResponse] // answers are pure functions of grid and budget
 	mux      *http.ServeMux
 	draining atomic.Bool
 }
@@ -106,15 +102,11 @@ func New(cfg Config) (*Server, error) {
 		mux:  http.NewServeMux(),
 	}
 	var err error
-	s.optMemo, err = lru.New[string, *OptimalResponse](cfg.MemoSize, nil)
+	s.optMemo, err = lru.New[optimalKey, *OptimalResponse](cfg.MemoSize, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	simCfg := sim.DefaultConfig()
-	if cfg.SimConfig != nil {
-		simCfg = *cfg.SimConfig
-	}
 	opts := []experiments.Option{
 		experiments.WithWorkers(cfg.CollectWorkers),
 		experiments.WithMaxGrids(cfg.MaxBenchmarks),
@@ -128,7 +120,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CollectSpan != nil {
 		opts = append(opts, experiments.WithCollectSpan(cfg.CollectSpan))
 	}
-	s.lab, err = experiments.NewLabWithConfig(simCfg, opts...)
+	s.lab, err = experiments.NewLab(opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -198,9 +190,8 @@ func (s *Server) beginDrain() {
 func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Lab exposes the daemon's Lab to layered subsystems: the cluster router
-// peeks for warm replica copies, seeds grids replicated from peers, and
-// shares the Lab's grid-key hash so every node in a cluster routes by an
-// identical key.
+// takes its routing keys from Lab.Key, peeks for warm replica copies, and
+// seeds grids replicated from peers.
 func (s *Server) Lab() *experiments.Lab { return s.lab }
 
 // AcquireCollectSlot takes one slot of the collection admission pool,

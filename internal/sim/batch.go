@@ -4,10 +4,10 @@ package sim
 // cost: every figure and every daemon request ultimately sweeps a realized
 // workload across a (CPU × memory) setting space, and the scalar path pays
 // per-call validation, model re-derivation, and struct traffic for every
-// cell. A Runner instead ingests the realized specs once, lays the
-// per-sample inputs out as flat float64 columns (structure-of-arrays),
-// hoists every per-setting invariant via System.consts, and solves whole
-// setting-columns in a tight check-free loop — reusing its arenas across
+// cell. A Runner instead ingests the realized specs once into per-sample
+// input records (System.ingest), hoists every per-setting invariant via
+// System.consts, and solves whole setting-columns through the per-cell
+// kernel (System.cell) in a check-free loop — reusing its arenas across
 // columns so a full grid performs O(1) allocations per column.
 //
 // Adjacent operating points share the workload trace, so the Runner can
@@ -20,9 +20,7 @@ package sim
 import (
 	"fmt"
 
-	"mcdvfs/internal/dram"
 	"mcdvfs/internal/freq"
-	"mcdvfs/internal/rng"
 	"mcdvfs/internal/workload"
 )
 
@@ -31,18 +29,8 @@ import (
 // worker owns its own Runner (the arenas are the point). The System behind
 // it may be shared freely.
 type Runner struct {
-	sys   *System
-	specs []workload.SampleSpec
-
-	// Per-sample input columns, fixed at construction.
-	instr     []float64 // float64(Instructions)
-	accesses  []float64 // instr·MPKI/1000
-	cpiNum    []float64 // instr·BaseCPI·cpiFactor — the computeNS numerator
-	mlp       []float64
-	rowHit    []float64
-	writeFrac []float64
-	counts    []dram.Counts // DRAM event counts (setting-independent)
-	noiseH    []uint64      // sample half of the noise-stream hash
+	sys *System
+	in  []sampleIn // per-sample inputs, fixed at construction
 
 	// solvedNS is the pre-noise converged time of the last solved column,
 	// the warm-start seed vector for the next.
@@ -69,48 +57,25 @@ type RunnerStats struct {
 	ConvergenceFailures uint64
 }
 
-// NewRunner validates every spec once and lays the workload out in columns.
+// NewRunner validates and ingests every spec once.
 func NewRunner(sys *System, specs []workload.SampleSpec) (*Runner, error) {
 	r := &Runner{
-		sys:       sys,
-		specs:     append([]workload.SampleSpec(nil), specs...),
-		instr:     make([]float64, len(specs)),
-		accesses:  make([]float64, len(specs)),
-		cpiNum:    make([]float64, len(specs)),
-		mlp:       make([]float64, len(specs)),
-		rowHit:    make([]float64, len(specs)),
-		writeFrac: make([]float64, len(specs)),
-		counts:    make([]dram.Counts, len(specs)),
-		noiseH:    make([]uint64, len(specs)),
-		solvedNS:  make([]float64, len(specs)),
-		samples:   make([]Sample, len(specs)),
+		sys:      sys,
+		in:       make([]sampleIn, len(specs)),
+		solvedNS: make([]float64, len(specs)),
+		samples:  make([]Sample, len(specs)),
 	}
 	for i, spec := range specs {
 		if err := validateSpec(spec); err != nil {
 			return nil, fmt.Errorf("sample %d: %w", i, err)
 		}
-		n := float64(spec.Instructions)
-		accesses := n * spec.MPKI / 1000
-		r.instr[i] = n
-		r.accesses[i] = accesses
-		// Same association order as the scalar reference:
-		// ((n·BaseCPI)·cpiFactor), divided by the clock rate per column.
-		r.cpiNum[i] = n * spec.BaseCPI * sys.cpiFactor
-		r.mlp[i] = spec.MLP
-		r.rowHit[i] = spec.RowHitRate
-		r.writeFrac[i] = spec.WriteFrac
-		r.counts[i] = dram.Counts{
-			Reads:     dram.RoundCount(accesses * (1 - spec.WriteFrac) * sys.lineBursts),
-			Writes:    dram.RoundCount(accesses * spec.WriteFrac * sys.lineBursts),
-			Activates: dram.RoundCount(accesses * (1 - spec.RowHitRate)),
-		}
-		r.noiseH[i] = sampleNoiseHash(spec)
+		r.in[i] = sys.ingest(spec)
 	}
 	return r, nil
 }
 
 // Len returns the number of samples per column.
-func (r *Runner) Len() int { return len(r.specs) }
+func (r *Runner) Len() int { return len(r.in) }
 
 // Stats returns the accumulated solver counters.
 func (r *Runner) Stats() RunnerStats { return r.stats }
@@ -138,58 +103,24 @@ func (r *Runner) Solve(st freq.Setting, warm bool) ([]Sample, error) {
 		return nil, err
 	}
 	warm = warm && r.seedValid
-	noise := r.sys.noise
 	iters := uint64(0)
 	failures := uint64(0)
-	for i := range r.instr {
-		accesses := r.accesses[i]
-		computeNS := r.cpiNum[i] / c.cyclesPerNS
-		coreNS := c.lat.CoreServiceNS(r.rowHit[i])
-		serviceNS := c.lat.ServiceNS(r.writeFrac[i])
-		bwBoundNS := c.lat.MinServiceTimeNS(accesses)
+	for i := range r.in {
 		seedNS := coldStart
 		if warm {
 			seedNS = r.solvedNS[i]
 		}
-		t, n, converged := solveTimeNS(computeNS, accesses, r.mlp[i], coreNS, serviceNS, bwBoundNS, c.lat, seedNS)
-		r.solvedNS[i] = t
+		smp, solvedNS, n := r.sys.cell(c, r.in[i], seedNS)
+		r.solvedNS[i] = solvedNS
 		iters += uint64(n)
-		if !converged {
+		if !smp.Converged {
 			failures++
 		}
-
-		activity := 1.0
-		if t > 0 {
-			activity = computeNS / t
-		}
-		if activity > 1 {
-			activity = 1
-		}
-
-		cpuE := c.cpu.EnergyJ(activity, t)
-		memE := c.mem.EnergyJ(r.counts[i], t)
-
-		if noise > 0 {
-			src := rng.Value(r.noiseH[i] ^ c.noiseHash)
-			t *= src.LogNormFactor(noise)
-			cpuE *= src.LogNormFactor(noise)
-			memE *= src.LogNormFactor(noise)
-		}
-
-		r.samples[i] = Sample{
-			Instructions: r.specs[i].Instructions,
-			TimeNS:       t,
-			CPUEnergyJ:   cpuE,
-			MemEnergyJ:   memE,
-			CPI:          t * c.cyclesPerNS / r.instr[i],
-			MPKI:         r.specs[i].MPKI,
-			Activity:     activity,
-			Converged:    converged,
-		}
+		r.samples[i] = smp
 	}
 	r.seedValid = true
 	r.stats.Columns++
-	r.stats.Cells += uint64(len(r.instr))
+	r.stats.Cells += uint64(len(r.in))
 	r.stats.Iterations += iters
 	r.stats.ConvergenceFailures += failures
 	return r.samples, nil

@@ -220,7 +220,7 @@ func TestBatchProperties(t *testing.T) {
 				if !smp.Converged {
 					t.Fatalf("sample %d at %v did not converge", i, st)
 				}
-				bound := coeffs.MinServiceTimeNS(r.accesses[i])
+				bound := coeffs.MinServiceTimeNS(r.in[i].accesses)
 				if smp.TimeNS < bound {
 					t.Errorf("sample %d at %v: time %v below bandwidth bound %v",
 						i, st, smp.TimeNS, bound)

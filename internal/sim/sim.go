@@ -27,11 +27,12 @@
 // # Engine layers
 //
 // The hot path is the columnar batch engine (Runner, batch.go): grid
-// collection lays the realized workload out as flat per-sample arrays and
-// solves whole setting-columns with every per-setting invariant hoisted,
-// optionally warm-starting each cell's fixed point from the neighboring
-// operating point. SimulateSample is the thin single-sample wrapper over
-// the same solver core for governors, the daemon, and experiments. The
+// collection ingests the realized workload once into per-sample input
+// records and solves whole setting-columns with every per-setting
+// invariant hoisted, optionally warm-starting each cell's fixed point from
+// the neighboring operating point. SimulateSample is the thin
+// single-sample wrapper over the same per-cell kernel (cell) for
+// governors, the daemon, and experiments. The
 // pre-columnar scalar implementation is retained verbatim (reference.go)
 // as the oracle for the differential test suite.
 package sim
@@ -286,27 +287,67 @@ func (s *System) SimulateSample(spec workload.SampleSpec, st freq.Setting) (Samp
 	if err != nil {
 		return Sample{}, err
 	}
-	smp, _ := s.simulateOne(spec, c, coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
+	smp, _, _ := s.cell(c, s.ingest(spec), coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
 	return smp, nil
 }
 
-// simulateOne solves one validated sample at one hoisted setting, returning
-// the finished sample and the pre-noise converged time (the warm-start seed
-// for the neighboring operating point). The requires restate validateSpec:
-// callers hold a validated spec (the batch engine validates at Runner
-// construction, SimulateSample per call).
-//
-//vet:requires spec.BaseCPI > 0 && spec.MPKI >= 0 && spec.MLP >= 1 && spec.RowHitRate >= 0 && spec.RowHitRate <= 1 && spec.WriteFrac >= 0 && spec.WriteFrac <= 1
-func (s *System) simulateOne(spec workload.SampleSpec, c settingConsts, seedNS float64) (Sample, float64) {
+// sampleIn is one validated sample's setting-independent inputs, derived
+// once by ingest so a sweep pays for them per sample rather than per cell.
+type sampleIn struct {
+	instructions uint64
+	mpki         float64
+	instr        float64     // float64(instructions)
+	accesses     float64     // instr·MPKI/1000
+	cpiNum       float64     // instr·BaseCPI·cpiFactor — the computeNS numerator
+	mlp          float64     // memory-level parallelism
+	rowHit       float64     // row-buffer hit rate
+	writeFrac    float64     // share of accesses that write
+	counts       dram.Counts // DRAM event counts
+	noiseH       uint64      // sample half of the noise-stream hash
+}
+
+// ingest derives a validated spec's setting-independent inputs.
+func (s *System) ingest(spec workload.SampleSpec) sampleIn {
 	n := float64(spec.Instructions)
 	accesses := n * spec.MPKI / 1000
-	computeNS := n * spec.BaseCPI * s.cpiFactor / c.cyclesPerNS
-	coreNS := c.lat.CoreServiceNS(spec.RowHitRate)
-	serviceNS := c.lat.ServiceNS(spec.WriteFrac)
-	bwBoundNS := c.lat.MinServiceTimeNS(accesses)
+	return sampleIn{
+		instructions: spec.Instructions,
+		mpki:         spec.MPKI,
+		instr:        n,
+		accesses:     accesses,
+		// Same association order as the scalar reference:
+		// ((n·BaseCPI)·cpiFactor), divided by the clock rate per cell.
+		cpiNum:    n * spec.BaseCPI * s.cpiFactor,
+		mlp:       spec.MLP,
+		rowHit:    spec.RowHitRate,
+		writeFrac: spec.WriteFrac,
+		// Counts are in data bursts: each cache-line access moves
+		// LineBursts bursts; activates happen once per row miss.
+		counts: dram.Counts{
+			Reads:     dram.RoundCount(accesses * (1 - spec.WriteFrac) * s.lineBursts),
+			Writes:    dram.RoundCount(accesses * spec.WriteFrac * s.lineBursts),
+			Activates: dram.RoundCount(accesses * (1 - spec.RowHitRate)),
+		},
+		noiseH: sampleNoiseHash(spec),
+	}
+}
 
-	t, _, converged := solveTimeNS(computeNS, accesses, spec.MLP, coreNS, serviceNS, bwBoundNS, c.lat, seedNS)
-	solvedNS := t
+// cell solves one ingested sample at one hoisted setting, returning the
+// finished sample, the pre-noise converged time (the warm-start seed for
+// the neighboring operating point), and the fixed-point iterations spent.
+// The requires restate validateSpec over the ingested fields: callers
+// hold a validated spec (the batch engine validates at Runner
+// construction, SimulateSample per call).
+//
+//vet:requires in.cpiNum > 0 && in.accesses >= 0 && in.mlp >= 1 && in.rowHit >= 0 && in.rowHit <= 1 && in.writeFrac >= 0 && in.writeFrac <= 1
+func (s *System) cell(c settingConsts, in sampleIn, seedNS float64) (smp Sample, solvedNS float64, iters int) {
+	computeNS := in.cpiNum / c.cyclesPerNS
+	coreNS := c.lat.CoreServiceNS(in.rowHit)
+	serviceNS := c.lat.ServiceNS(in.writeFrac)
+	bwBoundNS := c.lat.MinServiceTimeNS(in.accesses)
+
+	t, iters, converged := solveTimeNS(computeNS, in.accesses, in.mlp, coreNS, serviceNS, bwBoundNS, c.lat, seedNS)
+	solvedNS = t
 
 	activity := 1.0
 	if t > 0 {
@@ -317,32 +358,25 @@ func (s *System) simulateOne(spec workload.SampleSpec, c settingConsts, seedNS f
 	}
 
 	cpuE := c.cpu.EnergyJ(activity, t)
-	// Counts are in data bursts: each cache-line access moves LineBursts
-	// bursts; activates happen once per row miss.
-	counts := dram.Counts{
-		Reads:     dram.RoundCount(accesses * (1 - spec.WriteFrac) * s.lineBursts),
-		Writes:    dram.RoundCount(accesses * spec.WriteFrac * s.lineBursts),
-		Activates: dram.RoundCount(accesses * (1 - spec.RowHitRate)),
-	}
-	memE := c.mem.EnergyJ(counts, t)
+	memE := c.mem.EnergyJ(in.counts, t)
 
 	if s.noise > 0 {
-		src := rng.Value(sampleNoiseHash(spec) ^ c.noiseHash)
+		src := rng.Value(in.noiseH ^ c.noiseHash)
 		t *= src.LogNormFactor(s.noise)
 		cpuE *= src.LogNormFactor(s.noise)
 		memE *= src.LogNormFactor(s.noise)
 	}
 
 	return Sample{
-		Instructions: spec.Instructions,
+		Instructions: in.instructions,
 		TimeNS:       t,
 		CPUEnergyJ:   cpuE,
 		MemEnergyJ:   memE,
-		CPI:          t * c.cyclesPerNS / n,
-		MPKI:         spec.MPKI,
+		CPI:          t * c.cyclesPerNS / in.instr,
+		MPKI:         in.mpki,
 		Activity:     activity,
 		Converged:    converged,
-	}, solvedNS
+	}, solvedNS, iters
 }
 
 // sampleNoiseHash is the sample half of the noise-stream hash; XORed with

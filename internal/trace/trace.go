@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,19 @@ func (g *Grid) TotalEnergyJ(k freq.SettingID) float64 {
 		sum += g.Data[s][int(k)].EnergyJ()
 	}
 	return sum
+}
+
+// EminSetting returns the pinned setting that runs the whole benchmark on
+// the least energy, and that energy: the whole-run Emin reference. Ties go
+// to the lowest ID.
+func (g *Grid) EminSetting() (freq.SettingID, float64) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via CollectContext
+	best, emin := freq.SettingID(0), math.Inf(1)
+	for k := range g.Settings {
+		if e := g.TotalEnergyJ(freq.SettingID(k)); e < emin {
+			best, emin = freq.SettingID(k), e
+		}
+	}
+	return best, emin
 }
 
 // CollectOptions tunes the collection engine. The zero value selects the
