@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: verify race lint bench bench-vet bench-sim bench-serve loadtest loadtest-cluster fuzz all
+.PHONY: verify race lint bench-vet bench-sim bench-serve loadtest loadtest-cluster fuzz all
 
 # Benchmark iteration budget for the recorded tiers (bench-sim,
 # bench-serve). Counted iterations keep the records comparable across
@@ -50,10 +50,6 @@ loadtest-cluster:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzBatchVsScalar$$' -fuzztime $(FUZZTIME)
-
-# Collection-engine speedup record: serial vs parallel fine-space sweeps.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCollect' -benchmem .
 
 # Simulator-core benchmark record: the columnar batch engine (serial and
 # parallel full-grid collection) against the retained scalar reference,

@@ -1,28 +1,32 @@
-// Command benchjson converts `go test -bench` text output into a
-// machine-readable JSON record. It reads the benchmark run from stdin,
-// echoes it unchanged to stdout (the run stays visible in terminals and CI
-// logs), and writes the parsed result set to -out.
+// Command benchjson records `go test -bench` output as a JSON record and
+// diffs two records; stdlib only, matching the repo's no-dependency rule.
 //
 //	go test ./internal/analysis -run '^$' -bench 'BenchmarkVet' -benchmem \
 //	    | go run ./cmd/benchjson -out BENCH_vet.json
+//	go run ./cmd/benchjson -base base/BENCH_sim.json -head BENCH_sim.json \
+//	    [-threshold 0.10] [-filter '^BenchmarkCollect']
 //
-// Each result line
+// With -out it echoes the run on stdin to stdout (it stays visible in
+// terminals and CI logs) and writes the parsed record. A result line
+// "BenchmarkVet/serial-8  5  212345678 ns/op ..." becomes {"name", "pkg",
+// "procs", "iterations", "ns_per_op", ...}: the package is that of the
+// "pkg:" header above it, and the "-N" suffix is GOMAXPROCS. A "meta"
+// block records the collecting environment (go version, GOOS / GOARCH,
+// GOMAXPROCS, git commit) for provenance only.
 //
-//	BenchmarkVet/serial-8   5   212345678 ns/op   123456 B/op   1234 allocs/op
-//
-// becomes {"name", "pkg", "procs", "iterations", "ns_per_op", ...}. A run
-// over several packages prints one "pkg:" header per package, so each
-// result carries the package of the header above it. The goos / goarch /
-// cpu header lines are captured as run metadata, and a "meta" block records
-// the collecting environment (go version, GOOS / GOARCH, GOMAXPROCS, git
-// commit) for provenance — benchdiff ignores it when diffing, so records
-// from different toolchains stay comparable.
-// Stdlib only, matching the repo's no-dependency rule.
+// With -base and -head it is the CI gate for the collection hot path: it
+// matches results by package, name and GOMAXPROCS (-filter selects by
+// name; meta is ignored) and exits 1 on a regression beyond -threshold of
+// ns/op or allocs/op, or on a benchmark in the base that is missing from
+// the head — a silently vanished benchmark is a gate that stopped gating,
+// so a rename must land its new name before retiring the old one. Results
+// only in the head are reported informationally.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,9 +51,8 @@ type Result struct {
 }
 
 // Meta records the environment the run was collected in. It is carried
-// for provenance only: benchdiff compares results by name and never reads
-// this block, so records from different commits or toolchains diff
-// cleanly.
+// for provenance only: the diff compares results and never reads this
+// block, so records from different commits or toolchains diff cleanly.
 type Meta struct {
 	GoVersion  string `json:"go_version,omitempty"`
 	Goos       string `json:"goos,omitempty"`
@@ -84,35 +87,53 @@ type Record struct {
 }
 
 func main() {
-	out := flag.String("out", "", "path for the JSON record (required)")
+	out := flag.String("out", "", "record the benchmark run on stdin to this JSON file")
+	basePath := flag.String("base", "", "baseline record to diff against -head")
+	headPath := flag.String("head", "", "head record to diff against -base")
+	threshold := flag.Float64("threshold", 0.10, "allowed fractional regression of ns/op or allocs/op")
+	filterExpr := flag.String("filter", "", "regexp restricting which benchmark names are diffed")
 	flag.Parse()
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -out is required")
+	switch {
+	case *out != "" && *basePath == "" && *headPath == "":
+		if err := record(*out); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+	case *out == "" && *basePath != "" && *headPath != "":
+		failures, err := diff(os.Stdout, *basePath, *headPath, *threshold, *filterExpr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(2)
+		}
+		if failures > 0 {
+			os.Exit(1)
+		}
+	default:
+		fmt.Fprintln(os.Stderr, "benchjson: give -out to record stdin, or -base and -head to diff two records")
 		os.Exit(2)
 	}
+}
 
+// record parses the benchmark run on stdin, echoing it to stdout, and
+// writes it with its meta block to path.
+func record(path string) error {
 	rec, err := parse(os.Stdin, os.Stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: read stdin: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("read stdin: %w", err)
+	}
+	if len(rec.Results) == 0 {
+		return errors.New("no benchmark results on stdin")
 	}
 	rec.Meta = collectMeta()
-	if len(rec.Results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
-		os.Exit(1)
-	}
-
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: marshal: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: write %s: %v\n", *out, err)
-		os.Exit(1)
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d result(s) to %s\n", len(rec.Results), *out)
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d result(s) to %s\n", len(rec.Results), path)
+	return nil
 }
 
 // parse reads `go test -bench` output from r, echoing every line to echo,

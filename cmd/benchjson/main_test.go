@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -56,5 +57,41 @@ func TestParseEchoesInput(t *testing.T) {
 	}
 	if echo.String() != twoPackageRun {
 		t.Errorf("echo differs from input:\n%s", echo.String())
+	}
+}
+
+// TestCompareKeysByPackageAndProcs: a `-cpu 1,2` run records one name at
+// two GOMAXPROCS values, and two packages may share a name. Each is its own
+// entry, so a 2x regression at one procs value or in one package cannot
+// hide behind the other measurement.
+func TestCompareKeysByPackageAndProcs(t *testing.T) {
+	base := Record{Results: []Result{
+		{Name: "BenchmarkCollect/fine", Pkg: "mcdvfs", Procs: 1, NsPerOp: 100},
+		{Name: "BenchmarkCollect/fine", Pkg: "mcdvfs", Procs: 2, NsPerOp: 60},
+		{Name: "BenchmarkGrid", Pkg: "mcdvfs/internal/serve", Procs: 2, NsPerOp: 100},
+		{Name: "BenchmarkGrid", Pkg: "mcdvfs/internal/cluster", Procs: 2, NsPerOp: 100},
+	}}
+	head := Record{Results: []Result{
+		{Name: "BenchmarkCollect/fine", Pkg: "mcdvfs", Procs: 1, NsPerOp: 200},
+		{Name: "BenchmarkCollect/fine", Pkg: "mcdvfs", Procs: 2, NsPerOp: 60},
+		{Name: "BenchmarkGrid", Pkg: "mcdvfs/internal/serve", Procs: 2, NsPerOp: 200},
+		{Name: "BenchmarkGrid", Pkg: "mcdvfs/internal/cluster", Procs: 2, NsPerOp: 100},
+	}}
+	deltas, onlyBase, onlyHead := compare(base, head, 0.10, regexp.MustCompile(`^Benchmark(Collect|Grid)`))
+	if len(deltas) != 4 || len(onlyBase) != 0 || len(onlyHead) != 0 {
+		t.Fatalf("got %d deltas, onlyBase %v, onlyHead %v; want 4 matched results", len(deltas), onlyBase, onlyHead)
+	}
+	var regressed []string
+	for _, d := range deltas {
+		if d.Regressed {
+			regressed = append(regressed, d.Name)
+		}
+	}
+	want := []string{"mcdvfs.BenchmarkCollect/fine", "mcdvfs/internal/serve.BenchmarkGrid-2"}
+	if strings.Join(regressed, " ") != strings.Join(want, " ") {
+		t.Errorf("regressed = %v, want %v", regressed, want)
+	}
+	if got := report(io.Discard, deltas, onlyBase, onlyHead, 0.10); got != 2 {
+		t.Errorf("report counted %d failures, want 2", got)
 	}
 }

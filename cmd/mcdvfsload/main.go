@@ -66,9 +66,12 @@ func run(url, targets, policy string, clients int, duration time.Duration, reque
 	ctx, stop := cliutil.Context(timeout)
 	defer stop()
 
+	list := parseTargets(targets)
+	if list == nil {
+		list = []string{strings.TrimRight(url, "/")}
+	}
 	report, err := serve.RunLoad(ctx, serve.LoadConfig{
-		BaseURL:       strings.TrimRight(url, "/"),
-		Targets:       parseTargets(targets),
+		Targets:       list,
 		Policy:        policy,
 		Clients:       clients,
 		Requests:      requests,
@@ -92,7 +95,7 @@ func run(url, targets, policy string, clients int, duration time.Duration, reque
 }
 
 // parseTargets splits the -targets list; empty entries drop out and an
-// empty spec returns nil so RunLoad falls back to -url.
+// empty spec returns nil so run falls back to -url.
 func parseTargets(spec string) []string {
 	if spec == "" {
 		return nil

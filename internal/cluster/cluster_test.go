@@ -682,3 +682,152 @@ func TestClusterLoadMultiTarget(t *testing.T) {
 		t.Error("bogus policy accepted, want error")
 	}
 }
+
+// wedge replaces node i's handler with one that accepts every request and
+// answers none until the request ends or release is called: a peer that
+// is up but stuck. Call release before h.Close, which waits for open
+// requests.
+func wedge(h *TestHarness, i int) (release func()) {
+	stuck := make(chan struct{})
+	var blocked http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-stuck:
+		}
+	})
+	h.servers[i].Config.Handler.(*swapHandler).h.Store(&blocked)
+	return func() { close(stuck) }
+}
+
+// doWithin sends one request under a client deadline and reads the whole
+// response, returning how long it took.
+func doWithin(t *testing.T, d time.Duration, method, url string, v any) (*http.Response, []byte, time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	var body io.Reader
+	if v != nil {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v after %v", method, url, err, time.Since(start))
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("%s %s: reading body: %v after %v", method, url, err, time.Since(start))
+	}
+	return resp, data, time.Since(start)
+}
+
+// TestWedgedOwnerServesStaleReplica: an owner that accepts connections but
+// never answers is a stall, not an outage. The forward and the in-flight
+// poll each give up after ProxyTimeout, and the warm replica's copy
+// answers, marked stale, long before the client's own deadline.
+func TestWedgedOwnerServesStaleReplica(t *testing.T) {
+	h, err := NewTestHarness(HarnessConfig{
+		Nodes:    3,
+		Replicas: 2,
+		Mutate:   func(i int, cfg *Config) { cfg.ProxyTimeout = 2 * time.Second },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	const bench = "milc"
+	ownerIdx := h.NodeFor(bench, "coarse")
+	reps := h.Node(ownerIdx).ring.Replicas(coarseKey(t, h.Node(ownerIdx), bench).String(), 2)
+	var repIdx, proxyIdx = -1, -1
+	for i := 0; i < 3; i++ {
+		switch nodeID(i) {
+		case reps[0]:
+		case reps[1]:
+			repIdx = i
+		default:
+			proxyIdx = i
+		}
+	}
+	if repIdx < 0 || proxyIdx < 0 {
+		t.Fatalf("degenerate replica layout: %v", reps)
+	}
+	resp, data := post(t, h.URL(repIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warmup status %d: %s", resp.StatusCode, data)
+	}
+	if !waitFor(t, 2*time.Second, func() bool {
+		return metric(t, h.URL(repIdx), "mcdvfsd_cluster_replica_seeds_total") == 1
+	}) {
+		t.Fatal("replica never seeded its copy")
+	}
+
+	release := wedge(h, ownerIdx)
+	defer release()
+	resp, data, took := doWithin(t, 20*time.Second, http.MethodPost, h.URL(proxyIdx)+"/v1/grid", serve.GridRequest{Benchmark: bench})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wedged-owner status %d after %v: %s", resp.StatusCode, took, data)
+	}
+	if took > 10*time.Second {
+		t.Errorf("stale answer took %v, want within 10s", took)
+	}
+	if got := resp.Header.Get(HeaderStale); got != "maybe" {
+		t.Errorf("stale header %q, want maybe", got)
+	}
+	if got := resp.Header.Get(HeaderNode); got != nodeID(repIdx) {
+		t.Errorf("served by %q, want replica %q", got, nodeID(repIdx))
+	}
+	if _, err := trace.ReadJSON(bytes.NewReader(data)); err != nil {
+		t.Errorf("stale grid invalid: %v", err)
+	}
+}
+
+// TestClusterMetricsWedgedPeer: a peer that accepts the scrape but never
+// answers costs /v1/cluster/metrics one ProxyTimeout, after which the
+// partial aggregate names it in errors.
+func TestClusterMetricsWedgedPeer(t *testing.T) {
+	const proxyTimeout = 2 * time.Second
+	h, err := NewTestHarness(HarnessConfig{
+		Nodes:  3,
+		Mutate: func(i int, cfg *Config) { cfg.ProxyTimeout = proxyTimeout },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	release := wedge(h, 2)
+	defer release()
+	resp, data, took := doWithin(t, 20*time.Second, http.MethodGet, h.URL(0)+"/v1/cluster/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cluster metrics status %d after %v: %s", resp.StatusCode, took, data)
+	}
+	if took > 2*proxyTimeout {
+		t.Errorf("partial aggregate took %v, want within %v", took, 2*proxyTimeout)
+	}
+	var agg ClusterMetricsResponse
+	if err := json.Unmarshal(data, &agg); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := agg.Errors[nodeID(2)]; !ok || len(agg.Errors) != 1 {
+		t.Errorf("errors = %v, want exactly the wedged %s", agg.Errors, nodeID(2))
+	}
+	for _, id := range []string{nodeID(0), nodeID(1)} {
+		if _, ok := agg.Nodes[id]; !ok {
+			t.Errorf("live %s missing from nodes", id)
+		}
+	}
+	if len(agg.Nodes) != 2 {
+		t.Errorf("aggregate has %d nodes, want 2", len(agg.Nodes))
+	}
+}

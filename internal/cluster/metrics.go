@@ -8,6 +8,7 @@ package cluster
 // across the whole ring.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -110,23 +111,17 @@ func (n *Node) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			resp.Total[name] += s.m[name]
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // scrapePeer fetches and parses one ring member's /metrics.
 func (n *Node) scrapePeer(ctx context.Context, id string) (map[string]int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.peerURL(id)+"/metrics", nil)
+	resp, err := n.peer(ctx, id, "/metrics", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
+	if resp.status != http.StatusOK {
+		return nil, fmt.Errorf("cluster: %s /metrics returned %d", id, resp.status)
 	}
-	//lint:allow errflow read-only response body; parse errors surface through ParseMetrics
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s /metrics returned %d", id, resp.StatusCode)
-	}
-	return serve.ParseMetrics(resp.Body)
+	return serve.ParseMetrics(bytes.NewReader(resp.body))
 }

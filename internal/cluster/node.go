@@ -17,7 +17,7 @@ package cluster
 //     sheds or times out while the owner's Lab lists the key in flight,
 //     the proxy waits for that flight and re-asks — it never starts a
 //     second collection for a key someone is already collecting.
-//   - Warm-replica fallback: when the owner sheds (429) or is
+//   - Warm-replica fallback: when the owner sheds (429), stalls or is
 //     unreachable and no flight is in sight, the proxy serves a
 //     replica's cached copy, marked X-MCDVFS-Stale: maybe. Only cached
 //     copies qualify — a fallback must never trigger a collection on a
@@ -31,10 +31,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -75,9 +75,10 @@ type Config struct {
 	// cluster size. Replica copies are ordinary Lab entries, so the node's
 	// Lab holds up to Replicas × Serve.MaxBenchmarks grids.
 	Replicas int
-	// ProxyTimeout bounds one forward to a peer. On expiry the proxy
-	// consults the owner's in-flight list rather than failing outright.
-	// Default 15s.
+	// ProxyTimeout bounds every request to a peer: a forward, a replica
+	// probe, one in-flight poll, a metrics scrape. On a forward's expiry
+	// the proxy consults the owner's in-flight list rather than failing
+	// outright. Default 15s.
 	ProxyTimeout time.Duration
 	// DrainHint is phase one of the two-phase drain: how long the node
 	// keeps answering (refusing ring writes with the draining hint) after
@@ -193,16 +194,6 @@ func (n *Node) routes() {
 // embedded daemon.
 func (n *Node) Handler() http.Handler { return n.mux }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
 // serveLocal dispatches to the embedded daemon, stamping which node
 // served.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +214,7 @@ type routeProbe struct {
 func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return
 	}
 	forwarded := r.Header.Get(HeaderForwarded)
@@ -234,7 +225,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
 		// clients still drain normally.
 		n.met.drainRefusals.Add(1)
 		w.Header().Set(HeaderDraining, "1")
-		writeError(w, http.StatusServiceUnavailable, "node draining; fail over")
+		serve.WriteError(w, http.StatusServiceUnavailable, "node draining; fail over")
 		return
 	}
 
@@ -269,11 +260,11 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
 func (n *Node) serveCachedOnly(w http.ResponseWriter, key experiments.GridKey) {
 	g, ok := n.srv.Lab().PeekGrid(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "grid not cached on this node")
+		serve.WriteError(w, http.StatusNotFound, "grid not cached on this node")
 		return
 	}
 	w.Header().Set(HeaderNode, n.self)
-	writeJSON(w, http.StatusOK, g)
+	serve.WriteJSON(w, http.StatusOK, g)
 }
 
 // proxy forwards a routable request to its owner and supervises the
@@ -288,33 +279,17 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key ex
 	resp, err := n.forward(ctx, owner, r.URL.Path, contentType, body, false)
 	if err != nil {
 		n.met.proxyErrors.Add(1)
-		if ctx.Err() != nil {
-			writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("forward to %s: %v", owner, err))
-			return
-		}
-		// The owner stalled or is unreachable. If it is still up and
-		// publishes the key in flight, the collection is coming: wait on it
-		// instead of re-collecting (peer-aware singleflight). Otherwise a
-		// warm replica is the best answer left.
-		if n.awaitOwnerFlight(ctx, owner, key) {
-			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
-				n.relay(w, retry, key, isGrid)
-				return
-			}
-		}
-		if isGrid && n.serveStaleFallback(ctx, w, key) {
-			return
-		}
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("forward to %s: %v", owner, err))
-		return
 	}
-
 	switch {
-	case resp.status == http.StatusTooManyRequests:
-		// Owner saturated. A published in-flight key means a collection is
-		// running there — wait for it, then re-ask (the retry lands on the
-		// owner's warm cache). No flight in sight: serve a replica's warm
-		// copy, marked stale; else pass the shed through, hint intact.
+	case err != nil && ctx.Err() != nil:
+		serve.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("forward to %s: %v", owner, err))
+	case err != nil || resp.status == http.StatusTooManyRequests:
+		// The owner stalled, is unreachable, or shed. If it publishes the
+		// key in flight, the collection is coming: wait for it, then re-ask
+		// (the retry lands on the owner's warm cache) instead of
+		// re-collecting — peer-aware singleflight. No flight in sight: serve
+		// a replica's warm copy, marked stale; else fail with 502, or pass
+		// the shed through, hint intact.
 		if n.awaitOwnerFlight(ctx, owner, key) {
 			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
 				n.relay(w, retry, key, isGrid)
@@ -322,6 +297,10 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key ex
 			}
 		}
 		if isGrid && n.serveStaleFallback(ctx, w, key) {
+			return
+		}
+		if err != nil {
+			serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("forward to %s: %v", owner, err))
 			return
 		}
 		n.relay(w, resp, key, false)
@@ -348,29 +327,31 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key ex
 	}
 }
 
-// proxyResponse is one fully read peer response.
-type proxyResponse struct {
+// peerResponse is one fully read peer response.
+type peerResponse struct {
 	status int
 	header http.Header
 	body   []byte
 }
 
-// forward is the one request path to a peer: a POST carrying the
-// loop-guard header (and, when cachedOnly, the never-collect header),
-// bounded by ProxyTimeout, with the full response read.
-func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte, cachedOnly bool) (*proxyResponse, error) {
-	fctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
+// peer is the one request path to another ring member: a POST of body
+// (a GET when body is nil) carrying hdr, bounded by ProxyTimeout, with the
+// full response read. A peer that accepts the connection but never
+// answers therefore fails after ProxyTimeout, whichever protocol step
+// asked.
+func (n *Node) peer(ctx context.Context, id, path string, body []byte, hdr http.Header) (*peerResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, n.peerURL(id)+path, bytes.NewReader(body))
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, n.peerURL(id)+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	req.Header.Set(HeaderForwarded, n.self)
-	if cachedOnly {
-		req.Header.Set(HeaderCachedOnly, "1")
+	for k, v := range hdr {
+		req.Header[k] = v
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -382,13 +363,29 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 	if err != nil {
 		return nil, err
 	}
-	return &proxyResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return &peerResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// forward sends a routable request on to ring member id under the loop
+// guard; cachedOnly adds the never-collect header of a replica probe.
+func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte, cachedOnly bool) (*peerResponse, error) {
+	hdr := http.Header{}
+	if contentType != "" {
+		hdr.Set("Content-Type", contentType)
+	}
+	hdr.Set(HeaderForwarded, n.self)
+	if cachedOnly {
+		hdr.Set(HeaderCachedOnly, "1")
+	}
+	return n.peer(ctx, id, path, body, hdr)
 }
 
 // relay writes a peer response through to the client, then — for
 // successful grid responses on a designated replica — seeds the local
 // cache so this node can serve the key warm if the owner later saturates.
-func (n *Node) relay(w http.ResponseWriter, resp *proxyResponse, key experiments.GridKey, seed bool) {
+// The response is not complete until relay returns, so a seed's decode
+// adds to that request's latency.
+func (n *Node) relay(w http.ResponseWriter, resp *peerResponse, key experiments.GridKey, seed bool) {
 	for _, h := range []string{"Content-Type", "Retry-After", HeaderNode, HeaderStale, HeaderDraining} {
 		if v := resp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -402,8 +399,7 @@ func (n *Node) relay(w http.ResponseWriter, resp *proxyResponse, key experiments
 }
 
 // seedReplica stores a proxied grid locally when this node is in the
-// key's designated replica set. Decoding happens after the client already
-// has its response, so replication never adds latency to the hot path.
+// key's designated replica set.
 func (n *Node) seedReplica(key experiments.GridKey, body []byte) {
 	if n.isReplica(key) && n.srv.Lab().SeedGrid(key, body) {
 		n.met.replicaSeeds.Add(1)
@@ -430,7 +426,7 @@ func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, ke
 		n.met.staleFallbacks.Add(1)
 		w.Header().Set(HeaderNode, n.self)
 		w.Header().Set(HeaderStale, "maybe")
-		writeJSON(w, http.StatusOK, g)
+		serve.WriteJSON(w, http.StatusOK, g)
 		return true
 	}
 	probe, err := json.Marshal(serve.GridRequest{Benchmark: key.Benchmark, Space: key.Space})
@@ -446,14 +442,8 @@ func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, ke
 			continue
 		}
 		n.met.staleFallbacks.Add(1)
-		for _, h := range []string{"Content-Type", HeaderNode} {
-			if v := resp.header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
 		w.Header().Set(HeaderStale, "maybe")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(resp.body) // best effort: the replica response is already final
+		n.relay(w, resp, key, false)
 		return true
 	}
 	return false
@@ -497,29 +487,18 @@ type InflightResponse struct {
 // ownerInflight reads a peer's published in-flight keys and reports
 // whether key is among them.
 func (n *Node) ownerInflight(ctx context.Context, owner string, key experiments.GridKey) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.peerURL(owner)+"/v1/cluster/inflight", nil)
+	resp, err := n.peer(ctx, owner, "/v1/cluster/inflight", nil, nil)
 	if err != nil {
 		return false, err
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	//lint:allow errflow read-only response body; decode errors surface through the Decoder below
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("cluster: %s inflight returned %d", owner, resp.StatusCode)
+	if resp.status != http.StatusOK {
+		return false, fmt.Errorf("cluster: %s inflight returned %d", owner, resp.status)
 	}
 	var out InflightResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(resp.body, &out); err != nil {
 		return false, err
 	}
-	for _, k := range out.Keys {
-		if k == key.String() {
-			return true, nil
-		}
-	}
-	return false, nil
+	return slices.Contains(out.Keys, key.String()), nil
 }
 
 // inflightKeys lists the grids whose flight is running in this node's Lab
@@ -536,7 +515,7 @@ func (n *Node) inflightKeys() []string {
 
 // handleInflight publishes this node's in-flight keys.
 func (n *Node) handleInflight(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, InflightResponse{Node: n.self, Keys: n.inflightKeys()})
+	serve.WriteJSON(w, http.StatusOK, InflightResponse{Node: n.self, Keys: n.inflightKeys()})
 }
 
 // RingResponse is the JSON body of GET /v1/cluster/ring.
@@ -550,7 +529,7 @@ type RingResponse struct {
 
 // handleRing describes this node's view of the ring.
 func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, RingResponse{
+	serve.WriteJSON(w, http.StatusOK, RingResponse{
 		Self:     n.self,
 		Nodes:    n.ring.Nodes(),
 		Replicas: n.cfg.Replicas,
@@ -586,28 +565,5 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // in-flight requests get up to drain to finish. A nil error is a clean
 // drain.
 func (n *Node) Run(ctx context.Context, addr string, drain time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: n.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		return fmt.Errorf("cluster: %w", err)
-	case <-ctx.Done():
-	}
-	n.BeginDrain()
-	// Phase one: stay reachable while peers observe the hint. The timer
-	// must survive the cancellation that triggered the drain.
-	hint := time.NewTimer(n.cfg.DrainHint)
-	defer hint.Stop()
-	select {
-	case <-hint.C:
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	// Phase two: the embedded daemon's connection drain.
-	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
+	return serve.ListenAndDrain(ctx, addr, n.Handler(), n.BeginDrain, n.cfg.DrainHint, drain)
 }

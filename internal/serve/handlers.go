@@ -46,14 +46,18 @@ func decode(r *http.Request, dst any) error {
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with the given status. The
+// cluster router answers with the same writer, so a routed response is
+// byte-identical to a local one.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError writes the {"error": msg} body every endpoint fails with.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }
 
 // fail maps a work error onto a response: saturation sheds with 429 +
@@ -64,13 +68,13 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
-		writeError(w, http.StatusTooManyRequests, "collection capacity saturated; retry later")
+		WriteError(w, http.StatusTooManyRequests, "collection capacity saturated; retry later")
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err.Error())
+		WriteError(w, http.StatusGatewayTimeout, err.Error())
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, err.Error())
+		WriteError(w, http.StatusRequestTimeout, err.Error())
 	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -86,12 +90,12 @@ type GridRequest struct {
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	var req GridRequest
 	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, err := s.lab.Key(req.Benchmark, req.Space)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -100,12 +104,12 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	var g *trace.Grid
 	switch {
 	case len(req.Workload) > 0 && req.Benchmark != "":
-		writeError(w, http.StatusBadRequest, "benchmark and workload are mutually exclusive")
+		WriteError(w, http.StatusBadRequest, "benchmark and workload are mutually exclusive")
 		return
 	case len(req.Workload) > 0:
 		b, err := workload.ReadJSON(bytes.NewReader(req.Workload))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		// Inline workloads bypass the Lab cache but not admission control:
@@ -118,7 +122,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.met.workloadCollects.Add(1)
 	case req.Benchmark != "":
 		if _, err := workload.ByName(req.Benchmark); err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
+			WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		s.met.gridRequests.Add(1)
@@ -128,10 +132,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
-		writeError(w, http.StatusBadRequest, "missing benchmark or workload")
+		WriteError(w, http.StatusBadRequest, "missing benchmark or workload")
 		return
 	}
-	writeJSON(w, http.StatusOK, g)
+	WriteJSON(w, http.StatusOK, g)
 }
 
 // OptimalRequest asks for the budget-constrained optimal schedule.
@@ -165,20 +169,20 @@ type OptimalResponse struct {
 func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 	var req OptimalRequest
 	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if _, err := workload.ByName(req.Benchmark); err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	key, err := s.lab.Key(req.Benchmark, req.Space)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Budget < 1 || math.IsNaN(req.Budget) || math.IsInf(req.Budget, 0) {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("budget %v invalid: inefficiency is relative to Emin, so budgets are finite and >= 1", req.Budget))
 		return
 	}
@@ -197,7 +201,7 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // optimalKey names one memoized /v1/optimal answer: a grid and the exact
@@ -267,7 +271,7 @@ type StabilityResponse struct {
 func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
 	var req StabilityRequest
 	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	maxHist := req.MaxHistory
@@ -276,12 +280,12 @@ func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := predict.NewStabilityPredictor(maxHist)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	for _, l := range req.History {
 		if l <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("region length %d must be positive", l))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("region length %d must be positive", l))
 			return
 		}
 		for i := 0; i < l; i++ {
@@ -290,13 +294,13 @@ func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
 		p.ObserveBreak()
 	}
 	if req.Current < 0 {
-		writeError(w, http.StatusBadRequest, "current must be non-negative")
+		WriteError(w, http.StatusBadRequest, "current must be non-negative")
 		return
 	}
 	for i := 0; i < req.Current; i++ {
 		p.ObserveStable()
 	}
-	writeJSON(w, http.StatusOK, StabilityResponse{
+	WriteJSON(w, http.StatusOK, StabilityResponse{
 		PredictedRemaining: p.PredictRemaining(),
 		HistoryLen:         len(req.History),
 		Current:            p.Current(),
@@ -340,7 +344,7 @@ type EminResponse struct {
 func (s *Server) handleEmin(w http.ResponseWriter, r *http.Request) {
 	var req EminRequest
 	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var p predict.EminPredictor
@@ -354,7 +358,7 @@ func (s *Server) handleEmin(w http.ResponseWriter, r *http.Request) {
 		}
 		ew, err := predict.NewEWMA(alpha)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		p = ew
@@ -368,7 +372,7 @@ func (s *Server) handleEmin(w http.ResponseWriter, r *http.Request) {
 		}
 		pt, err := predict.NewPhaseTable(cpiBin, mpkiBin)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		for _, obs := range req.Samples {
@@ -376,13 +380,13 @@ func (s *Server) handleEmin(w http.ResponseWriter, r *http.Request) {
 			pt.Observe(obs.EminJ)
 		}
 		if req.Query == nil {
-			writeError(w, http.StatusBadRequest, "phase-table prediction requires a query signature")
+			WriteError(w, http.StatusBadRequest, "phase-table prediction requires a query signature")
 			return
 		}
 		pt.Classify(req.Query.CPI, req.Query.MPKI)
 		p = pt
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown predictor %q (use last-value, ewma, or phase-table)", req.Predictor))
 		return
 	}
@@ -392,7 +396,7 @@ func (s *Server) handleEmin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	v, known := p.Predict()
-	writeJSON(w, http.StatusOK, EminResponse{Predictor: p.Name(), PredictedEminJ: v, Known: known})
+	WriteJSON(w, http.StatusOK, EminResponse{Predictor: p.Name(), PredictedEminJ: v, Known: known})
 }
 
 // BenchmarkJSON is one registry entry of GET /v1/benchmarks.
@@ -418,15 +422,15 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 			Instructions: b.Instructions(),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"benchmarks": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"benchmarks": out})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

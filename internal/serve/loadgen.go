@@ -57,17 +57,16 @@ const (
 
 // LoadConfig parameterizes one load run.
 type LoadConfig struct {
-	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Targets, when non-empty, is the multi-node target list: each request
-	// picks one node according to Policy, and the report's cache counters
-	// are cluster-wide sums of per-node /metrics deltas. BaseURL is
-	// ignored then.
+	// Targets lists the daemon roots, e.g. "http://127.0.0.1:8080"; at
+	// least one is required. With several, each request picks one node
+	// according to Policy, and the report's cache counters are
+	// cluster-wide sums of per-node /metrics deltas.
 	Targets []string
 	// Policy selects the per-request target for multi-target runs:
 	// PolicyRoundRobin (default) or PolicyRandom.
 	Policy string
-	// Clients is the closed-loop concurrency. Default 8.
+	// Clients is the closed-loop concurrency. Default 8; never more than
+	// a positive Requests budget.
 	Clients int
 	// Requests, when positive, is the total request budget split across
 	// clients — the deterministic mode. When zero, clients run until
@@ -79,11 +78,9 @@ type LoadConfig struct {
 	Seed int64
 	// Mix weights the endpoints; zero value means DefaultLoadMix.
 	Mix LoadMix
-	// ZipfS is the zipf skew (>1; larger = hotter head). Default 1.4.
+	// ZipfS is the zipf skew (>1; larger = hotter head) over the headline
+	// benchmarks, ranked in workload.HeadlineNames order. Default 1.4.
 	ZipfS float64
-	// Benchmarks is the popularity-ranked pool; empty means the headline
-	// six.
-	Benchmarks []string
 	// Space and Budget parameterize grid/optimal requests.
 	Space  string
 	Budget float64
@@ -101,6 +98,10 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Clients <= 0 {
 		c.Clients = 8
 	}
+	// A client with no share of the budget would read 0 as "unbounded".
+	if c.Requests > 0 && c.Clients > c.Requests {
+		c.Clients = c.Requests
+	}
 	if c.Duration <= 0 {
 		c.Duration = 5 * time.Second
 	}
@@ -110,17 +111,11 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.ZipfS <= 1 {
 		c.ZipfS = 1.4
 	}
-	if len(c.Benchmarks) == 0 {
-		c.Benchmarks = workload.HeadlineNames()
-	}
 	if c.Space == "" {
 		c.Space = "coarse"
 	}
 	if c.Budget <= 0 {
 		c.Budget = 1.3
-	}
-	if len(c.Targets) == 0 {
-		c.Targets = []string{c.BaseURL}
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyRoundRobin
@@ -206,6 +201,9 @@ type sample struct {
 // every target.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
+	if len(cfg.Targets) == 0 {
+		return nil, fmt.Errorf("serve: load run has no targets")
+	}
 	switch cfg.Policy {
 	case PolicyRoundRobin, PolicyRandom:
 	default:
@@ -293,16 +291,9 @@ func scrapeTargets(ctx context.Context, cfg LoadConfig, phase string) (map[strin
 func runClient(ctx context.Context, cfg LoadConfig, id, budget int) []sample {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)))
 	jitter := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed1e55 + int64(id)))
-	var zipf *rand.Zipf
-	if len(cfg.Benchmarks) > 1 {
-		zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Benchmarks)-1))
-	}
-	pickBench := func() string {
-		if zipf == nil {
-			return cfg.Benchmarks[0]
-		}
-		return cfg.Benchmarks[zipf.Uint64()]
-	}
+	benches := workload.HeadlineNames()
+	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(benches)-1))
+	pickBench := func() string { return benches[zipf.Uint64()] }
 	pickTarget := func(n int) string {
 		if len(cfg.Targets) == 1 {
 			return cfg.Targets[0]

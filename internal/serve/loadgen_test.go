@@ -24,7 +24,7 @@ var loadsmoke = flag.Duration("loadsmoke", 800*time.Millisecond, "duration of th
 func TestLoadDeterministic(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cfg := LoadConfig{
-		BaseURL:  ts.URL,
+		Targets:  []string{ts.URL},
 		Clients:  4,
 		Requests: 120,
 		Seed:     42,
@@ -65,6 +65,40 @@ func TestLoadDeterministic(t *testing.T) {
 	}
 }
 
+// TestLoadRequestBudgetBelowClients: a budget smaller than the client
+// count is still the exact number of requests issued. A client with no
+// share of the budget must not run unbounded; the context only keeps a
+// regression from hanging the suite.
+func TestLoadRequestBudgetBelowClients(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	report, err := RunLoad(ctx, LoadConfig{
+		Targets:  []string{ts.URL},
+		Clients:  8,
+		Requests: 3,
+		Seed:     11,
+		Client:   ts.Client(),
+	})
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	if report.Requests != 3 {
+		t.Fatalf("%d requests issued, want exactly 3", report.Requests)
+	}
+	if report.Status5xx != 0 || report.TransportErrors != 0 {
+		t.Fatalf("unhealthy run: %s", report)
+	}
+}
+
+// TestLoadNeedsTargets: a run with nowhere to send requests is refused up
+// front instead of reporting every request as a transport error.
+func TestLoadNeedsTargets(t *testing.T) {
+	if _, err := RunLoad(context.Background(), LoadConfig{Requests: 3}); err == nil {
+		t.Error("a load run with no targets was accepted")
+	}
+}
+
 // TestLoadSmoke is the acceptance smoke: a zipfian mixed load must finish
 // with zero 5xx and zero transport errors, the coalescing layer must
 // absorb most grid demand, and — on runs long enough to be past warmup
@@ -79,7 +113,7 @@ func TestLoadSmoke(t *testing.T) {
 	defer ts.Close()
 
 	report, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:  ts.URL,
+		Targets:  []string{ts.URL},
 		Clients:  8,
 		Duration: *loadsmoke,
 		Seed:     7,
@@ -128,7 +162,7 @@ func TestLoadSmoke(t *testing.T) {
 	// queueing doesn't pollute the numbers on small CI machines) must serve
 	// cached /v1/optimal with p99 under 10ms.
 	measured, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:  ts.URL,
+		Targets:  []string{ts.URL},
 		Clients:  2,
 		Requests: 400,
 		Seed:     7,

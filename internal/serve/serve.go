@@ -158,9 +158,19 @@ func (s *Server) Handler() http.Handler {
 // flips to 503 for load balancers, listeners close, and in-flight requests
 // get up to drain to finish. A nil error means a clean drain.
 func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) error {
+	return ListenAndDrain(ctx, addr, s.Handler(), s.beginDrain, 0, drain)
+}
+
+// ListenAndDrain serves h on addr until ctx is cancelled, then drains in
+// two phases. Phase one calls beginDrain and keeps the listener open for
+// hint, so peers and load balancers observe the drain before connections
+// are refused; a zero hint skips it. Phase two closes the listener and
+// gives in-flight requests up to drain to finish. A nil error is a clean
+// drain.
+func ListenAndDrain(ctx context.Context, addr string, h http.Handler, beginDrain func(), hint, drain time.Duration) error {
 	// No BaseContext tied to ctx: a graceful drain must let in-flight
 	// requests finish, not cancel them the moment shutdown begins.
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	srv := &http.Server{Addr: addr, Handler: h}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {
@@ -168,8 +178,15 @@ func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) erro
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
-	s.beginDrain()
-	// The drain deadline must survive the cancellation that triggered it.
+	beginDrain()
+	// Both timers must survive the cancellation that triggered the drain.
+	t := time.NewTimer(hint)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case err := <-errCh:
+		return fmt.Errorf("serve: %w", err)
+	}
 	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
 	defer cancel()
 	return srv.Shutdown(shutCtx)

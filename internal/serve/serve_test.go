@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -500,5 +501,70 @@ func TestRunGracefulDrain(t *testing.T) {
 	}
 	if !s.draining.Load() {
 		t.Error("server not marked draining after shutdown")
+	}
+}
+
+// TestListenAndDrainHint drives the two-phase drain cluster nodes run: a
+// cancel calls beginDrain at once, the listener keeps answering for the
+// hint so peers can observe the drain, and only then does the connection
+// drain run. A failed listen is reported, not served.
+func TestListenAndDrainHint(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	taken, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	err = ListenAndDrain(taken, addr, ok, func() {}, 0, time.Second)
+	stop()
+	if err == nil || !strings.HasPrefix(err.Error(), "serve: ") {
+		t.Errorf("listen on a taken address returned %v, want a serve: error", err)
+	}
+	l.Close()
+
+	const hint = 500 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	began := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- ListenAndDrain(ctx, addr, ok, func() { close(began) }, hint, 2*time.Second) }()
+	up := func() bool {
+		resp, err := http.Get("http://" + addr + "/")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	}
+	for deadline := time.Now().Add(5 * time.Second); !up(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("listener never came up")
+		}
+	}
+
+	cancelled := time.Now()
+	cancel()
+	select {
+	case <-began:
+	case <-time.After(5 * time.Second):
+		t.Fatal("beginDrain not called at cancel")
+	}
+	if !up() {
+		t.Error("listener stopped answering inside the drain hint")
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ListenAndDrain returned %v, want clean drain", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ListenAndDrain did not drain within 5s")
+	}
+	if d := time.Since(cancelled); d < hint {
+		t.Errorf("drained %v after cancel, sooner than the %v hint", d, hint)
+	}
+	if up() {
+		t.Error("listener still answering after the drain")
 	}
 }

@@ -49,7 +49,7 @@ type RunnerStats struct {
 	Columns uint64
 	Cells   uint64
 	// Iterations is the total number of fixed-point iterations performed —
-	// the denominator for measuring what warm starts save.
+	// the measure of what warm starts cost or save.
 	Iterations uint64
 	// ConvergenceFailures counts cells whose iteration exhausted
 	// fixedPointIters without meeting fixedPointTol. The scalar path used
@@ -93,8 +93,12 @@ func (r *Runner) ResetSeed() { r.seedValid = false }
 // the column bit-identical to per-cell SimulateSample calls. With warm=true
 // (and a previously solved column) each cell seeds its fixed point from the
 // time the same sample converged to at the previous setting — correct
-// whenever consecutive calls walk a contiguous chain of operating points,
-// and worth a third of the iterations on neighboring memory steps.
+// whenever consecutive calls walk a contiguous chain of operating points.
+// Warm starts do not save work: walking every chain of the 18 built-in
+// benchmarks as the collection engine does, they take 11.1% more
+// fixed-point iterations than cold starts on the coarse space and 6.5%
+// more on the fine one. The engine keeps them because its grids' bits
+// depend on them (DESIGN.md §6).
 //
 //vet:hotpath
 func (r *Runner) Solve(st freq.Setting, warm bool) ([]Sample, error) {
