@@ -1,5 +1,9 @@
 # Verification tiers. `make verify` is the tier-1 gate every change must
-# pass: build, the full test suite, and the domain-invariant lint tier.
+# pass: build, the full test suite, and the domain-invariant lint tier,
+# then vet and self-test of the _perfbench benchmark module. Its leading
+# underscore keeps it out of ./..., so without that step a change that
+# deletes an API the benchmark uses would pass here and break only the
+# benchmark run.
 # `make race` adds vet plus the full suite under the race detector, which
 # exercises the parallel collection engine and the Lab's bounded
 # singleflight cache under real contention. `make lint` runs go vet first
@@ -22,6 +26,7 @@ all: verify
 
 verify: lint
 	$(GO) build ./... && $(GO) test ./...
+	cd _perfbench && $(GO) vet . && $(GO) test .
 
 lint:
 	$(GO) vet ./...
@@ -37,8 +42,9 @@ loadtest:
 	$(GO) test ./internal/serve -run TestLoadSmoke -count=1 -v -args -loadsmoke=5s
 
 # Cluster smoke tier: the full internal/cluster suite — 3-node harness,
-# 64-client cluster-wide coalescing, warm-replica fallback, two-phase
-# drain — under the race detector (see DESIGN.md §9).
+# 64-client cluster-wide coalescing, local fallback past a shedding,
+# unreachable or wedged owner, two-phase drain — under the race detector
+# (see DESIGN.md §9).
 loadtest-cluster:
 	$(GO) test -race ./internal/cluster -count=1
 

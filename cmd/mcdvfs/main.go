@@ -9,10 +9,10 @@
 // Flags:
 //
 //	-workers N      collection worker-pool size (0 = all cores)
-//	-gridcache DIR  persist collected grids to DIR and reuse them across runs
 //
 // Each experiment prints aligned text tables reproducing the corresponding
-// figure of the paper.
+// figure of the paper. Grids are collected once per run and shared by
+// every experiment in it.
 package main
 
 import (
@@ -25,16 +25,12 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 0, "collection worker-pool size (0 = all cores)")
-	gridCache := flag.String("gridcache", "", "directory for the persistent grid cache (empty = disabled)")
 	flag.Usage = func() { usage() }
 	flag.Parse()
 
 	var opts []mcdvfs.LabOption
 	if *workers != 0 {
 		opts = append(opts, mcdvfs.WithWorkers(*workers))
-	}
-	if *gridCache != "" {
-		opts = append(opts, mcdvfs.WithGridCacheDir(*gridCache))
 	}
 	if err := run(flag.Args(), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "mcdvfs:", err)
@@ -125,6 +121,5 @@ func usage() {
   mcdvfs [flags] all           run every experiment
 
 flags:
-  -workers N      collection worker-pool size (0 = all cores)
-  -gridcache DIR  persist collected grids to DIR and reuse across runs`)
+  -workers N      collection worker-pool size (0 = all cores)`)
 }

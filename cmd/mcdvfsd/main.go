@@ -5,11 +5,12 @@
 //
 // Usage:
 //
-//	mcdvfsd -addr :8080 -pool 2 -queue 8 -lru 16 -gridcache ~/.cache/mcdvfs
+//	mcdvfsd -addr :8080 -pool 2 -queue 8 -lru 16
 //
 // Multi-node mode shards the grid keyspace over a consistent-hash ring
 // (DESIGN.md §9). Every node gets the same static -peers list and names
-// itself with -advertise:
+// itself with -advertise. A request whose key owner sheds, stalls or is
+// unreachable is answered by the node that received it:
 //
 //	mcdvfsd -addr :8080 -advertise http://node-a:8080 \
 //	        -peers http://node-a:8080,http://node-b:8080,http://node-c:8080
@@ -17,7 +18,7 @@
 // SIGINT/SIGTERM drains gracefully: /healthz flips to 503, listeners
 // close, and in-flight requests get -drain to finish. In cluster mode the
 // drain is two-phase: the node first refuses newly proxied ring writes
-// (with a draining hint, so routers fail over to the next replica) for
+// (with a draining hint, so routers fail over to the next node) for
 // -drain-hint, then closes the listener.
 package main
 
@@ -42,14 +43,12 @@ func main() {
 	poolSize := flag.Int("pool", 2, "concurrent grid collections")
 	queueDepth := flag.Int("queue", 8, "admissions waiting behind a full pool before shedding (-1 = none)")
 	lruSize := flag.Int("lru", serve.DefaultMaxBenchmarks,
-		"grids kept resident, least recently used evicted first (a benchmark cached in both spaces takes two; cluster nodes hold -replicas × this)")
-	gridCache := flag.String("gridcache", "", "persistent grid cache directory (empty = memory only)")
+		"grids kept resident, least recently used evicted first (a benchmark cached in both spaces takes two; in cluster mode, per node)")
 	collectWorkers := flag.Int("collect-workers", 0, "worker pool inside one collection (0 = all cores)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown grace period")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
+	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses, sent in whole seconds rounded up")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster member (empty = single-node)")
 	advertise := flag.String("advertise", "", "this node's own base URL; must appear in -peers")
-	replicas := flag.Int("replicas", 2, "replica-set size per key, owner included (cluster mode)")
 	drainHint := flag.Duration("drain-hint", 250*time.Millisecond,
 		"how long a draining node keeps refusing proxied writes before closing the listener (cluster mode)")
 	timeout := cliutil.TimeoutFlag(nil) // here: per-request deadline, not whole-process
@@ -60,18 +59,17 @@ func main() {
 		PoolSize:       *poolSize,
 		QueueDepth:     *queueDepth,
 		MaxBenchmarks:  *lruSize,
-		GridCacheDir:   *gridCache,
 		RequestTimeout: *timeout,
 		RetryAfter:     *retryAfter,
 	}
-	err := run(*addr, serveCfg, *peers, *advertise, *replicas, *drain, *drainHint)
+	err := run(*addr, serveCfg, *peers, *advertise, *drain, *drainHint)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcdvfsd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, serveCfg serve.Config, peers, advertise string, replicas int, drain, drainHint time.Duration) error {
+func run(addr string, serveCfg serve.Config, peers, advertise string, drain, drainHint time.Duration) error {
 	ctx, stop := cliutil.Context(0)
 	defer stop()
 
@@ -95,15 +93,13 @@ func run(addr string, serveCfg serve.Config, peers, advertise string, replicas i
 	node, err := cluster.NewNode(cluster.Config{
 		Self:      strings.TrimRight(advertise, "/"),
 		Peers:     peerMap,
-		Replicas:  replicas,
 		DrainHint: drainHint,
 		Serve:     serveCfg,
 	})
 	if err != nil {
 		return err
 	}
-	log.Printf("mcdvfsd listening on %s as %s (ring of %d, %d replicas per key)",
-		addr, node.ID(), node.Ring().Len(), replicas)
+	log.Printf("mcdvfsd listening on %s as %s (ring of %d)", addr, node.ID(), node.Ring().Len())
 	return finish(node.Run(ctx, addr, drain))
 }
 

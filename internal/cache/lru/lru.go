@@ -69,7 +69,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (val 
 		return v, true, nil
 	}
 	e := &entry[K, V]{key: key, done: make(chan struct{})}
-	el, resident := c.insert(e, true)
+	el, resident := c.insert(e)
 	if resident != nil {
 		select {
 		case <-resident.done:
@@ -109,18 +109,6 @@ func (c *Cache[K, V]) hit(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek returns key's completed value without joining a running flight or
-// changing the eviction order.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.completedLocked(key); ok {
-		return el.Value.(*entry[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // completedLocked returns key's element if its flight has finished. The
 // caller holds c.mu.
 func (c *Cache[K, V]) completedLocked(key K) (*list.Element, bool) {
@@ -140,27 +128,15 @@ func (e *entry[K, V]) finished() bool {
 	}
 }
 
-// PutIfAbsent installs val as a completed entry for key unless an entry —
-// completed or in flight — already exists, and reports whether val was
-// stored. Like a new flight, it may evict the least recently used entry.
-func (c *Cache[K, V]) PutIfAbsent(key K, val V) bool {
-	e := &entry[K, V]{key: key, done: make(chan struct{}), val: val}
-	close(e.done)
-	_, resident := c.insert(e, false)
-	return resident == nil
-}
-
 // insert makes e the most recently used entry and returns its element,
-// unless e.key is already resident: then it returns the resident entry
-// instead (marked most recently used if touch is set) and drops e. An
-// insertion past the bound evicts the least recently used entry and
-// reports it to onEvict after the lock is released.
-func (c *Cache[K, V]) insert(e *entry[K, V], touch bool) (*list.Element, *entry[K, V]) {
+// unless e.key is already resident: then it marks the resident entry most
+// recently used, returns it instead, and drops e. An insertion past the
+// bound evicts the least recently used entry and reports it to onEvict
+// after the lock is released.
+func (c *Cache[K, V]) insert(e *entry[K, V]) (*list.Element, *entry[K, V]) {
 	c.mu.Lock()
 	if el, ok := c.items[e.key]; ok {
-		if touch {
-			c.order.MoveToFront(el)
-		}
+		c.order.MoveToFront(el)
 		c.mu.Unlock()
 		return nil, el.Value.(*entry[K, V])
 	}

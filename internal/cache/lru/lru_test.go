@@ -30,6 +30,17 @@ func blocked(release <-chan struct{}, v int, err error) func() (int, error) {
 	}
 }
 
+// peek reads key's completed value without joining a running flight or
+// changing the eviction order.
+func peek(c *Cache[string, int], key string) (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.completedLocked(key); ok {
+		return el.Value.(*entry[string, int]).val, true
+	}
+	return 0, false
+}
+
 // waitInflight spins until key's flight is running.
 func waitInflight(c *Cache[string, int], key string) {
 	for {
@@ -60,36 +71,20 @@ func TestEvictionOrderIsLeastRecentlyUsed(t *testing.T) {
 			t.Fatalf("first Do(%s) joined", k)
 		}
 	}
-	// A joining Do touches a: order (MRU->LRU) is now a, c, b. Peek does
-	// not reorder, so peeking b leaves it least recently used.
+	// A joining Do touches a: order (MRU->LRU) is now a, c, b.
 	if v, joined, _ := c.Do(ctx, "a", fill(-1)); !joined || v != 0 {
 		t.Fatalf("Do(a) = %d,%v, want the resident 0,true", v, joined)
-	}
-	if v, ok := c.Peek("b"); !ok || v != 1 {
-		t.Fatalf("Peek(b) = %d,%v, want 1,true", v, ok)
 	}
 	c.Do(ctx, "d", fill(3)) // displaces b
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("evicted %v, want [b]", evicted)
 	}
-	if _, ok := c.Peek("b"); ok {
+	if _, ok := peek(c, "b"); ok {
 		t.Error("b still present after eviction")
 	}
-
-	// PutIfAbsent never overwrites and never touches: c keeps its value
-	// and stays least recently used (order d, a, c), so e displaces it.
-	if c.PutIfAbsent("c", 30) {
-		t.Error("PutIfAbsent overwrote resident c")
-	}
-	if !c.PutIfAbsent("e", 5) {
-		t.Error("PutIfAbsent(e) not stored")
-	}
-	if len(evicted) != 2 || evicted[1] != "c" {
-		t.Fatalf("evicted %v, want [b c]", evicted)
-	}
-	for k, want := range map[string]int{"a": 0, "d": 3, "e": 5} {
-		if v, ok := c.Peek(k); !ok || v != want {
-			t.Errorf("Peek(%s) = %d,%v, want %d,true", k, v, ok, want)
+	for k, want := range map[string]int{"a": 0, "c": 2, "d": 3} {
+		if v, ok := peek(c, k); !ok || v != want {
+			t.Errorf("peek(%s) = %d,%v, want %d,true", k, v, ok, want)
 		}
 	}
 }
@@ -97,7 +92,7 @@ func TestEvictionOrderIsLeastRecentlyUsed(t *testing.T) {
 func TestRemoveSkipsEvictionCallback(t *testing.T) {
 	evictions := 0
 	c := mustNew[string, int](t, 2, func(string) { evictions++ })
-	c.PutIfAbsent("a", 1)
+	c.Do(context.Background(), "a", fill(1))
 	if !c.Remove("a") {
 		t.Error("Remove(a) = false, want true")
 	}
@@ -119,8 +114,8 @@ func TestEvictionCallbackMayReenter(t *testing.T) {
 	c = mustNew[string, int](t, 1, func(string) {
 		_ = c.Len() // deadlocks if the callback held the lock
 	})
-	c.PutIfAbsent("a", 1)
-	c.PutIfAbsent("b", 2)
+	c.Do(context.Background(), "a", fill(1))
+	c.Do(context.Background(), "b", fill(2))
 	if c.Len() != 1 {
 		t.Errorf("Len() = %d, want 1", c.Len())
 	}
@@ -180,8 +175,8 @@ func TestWaiterCancellationKeepsFlight(t *testing.T) {
 	if v := <-owner; v != 7 {
 		t.Fatalf("owner got %d, want 7", v)
 	}
-	if v, ok := c.Peek("k"); !ok || v != 7 {
-		t.Errorf("Peek after the abandoned wait = %d,%v, want 7,true", v, ok)
+	if v, ok := peek(c, "k"); !ok || v != 7 {
+		t.Errorf("peek after the abandoned wait = %d,%v, want 7,true", v, ok)
 	}
 }
 
@@ -206,8 +201,8 @@ func TestFailedFlightRemovesOnlyItsOwnEntry(t *testing.T) {
 	if err := <-failed; err == nil {
 		t.Fatal("first flight succeeded, want its error")
 	}
-	if v, ok := c.Peek("k"); !ok || v != 9 {
-		t.Errorf("Peek after the stale failure = %d,%v, want the newer 9,true", v, ok)
+	if v, ok := peek(c, "k"); !ok || v != 9 {
+		t.Errorf("peek after the stale failure = %d,%v, want the newer 9,true", v, ok)
 	}
 
 	// A failure whose entry is still resident removes it, so the next Do
@@ -232,7 +227,7 @@ func TestEvictsRunningFlight(t *testing.T) {
 		owner <- v
 	}()
 	waitInflight(c, "a")
-	c.PutIfAbsent("b", 2)
+	c.Do(context.Background(), "b", fill(2))
 	if c.Len() != 1 || len(c.Inflight()) != 0 {
 		t.Errorf("Len %d, Inflight %v after evicting the running flight, want 1, []", c.Len(), c.Inflight())
 	}
@@ -243,7 +238,7 @@ func TestEvictsRunningFlight(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != "a" {
 		t.Errorf("evicted %v, want [a]", evicted)
 	}
-	if _, ok := c.Peek("a"); ok {
+	if _, ok := peek(c, "a"); ok {
 		t.Error("evicted flight's result was kept")
 	}
 }
@@ -264,18 +259,16 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				n := (g*opsPer + i) % 64
 				key := fmt.Sprintf("k%d", n)
-				switch i % 3 {
-				case 0:
+				switch {
+				case i%3 != 2:
 					if v, _, err := c.Do(context.Background(), key, fill(n)); err != nil || v != n {
 						t.Errorf("Do(%s) = %d,%v, want %d", key, v, err, n)
 					}
-				case 1:
-					c.PutIfAbsent(key, n)
-				case 2:
-					if i%30 == 2 {
-						c.Remove(key)
-					} else if v, ok := c.Peek(key); ok && v != n {
-						t.Errorf("Peek(%s) = %d, want %d", key, v, n)
+				case i%30 == 2:
+					c.Remove(key)
+				default:
+					if v, ok := peek(c, key); ok && v != n {
+						t.Errorf("peek(%s) = %d, want %d", key, v, n)
 					}
 				}
 			}

@@ -304,132 +304,13 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 }
 
-// TestCachedOnlyProbeNeverCollects pins the warm-replica probe contract:
-// a cached-only request against a cold node refuses instead of
-// collecting. A probe that could trigger a collection would let owner
-// saturation fan work out to every replica — the exact failure mode the
-// ring exists to prevent.
-func TestCachedOnlyProbeNeverCollects(t *testing.T) {
-	h, err := NewTestHarness(HarnessConfig{Nodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	const bench = "milc"
-	ownerIdx := h.NodeFor(bench, "coarse")
-	resp, data := post(t, h.URL(ownerIdx), "/v1/grid", serve.GridRequest{Benchmark: bench},
-		map[string]string{HeaderForwarded: "node9", HeaderCachedOnly: "1"})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cold cached-only probe status %d (%s), want 404", resp.StatusCode, data)
-	}
-	if got := sumMetric(t, h, "mcdvfsd_grid_collections_total"); got != 0 {
-		t.Errorf("collections = %d after cached-only probe, want 0", got)
-	}
-}
-
-// TestWarmReplicaStaleFallback is the owner-saturation acceptance case: a
-// replica holding a seeded copy answers for a shedding owner, marked
-// stale; a key with no warm copy relays the shed untouched.
-func TestWarmReplicaStaleFallback(t *testing.T) {
+// TestNodeBoundIsMaxBenchmarks: a node's Lab holds at most
+// Serve.MaxBenchmarks grids, however many keys pass through it, and its
+// cached-benchmarks gauge agrees.
+func TestNodeBoundIsMaxBenchmarks(t *testing.T) {
 	h, err := NewTestHarness(HarnessConfig{
-		Nodes:    3,
-		Replicas: 2,
-		Serve:    serve.Config{PoolSize: 1, QueueDepth: -1, RetryAfter: 7 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	const bench = "milc"
-	ownerIdx := h.NodeFor(bench, "coarse")
-	ownerNode := h.Node(ownerIdx)
-	key := coarseKey(t, ownerNode, bench).String()
-	reps := ownerNode.ring.Replicas(key, 2)
-	var repIdx, proxyIdx = -1, -1
-	for i := 0; i < 3; i++ {
-		switch nodeID(i) {
-		case reps[0]:
-		case reps[1]:
-			repIdx = i
-		default:
-			proxyIdx = i
-		}
-	}
-	if repIdx < 0 || proxyIdx < 0 {
-		t.Fatalf("degenerate replica layout: %v", reps)
-	}
-
-	// Warm the replica organically: a proxied 200 through it seeds its
-	// local cache.
-	resp, data := post(t, h.URL(repIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status %d: %s", resp.StatusCode, data)
-	}
-	if !waitFor(t, 2*time.Second, func() bool {
-		return metric(t, h.URL(repIdx), "mcdvfsd_cluster_replica_seeds_total") == 1
-	}) {
-		t.Fatal("replica never seeded its copy")
-	}
-
-	// Make the owner need a collection again, then saturate it.
-	ownerNode.Server().Lab().Forget(bench)
-	release, err := ownerNode.Server().AcquireCollectSlot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	// Through a third node: the owner sheds, no flight is published, so
-	// the router serves the replica's warm copy marked stale.
-	resp, data = post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fallback status %d: %s", resp.StatusCode, data)
-	}
-	if got := resp.Header.Get(HeaderStale); got != "maybe" {
-		t.Errorf("stale header %q, want maybe", got)
-	}
-	if got := resp.Header.Get(HeaderNode); got != nodeID(repIdx) {
-		t.Errorf("fallback served by %q, want replica %q", got, nodeID(repIdx))
-	}
-	if _, err := trace.ReadJSON(bytes.NewReader(data)); err != nil {
-		t.Errorf("fallback grid invalid: %v", err)
-	}
-	if got := metric(t, h.URL(proxyIdx), "mcdvfsd_cluster_stale_fallbacks_total"); got != 1 {
-		t.Errorf("stale_fallbacks_total = %d, want 1", got)
-	}
-
-	// A different key owned by the same saturated node has no warm copy
-	// anywhere: the shed relays through, Retry-After intact.
-	others := benchesOwnedBy(h, ownerIdx)
-	var cold string
-	for _, b := range others {
-		if b != bench {
-			cold = b
-			break
-		}
-	}
-	if cold == "" {
-		t.Skip("owner owns only one benchmark")
-	}
-	resp, data = post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: cold}, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("cold shed status %d (%s), want 429", resp.StatusCode, data)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("relayed Retry-After %q, want 7", got)
-	}
-}
-
-// TestReplicaSeedsCountAgainstBound: replica copies are ordinary Lab
-// entries, so a node never holds more than Replicas × MaxBenchmarks grids,
-// and its cached-benchmarks gauge counts the copies too.
-func TestReplicaSeedsCountAgainstBound(t *testing.T) {
-	h, err := NewTestHarness(HarnessConfig{
-		Nodes:    3,
-		Replicas: 2,
-		Serve:    serve.Config{MaxBenchmarks: 1},
+		Nodes: 3,
+		Serve: serve.Config{MaxBenchmarks: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,19 +325,11 @@ func TestReplicaSeedsCountAgainstBound(t *testing.T) {
 			}
 		}
 	}
-	if got := sumMetric(t, h, "mcdvfsd_cluster_replica_seeds_total"); got == 0 {
-		t.Fatal("no replica seeds; the bound was never tested against them")
-	}
 	for i := 0; i < h.Len(); i++ {
-		resident := 0
-		for _, bench := range workload.Names() {
-			if _, ok := h.Node(i).Server().Lab().PeekGrid(coarseKey(t, h.Node(i), bench)); ok {
-				resident++
-			}
-		}
+		resident := h.Node(i).Server().Lab().ResidentGrids()
 		gauge := metric(t, h.URL(i), "mcdvfsd_cached_benchmarks")
-		if resident > 2 || int64(resident) != gauge {
-			t.Errorf("node %d: %d grids resident, gauge %d; want <= 2 and equal", i, resident, gauge)
+		if resident != 1 || gauge != 1 {
+			t.Errorf("node %d: %d grids resident, gauge %d; want 1 and 1", i, resident, gauge)
 		}
 	}
 }
@@ -670,9 +543,9 @@ func TestClusterLoadMultiTarget(t *testing.T) {
 	if nodeSum != report.GridCollections {
 		t.Errorf("per-node collections sum %d != cluster total %d", nodeSum, report.GridCollections)
 	}
-	if report.GridRequests > 0 && report.GridCacheHits+report.GridCollections+report.GridDiskLoads != report.GridRequests {
-		t.Errorf("grid accounting: %d hits + %d collections + %d disk != %d requests",
-			report.GridCacheHits, report.GridCollections, report.GridDiskLoads, report.GridRequests)
+	if report.GridRequests > 0 && report.GridCacheHits+report.GridCollections != report.GridRequests {
+		t.Errorf("grid accounting: %d hits + %d collections != %d requests",
+			report.GridCacheHits, report.GridCollections, report.GridRequests)
 	}
 
 	if _, err := serve.RunLoad(context.Background(), serve.LoadConfig{
@@ -731,64 +604,103 @@ func doWithin(t *testing.T, d time.Duration, method, url string, v any) (*http.R
 	return resp, data, time.Since(start)
 }
 
-// TestWedgedOwnerServesStaleReplica: an owner that accepts connections but
-// never answers is a stall, not an outage. The forward and the in-flight
-// poll each give up after ProxyTimeout, and the warm replica's copy
-// answers, marked stale, long before the client's own deadline.
-func TestWedgedOwnerServesStaleReplica(t *testing.T) {
-	h, err := NewTestHarness(HarnessConfig{
-		Nodes:    3,
-		Replicas: 2,
-		Mutate:   func(i int, cfg *Config) { cfg.ProxyTimeout = 2 * time.Second },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
+// TestOwnerFailureFallsBackLocally: when a key's owner sheds, is
+// unreachable, or accepts requests and never answers, and lists no flight
+// for the key, the node that received the request answers it from its
+// own Lab, behind its own admission gate: /v1/grid and /v1/optimal alike,
+// with one local collection between them, long before the client's own
+// deadline. A receiver that is saturated too sheds with its own hint.
+func TestOwnerFailureFallsBackLocally(t *testing.T) {
 	const bench = "milc"
-	ownerIdx := h.NodeFor(bench, "coarse")
-	reps := h.Node(ownerIdx).ring.Replicas(coarseKey(t, h.Node(ownerIdx), bench).String(), 2)
-	var repIdx, proxyIdx = -1, -1
-	for i := 0; i < 3; i++ {
-		switch nodeID(i) {
-		case reps[0]:
-		case reps[1]:
-			repIdx = i
-		default:
-			proxyIdx = i
-		}
+	cases := []struct {
+		name string
+		fail func(t *testing.T, h *TestHarness, owner int) (restore func())
+	}{
+		{"shedding", func(t *testing.T, h *TestHarness, owner int) func() {
+			release, err := h.Node(owner).Server().AcquireCollectSlot(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return release
+		}},
+		{"unreachable", func(t *testing.T, h *TestHarness, owner int) func() {
+			h.servers[owner].Close()
+			return func() {}
+		}},
+		{"wedged", func(t *testing.T, h *TestHarness, owner int) func() { return wedge(h, owner) }},
 	}
-	if repIdx < 0 || proxyIdx < 0 {
-		t.Fatalf("degenerate replica layout: %v", reps)
-	}
-	resp, data := post(t, h.URL(repIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status %d: %s", resp.StatusCode, data)
-	}
-	if !waitFor(t, 2*time.Second, func() bool {
-		return metric(t, h.URL(repIdx), "mcdvfsd_cluster_replica_seeds_total") == 1
-	}) {
-		t.Fatal("replica never seeded its copy")
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := NewTestHarness(HarnessConfig{
+				Nodes:  3,
+				Serve:  serve.Config{PoolSize: 1, QueueDepth: -1, RetryAfter: 7 * time.Second},
+				Mutate: func(i int, cfg *Config) { cfg.ProxyTimeout = 2 * time.Second },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			ownerIdx := h.NodeFor(bench, "coarse")
+			recvIdx := (ownerIdx + 1) % h.Len()
+			var cold string
+			for _, b := range benchesOwnedBy(h, ownerIdx) {
+				if b != bench {
+					cold = b
+					break
+				}
+			}
+			if cold == "" {
+				t.Fatalf("%s owns no benchmark besides %s", nodeID(ownerIdx), bench)
+			}
+			restore := tc.fail(t, h, ownerIdx)
+			defer restore()
 
-	release := wedge(h, ownerIdx)
-	defer release()
-	resp, data, took := doWithin(t, 20*time.Second, http.MethodPost, h.URL(proxyIdx)+"/v1/grid", serve.GridRequest{Benchmark: bench})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wedged-owner status %d after %v: %s", resp.StatusCode, took, data)
-	}
-	if took > 10*time.Second {
-		t.Errorf("stale answer took %v, want within 10s", took)
-	}
-	if got := resp.Header.Get(HeaderStale); got != "maybe" {
-		t.Errorf("stale header %q, want maybe", got)
-	}
-	if got := resp.Header.Get(HeaderNode); got != nodeID(repIdx) {
-		t.Errorf("served by %q, want replica %q", got, nodeID(repIdx))
-	}
-	if _, err := trace.ReadJSON(bytes.NewReader(data)); err != nil {
-		t.Errorf("stale grid invalid: %v", err)
+			for _, req := range []struct {
+				path string
+				body any
+			}{
+				{"/v1/grid", serve.GridRequest{Benchmark: bench}},
+				{"/v1/optimal", serve.OptimalRequest{Benchmark: bench, Budget: 1.3}},
+			} {
+				resp, data, took := doWithin(t, 20*time.Second, http.MethodPost, h.URL(recvIdx)+req.path, req.body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d after %v: %s", req.path, resp.StatusCode, took, data)
+				}
+				if took > 10*time.Second {
+					t.Errorf("%s: local answer took %v, want within 10s", req.path, took)
+				}
+				if got := resp.Header.Get(HeaderNode); got != nodeID(recvIdx) {
+					t.Errorf("%s: served by %q, want the receiver %q", req.path, got, nodeID(recvIdx))
+				}
+				for name := range resp.Header {
+					if strings.HasPrefix(name, "X-Mcdvfs-") && name != http.CanonicalHeaderKey(HeaderNode) {
+						t.Errorf("%s: %s header on a fresh local answer", req.path, name)
+					}
+				}
+			}
+			if got := metric(t, h.URL(recvIdx), "mcdvfsd_grid_collections_total"); got != 1 {
+				t.Errorf("receiver collections = %d, want 1", got)
+			}
+			if got := metric(t, h.URL(recvIdx), "mcdvfsd_cluster_local_fallbacks_total"); got != 2 {
+				t.Errorf("local_fallbacks_total = %d, want 2", got)
+			}
+
+			release, err := h.Node(recvIdx).Server().AcquireCollectSlot(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			resp, data, took := doWithin(t, 20*time.Second, http.MethodPost, h.URL(recvIdx)+"/v1/grid", serve.GridRequest{Benchmark: cold})
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("cold key with both pools held: status %d after %v (%s), want 429", resp.StatusCode, took, data)
+			}
+			if got := resp.Header.Get(HeaderNode); got != nodeID(recvIdx) {
+				t.Errorf("cold shed from %q, want the receiver %q", got, nodeID(recvIdx))
+			}
+			if got := resp.Header.Get("Retry-After"); got != "7" {
+				t.Errorf("Retry-After %q, want 7", got)
+			}
+		})
 	}
 }
 

@@ -38,11 +38,8 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type HarnessConfig struct {
 	// Nodes is the cluster size; <= 0 selects 3.
 	Nodes int
-	// Replicas is applied to every node's Config (zero selects the node
-	// default).
-	Replicas int
 	// Serve seeds every node's embedded daemon config. Each node gets its
-	// own copy, with MaxBenchmarks scaled by the replica count.
+	// own copy.
 	Serve serve.Config
 	// Mutate, when set, edits node i's assembled Config before NewNode —
 	// the hook for per-node tweaks like a tiny ProxyTimeout on one proxy.
@@ -75,10 +72,9 @@ func NewTestHarness(cfg HarnessConfig) (*TestHarness, error) {
 			peers[id] = url
 		}
 		ncfg := Config{
-			Self:     nodeID(i),
-			Peers:    peers,
-			Replicas: cfg.Replicas,
-			Serve:    cfg.Serve,
+			Self:  nodeID(i),
+			Peers: peers,
+			Serve: cfg.Serve,
 		}
 		if cfg.Mutate != nil {
 			cfg.Mutate(i, &ncfg)

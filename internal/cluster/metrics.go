@@ -27,8 +27,7 @@ type clusterMetrics struct {
 	forwardedServed atomic.Int64 // forwarded requests this node served as owner (or loop-guard target)
 	proxyErrors     atomic.Int64 // forwards that failed at the transport layer or timed out
 	inflightWaits   atomic.Int64 // times a proxy waited on an owner-published in-flight key
-	staleFallbacks  atomic.Int64 // responses served from a warm replica, marked stale
-	replicaSeeds    atomic.Int64 // grids this node stored as a designated replica
+	localFallbacks  atomic.Int64 // proxied requests answered from this node's own Lab after the owner failed
 	drainRefusals   atomic.Int64 // proxied ring writes refused because this node is draining
 	drainFailovers  atomic.Int64 // proxied requests this node re-routed past a draining owner
 }
@@ -45,8 +44,7 @@ func (m *clusterMetrics) write(w io.Writer, inflightKeys, ringNodes int) {
 	counter("mcdvfsd_cluster_forwarded_served_total", m.forwardedServed.Load())
 	counter("mcdvfsd_cluster_proxy_errors_total", m.proxyErrors.Load())
 	counter("mcdvfsd_cluster_inflight_waits_total", m.inflightWaits.Load())
-	counter("mcdvfsd_cluster_stale_fallbacks_total", m.staleFallbacks.Load())
-	counter("mcdvfsd_cluster_replica_seeds_total", m.replicaSeeds.Load())
+	counter("mcdvfsd_cluster_local_fallbacks_total", m.localFallbacks.Load())
 	counter("mcdvfsd_cluster_drain_refusals_total", m.drainRefusals.Load())
 	counter("mcdvfsd_cluster_drain_failovers_total", m.drainFailovers.Load())
 	gauge("mcdvfsd_cluster_inflight_keys", int64(inflightKeys))

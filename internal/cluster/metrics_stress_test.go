@@ -25,8 +25,7 @@ func metricsCounterOps(m *clusterMetrics) map[string]func() {
 		"mcdvfsd_cluster_forwarded_served_total": func() { m.forwardedServed.Add(1) },
 		"mcdvfsd_cluster_proxy_errors_total":     func() { m.proxyErrors.Add(1) },
 		"mcdvfsd_cluster_inflight_waits_total":   func() { m.inflightWaits.Add(1) },
-		"mcdvfsd_cluster_stale_fallbacks_total":  func() { m.staleFallbacks.Add(1) },
-		"mcdvfsd_cluster_replica_seeds_total":    func() { m.replicaSeeds.Add(1) },
+		"mcdvfsd_cluster_local_fallbacks_total":  func() { m.localFallbacks.Add(1) },
 		"mcdvfsd_cluster_drain_refusals_total":   func() { m.drainRefusals.Add(1) },
 		"mcdvfsd_cluster_drain_failovers_total":  func() { m.drainFailovers.Add(1) },
 	}

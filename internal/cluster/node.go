@@ -17,15 +17,16 @@ package cluster
 //     sheds or times out while the owner's Lab lists the key in flight,
 //     the proxy waits for that flight and re-asks — it never starts a
 //     second collection for a key someone is already collecting.
-//   - Warm-replica fallback: when the owner sheds (429), stalls or is
-//     unreachable and no flight is in sight, the proxy serves a
-//     replica's cached copy, marked X-MCDVFS-Stale: maybe. Only cached
-//     copies qualify — a fallback must never trigger a collection on a
-//     non-owner.
+//   - Local fallback: when the owner sheds (429), stalls or is
+//     unreachable and lists no flight for the key, the receiving node
+//     answers from its own Lab, behind its own admission gate — the
+//     path the drain failover takes when it reaches itself. A grid is a
+//     pure function of its key, so the answer is the one the owner would
+//     have given.
 //   - Drain: a draining node refuses newly proxied ring writes with 503
-//     + X-MCDVFS-Draining so routers fail over to the next replica,
-//     while flights already in progress finish under the normal
-//     connection drain.
+//     + X-MCDVFS-Draining so routers fail over to the next node in the
+//     key's ring order, while flights already in progress finish under
+//     the normal connection drain.
 
 import (
 	"bytes"
@@ -49,13 +50,6 @@ const (
 	// HeaderForwarded carries the proxying node's ID; its presence is the
 	// loop guard.
 	HeaderForwarded = "X-MCDVFS-Forwarded"
-	// HeaderCachedOnly asks a node to answer a grid request from its
-	// completed cache or 404 — never to collect.
-	HeaderCachedOnly = "X-MCDVFS-Cached-Only"
-	// HeaderStale marks a response served from a warm replica instead of
-	// the owner; its value is always "maybe" — the replica's copy was
-	// valid when replicated, but the owner was not consulted.
-	HeaderStale = "X-MCDVFS-Stale"
 	// HeaderDraining marks a refusal from a draining node; routers treat
 	// it as "fail over now".
 	HeaderDraining = "X-MCDVFS-Draining"
@@ -70,15 +64,10 @@ type Config struct {
 	Self string
 	// Peers maps every ring member's ID to its base URL, self included.
 	Peers map[string]string
-	// Replicas is the replica-set size per key, owner included. Each key
-	// has Replicas-1 designated warm replicas. Default 2, clamped to the
-	// cluster size. Replica copies are ordinary Lab entries, so the node's
-	// Lab holds up to Replicas × Serve.MaxBenchmarks grids.
-	Replicas int
-	// ProxyTimeout bounds every request to a peer: a forward, a replica
-	// probe, one in-flight poll, a metrics scrape. On a forward's expiry
-	// the proxy consults the owner's in-flight list rather than failing
-	// outright. Default 15s.
+	// ProxyTimeout bounds every request to a peer: a forward, one
+	// in-flight poll, a metrics scrape. On a forward's expiry the proxy
+	// consults the owner's in-flight list, then answers locally. Default
+	// 15s.
 	ProxyTimeout time.Duration
 	// DrainHint is phase one of the two-phase drain: how long the node
 	// keeps answering (refusing ring writes with the draining hint) after
@@ -90,9 +79,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 15 * time.Second
 	}
@@ -137,9 +123,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Replicas > ring.Len() {
-		cfg.Replicas = ring.Len()
-	}
 	n := &Node{
 		cfg:    cfg,
 		self:   cfg.Self,
@@ -148,13 +131,7 @@ func NewNode(cfg Config) (*Node, error) {
 		client: &http.Client{},
 		mux:    http.NewServeMux(),
 	}
-	// The node's Lab holds the keys it owns and the keys it replicates.
-	serveCfg := cfg.Serve
-	if serveCfg.MaxBenchmarks <= 0 {
-		serveCfg.MaxBenchmarks = serve.DefaultMaxBenchmarks
-	}
-	serveCfg.MaxBenchmarks *= cfg.Replicas
-	n.srv, err = serve.New(serveCfg)
+	n.srv, err = serve.New(cfg.Serve)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +154,8 @@ func (n *Node) peerURL(id string) string {
 }
 
 func (n *Node) routes() {
-	n.mux.HandleFunc("POST /v1/grid", func(w http.ResponseWriter, r *http.Request) {
-		n.route(w, r, true)
-	})
-	n.mux.HandleFunc("POST /v1/optimal", func(w http.ResponseWriter, r *http.Request) {
-		n.route(w, r, false)
-	})
+	n.mux.HandleFunc("POST /v1/grid", n.route)
+	n.mux.HandleFunc("POST /v1/optimal", n.route)
 	n.mux.HandleFunc("GET /v1/cluster/ring", n.handleRing)
 	n.mux.HandleFunc("GET /v1/cluster/inflight", n.handleInflight)
 	n.mux.HandleFunc("GET /v1/cluster/metrics", n.handleClusterMetrics)
@@ -208,10 +181,9 @@ type routeProbe struct {
 	Space     string `json:"space"`
 }
 
-// route is the router for key-addressable endpoints. isGrid selects the
-// grid-specific behaviors (cached-only serving, replica seeding, stale
-// fallback); /v1/optimal shares the routing but never serves stale.
-func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
+// route is the router for key-addressable endpoints, /v1/grid and
+// /v1/optimal alike.
+func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
@@ -221,7 +193,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
 	if forwarded != "" && n.draining.Load() {
 		// Phase one of the drain: this node is leaving the ring, so newly
 		// proxied writes are refused with the hint; the proxying router
-		// fails over to the next replica. Requests from this node's own
+		// fails over to the next node. Requests from this node's own
 		// clients still drain normally.
 		n.met.drainRefusals.Add(1)
 		w.Header().Set(HeaderDraining, "1")
@@ -244,39 +216,21 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, isGrid bool) {
 		if forwarded != "" {
 			n.met.forwardedServed.Add(1)
 		}
-		if isGrid && r.Header.Get(HeaderCachedOnly) != "" {
-			n.serveCachedOnly(w, key)
-			return
-		}
 		n.serveLocal(w, r)
 		return
 	}
-	n.proxy(w, r, body, key, owner, isGrid)
-}
-
-// serveCachedOnly answers a grid request from the completed cache or
-// refuses — the endpoint a proxy probes for warm copies, so it must never
-// collect.
-func (n *Node) serveCachedOnly(w http.ResponseWriter, key experiments.GridKey) {
-	g, ok := n.srv.Lab().PeekGrid(key)
-	if !ok {
-		serve.WriteError(w, http.StatusNotFound, "grid not cached on this node")
-		return
-	}
-	w.Header().Set(HeaderNode, n.self)
-	serve.WriteJSON(w, http.StatusOK, g)
+	n.proxy(w, r, body, key, owner)
 }
 
 // proxy forwards a routable request to its owner and supervises the
-// outcome: relay on success (seeding a replica copy when this node is in
-// the key's replica set), wait-and-retry when the owner publishes the key
-// in flight, fail over past a draining owner, and fall back to a warm
-// replica when the owner sheds.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key experiments.GridKey, owner string, isGrid bool) {
+// outcome: relay on success, wait-and-retry when the owner publishes the
+// key in flight, fail over past a draining owner, and answer locally when
+// the owner sheds, stalls or is unreachable.
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key experiments.GridKey, owner string) {
 	ctx := r.Context()
 	contentType := r.Header.Get("Content-Type")
 	n.met.proxied.Add(1)
-	resp, err := n.forward(ctx, owner, r.URL.Path, contentType, body, false)
+	resp, err := n.forward(ctx, owner, r.URL.Path, contentType, body)
 	if err != nil {
 		n.met.proxyErrors.Add(1)
 	}
@@ -287,23 +241,18 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key ex
 		// The owner stalled, is unreachable, or shed. If it publishes the
 		// key in flight, the collection is coming: wait for it, then re-ask
 		// (the retry lands on the owner's warm cache) instead of
-		// re-collecting — peer-aware singleflight. No flight in sight: serve
-		// a replica's warm copy, marked stale; else fail with 502, or pass
-		// the shed through, hint intact.
+		// re-collecting — peer-aware singleflight. No flight in sight:
+		// answer from this node's own Lab, behind its own admission gate,
+		// which sheds with this node's own hint if it is saturated too.
 		if n.awaitOwnerFlight(ctx, owner, key) {
-			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body, false); rerr == nil && retry.status < 300 {
-				n.relay(w, retry, key, isGrid)
+			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body); rerr == nil && retry.status < 300 {
+				n.relay(w, retry)
 				return
 			}
 		}
-		if isGrid && n.serveStaleFallback(ctx, w, key) {
-			return
-		}
-		if err != nil {
-			serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("forward to %s: %v", owner, err))
-			return
-		}
-		n.relay(w, resp, key, false)
+		n.met.localFallbacks.Add(1)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		n.serveLocal(w, r)
 	case resp.status == http.StatusServiceUnavailable && resp.header.Get(HeaderDraining) != "":
 		// The owner is leaving the ring: act as if it were gone and hand
 		// the key to the next replica in preference order, forwarded so the
@@ -316,14 +265,14 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key ex
 				n.serveLocal(w, r)
 				return
 			}
-			if fo, ferr := n.forward(ctx, id, r.URL.Path, contentType, body, false); ferr == nil && fo.status < 500 {
-				n.relay(w, fo, key, isGrid)
+			if fo, ferr := n.forward(ctx, id, r.URL.Path, contentType, body); ferr == nil && fo.status < 500 {
+				n.relay(w, fo)
 				return
 			}
 		}
-		n.relay(w, resp, key, false)
+		n.relay(w, resp)
 	default:
-		n.relay(w, resp, key, isGrid)
+		n.relay(w, resp)
 	}
 }
 
@@ -367,86 +316,25 @@ func (n *Node) peer(ctx context.Context, id, path string, body []byte, hdr http.
 }
 
 // forward sends a routable request on to ring member id under the loop
-// guard; cachedOnly adds the never-collect header of a replica probe.
-func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte, cachedOnly bool) (*peerResponse, error) {
+// guard.
+func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte) (*peerResponse, error) {
 	hdr := http.Header{}
 	if contentType != "" {
 		hdr.Set("Content-Type", contentType)
 	}
 	hdr.Set(HeaderForwarded, n.self)
-	if cachedOnly {
-		hdr.Set(HeaderCachedOnly, "1")
-	}
 	return n.peer(ctx, id, path, body, hdr)
 }
 
-// relay writes a peer response through to the client, then — for
-// successful grid responses on a designated replica — seeds the local
-// cache so this node can serve the key warm if the owner later saturates.
-// The response is not complete until relay returns, so a seed's decode
-// adds to that request's latency.
-func (n *Node) relay(w http.ResponseWriter, resp *peerResponse, key experiments.GridKey, seed bool) {
-	for _, h := range []string{"Content-Type", "Retry-After", HeaderNode, HeaderStale, HeaderDraining} {
+// relay writes a peer response through to the client.
+func (n *Node) relay(w http.ResponseWriter, resp *peerResponse) {
+	for _, h := range []string{"Content-Type", "Retry-After", HeaderNode, HeaderDraining} {
 		if v := resp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body) // best effort: the peer response is already final
-	if seed && resp.status == http.StatusOK {
-		n.seedReplica(key, resp.body)
-	}
-}
-
-// seedReplica stores a proxied grid locally when this node is in the
-// key's designated replica set.
-func (n *Node) seedReplica(key experiments.GridKey, body []byte) {
-	if n.isReplica(key) && n.srv.Lab().SeedGrid(key, body) {
-		n.met.replicaSeeds.Add(1)
-	}
-}
-
-// isReplica reports whether this node is a designated non-owner replica
-// for key.
-func (n *Node) isReplica(key experiments.GridKey) bool {
-	for _, id := range n.ring.Replicas(key.String(), n.cfg.Replicas)[1:] {
-		if id == n.self {
-			return true
-		}
-	}
-	return false
-}
-
-// serveStaleFallback answers from the warmest replica copy available —
-// this node's own cache first, then cached-only probes of the other
-// replicas in ring order — marked X-MCDVFS-Stale: maybe. Reports whether
-// a response was written.
-func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, key experiments.GridKey) bool {
-	if g, ok := n.srv.Lab().PeekGrid(key); ok {
-		n.met.staleFallbacks.Add(1)
-		w.Header().Set(HeaderNode, n.self)
-		w.Header().Set(HeaderStale, "maybe")
-		serve.WriteJSON(w, http.StatusOK, g)
-		return true
-	}
-	probe, err := json.Marshal(serve.GridRequest{Benchmark: key.Benchmark, Space: key.Space})
-	if err != nil {
-		return false
-	}
-	for _, id := range n.ring.Replicas(key.String(), n.ring.Len())[1:] {
-		if id == n.self {
-			continue
-		}
-		resp, err := n.forward(ctx, id, "/v1/grid", "application/json", probe, true)
-		if err != nil || resp.status != http.StatusOK {
-			continue
-		}
-		n.met.staleFallbacks.Add(1)
-		w.Header().Set(HeaderStale, "maybe")
-		n.relay(w, resp, key, false)
-		return true
-	}
-	return false
 }
 
 // awaitOwnerFlight implements the proxy side of peer-aware singleflight:
@@ -522,7 +410,6 @@ func (n *Node) handleInflight(w http.ResponseWriter, r *http.Request) {
 type RingResponse struct {
 	Self     string   `json:"self"`
 	Nodes    []string `json:"nodes"`
-	Replicas int      `json:"replicas"`
 	VNodes   int      `json:"vnodes"`
 	Draining bool     `json:"draining"`
 }
@@ -532,7 +419,6 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, RingResponse{
 		Self:     n.self,
 		Nodes:    n.ring.Nodes(),
-		Replicas: n.cfg.Replicas,
 		VNodes:   n.ring.vnodes,
 		Draining: n.draining.Load(),
 	})

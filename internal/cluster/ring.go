@@ -2,9 +2,9 @@
 // hash ring shards the grid keyspace (benchmark, space, platform-config
 // hash) across peers, a thin router in every node serves owned keys
 // locally and proxies the rest to their owner, peer-aware singleflight
-// coalesces a collection in flight anywhere in the cluster, and warm
-// replicas answer with their cached copy (marked stale) when the owner
-// sheds or stalls. See DESIGN.md §9.
+// coalesces a collection in flight anywhere in the cluster, and a node
+// whose owner sheds, stalls or is unreachable answers from its own Lab.
+// See DESIGN.md §9.
 package cluster
 
 import (
@@ -128,8 +128,8 @@ func (r *Ring) Owner(key string) string {
 
 // Replicas returns key's replica set, owner first, then the next n-1
 // distinct nodes walking clockwise. Fewer than n nodes returns them all.
-// The order is the warm-fallback preference order: when the owner sheds,
-// routers try replicas in this sequence.
+// The order is the drain-failover preference order: when the owner is
+// draining, routers try the other nodes in this sequence.
 func (r *Ring) Replicas(key string, n int) []string {
 	if n > len(r.ids) {
 		n = len(r.ids)

@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -21,8 +20,10 @@ import (
 )
 
 // Lab owns the simulated platform and caches collected grids, since grid
-// collection is the expensive step shared by every experiment. It is safe
-// for concurrent use: grids live in one bounded singleflight cache
+// collection is the expensive step shared by every experiment. Collection
+// is the only source of a grid: a grid is a pure function of its GridKey,
+// and collecting it costs less than decoding a stored copy would. It is
+// safe for concurrent use: grids live in one bounded singleflight cache
 // (internal/cache/lru) keyed by GridKey, so N goroutines requesting the
 // same grid trigger exactly one collection and requests for different
 // grids proceed independently.
@@ -32,9 +33,8 @@ type Lab struct {
 	fine   *freq.Space
 	spaces map[string]keyedSpace // "coarse" and "fine" with their hashes
 
-	workers  int    // Collect worker-pool size; 0 means GOMAXPROCS
-	cacheDir string // persistent grid cache directory; "" disables
-	maxGrids int    // resident-grid bound; <= 0 means every registry key in both spaces
+	workers  int // Collect worker-pool size; 0 means GOMAXPROCS
+	maxGrids int // resident-grid bound; <= 0 means every registry key in both spaces
 
 	observer func(GridEvent)                  // grid-cache outcome hook; nil disables
 	gate     CollectGate                      // admission control around collections; nil admits all
@@ -54,13 +54,6 @@ type Option func(*Lab)
 // WithWorkers bounds the collection worker pool. Zero or negative selects
 // the default (GOMAXPROCS).
 func WithWorkers(n int) Option { return func(l *Lab) { l.workers = n } }
-
-// WithGridCacheDir enables the persistent grid cache: collected grids are
-// written to dir as JSON keyed by (benchmark, space, platform-config hash)
-// and reloaded instead of recollected by any later Lab with an identical
-// configuration. Store failures are non-fatal; the in-memory result is
-// used regardless.
-func WithGridCacheDir(dir string) Option { return func(l *Lab) { l.cacheDir = dir } }
 
 // WithMaxGrids bounds how many grids the lab keeps resident, counting a
 // benchmark's coarse and fine grids separately; an insertion past the
@@ -112,8 +105,6 @@ const (
 	// GridHit: the request joined an existing cache entry — a completed
 	// grid, or an in-flight collection it coalesced onto.
 	GridHit GridEventKind = iota
-	// GridDiskLoad: the grid was reloaded from the persistent cache.
-	GridDiskLoad
 	// GridCollect: a full collection ran.
 	GridCollect
 	// GridEvict: the resident-grid bound displaced this grid. Forget does
@@ -131,8 +122,8 @@ type GridEvent struct {
 
 // WithGridObserver registers fn to be called once per successful grid
 // request with how it was satisfied, and once per eviction. fn runs on the
-// requesting goroutine (or the collecting one, for GridCollect/GridDiskLoad,
-// or the inserting one, for GridEvict) and must be safe for concurrent use
+// requesting goroutine (or the collecting one, for GridCollect, or the
+// inserting one, for GridEvict) and must be safe for concurrent use
 // and fast — it sits on the grid hot path. The serve layer uses it to
 // export cache, coalescing and eviction counters.
 func WithGridObserver(fn func(GridEvent)) Option { return func(l *Lab) { l.observer = fn } }
@@ -145,8 +136,8 @@ func WithGridObserver(fn func(GridEvent)) Option { return func(l *Lab) { l.obser
 type CollectGate func(ctx context.Context) (release func(), err error)
 
 // WithCollectGate bounds collections with an admission gate: the lab
-// acquires the gate after the persistent cache misses and before the sweep
-// starts, so cache hits and coalesced joins never consume a slot. The
+// acquires the gate when a flight starts and before the sweep does, so
+// cache hits and coalesced joins never consume a slot. The
 // serve layer supplies its bounded worker pool here.
 func WithCollectGate(g CollectGate) Option { return func(l *Lab) { l.gate = g } }
 
@@ -159,10 +150,10 @@ func WithCollectProgress(fn func(done, total int)) Option {
 
 // WithCollectSpan registers fn to bracket every grid-cache flight this
 // lab owns: fn is called on the flight-owning goroutine when the flight
-// starts (before the persistent-cache probe, the admission gate, and the
-// collection itself) and the returned done func when the flight finishes,
-// success or failure. Coalesced joiners never trigger fn — exactly one
-// span per flight. Tracing harnesses use it to time flights.
+// starts (before the admission gate and the collection itself) and the
+// returned done func when the flight finishes, success or failure.
+// Coalesced joiners never trigger fn — exactly one span per flight.
+// Tracing harnesses use it to time flights.
 func WithCollectSpan(fn func(bench, space string) (done func())) Option {
 	return func(l *Lab) { l.span = fn }
 }
@@ -282,7 +273,7 @@ func (l *Lab) AnalysisFor(ctx context.Context, k GridKey) (*core.Analysis, error
 }
 
 // entry returns the resident entry for k, running at most one flight per
-// entry: persistent-cache probe, admission gate, then collection.
+// entry: admission gate, then collection.
 func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
 	b, err := workload.ByName(k.Benchmark)
 	if err != nil {
@@ -297,21 +288,11 @@ func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
 			done := l.span(k.Benchmark, k.Space)
 			defer done()
 		}
-		disk := diskCache{dir: l.cacheDir}
-		if disk.dir != "" {
-			if g := disk.load(k, space); g != nil {
-				l.emit(k, GridDiskLoad)
-				return &gridEntry{grid: g}, nil
-			}
-		}
 		g, err := l.collectGated(ctx, b, space)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: collecting %s %s: %w", k.Space, k.Benchmark, err)
 		}
 		l.emit(k, GridCollect)
-		if disk.dir != "" {
-			_ = disk.store(k, g) // best-effort
-		}
 		return &gridEntry{grid: g}, nil
 	})
 	if err != nil {
@@ -353,37 +334,6 @@ func (l *Lab) emit(k GridKey, kind GridEventKind) {
 	if l.observer != nil {
 		l.observer(GridEvent{Benchmark: k.Benchmark, Space: k.Space, Kind: kind})
 	}
-}
-
-// PeekGrid returns the completed cached grid k names without collecting,
-// joining an in-flight collection, or touching the persistent cache. It is
-// the cluster's warm-replica probe: a node answering a cached-only request
-// must never be dragged into a collection.
-func (l *Lab) PeekGrid(k GridKey) (*trace.Grid, bool) {
-	e, ok := l.grids.Peek(k)
-	if !ok {
-		return nil, false
-	}
-	return e.grid, true
-}
-
-// SeedGrid installs a grid obtained from outside the lab — typically a
-// cluster peer's /v1/grid response body — under k, if k is not resident
-// yet. The body passes the same decode and validation as a persistent-cache
-// load (decodeGrid); a body that is not k's grid is rejected rather than
-// poisoning the cache. A seeded grid is an ordinary entry: it counts
-// against the resident bound and may evict. It reports whether the grid
-// was stored.
-func (l *Lab) SeedGrid(k GridKey, body []byte) bool {
-	if _, ok := l.grids.Peek(k); ok {
-		return false // already warm; skip the decode entirely
-	}
-	space, err := l.spaceOf(k)
-	if err != nil {
-		return false
-	}
-	g := decodeGrid(bytes.NewReader(body), k.Benchmark, space)
-	return g != nil && l.grids.PutIfAbsent(k, &gridEntry{grid: g})
 }
 
 // Forget drops every cached artifact for a benchmark — coarse and fine

@@ -1,7 +1,7 @@
 package experiments
 
 // Tests for the exported Lab cache hooks the serve layer builds on: the
-// grid observer (hit/disk/collect accounting), the collect admission gate,
+// grid observer (hit/collect accounting), the collect admission gate,
 // eviction via Forget, and the per-column progress hook.
 
 import (
@@ -16,15 +16,13 @@ import (
 
 // eventTally counts observer events by kind, concurrency-safe.
 type eventTally struct {
-	hits, disk, collects atomic.Int64
+	hits, collects atomic.Int64
 }
 
 func (e *eventTally) observe(ev GridEvent) {
 	switch ev.Kind {
 	case GridHit:
 		e.hits.Add(1)
-	case GridDiskLoad:
-		e.disk.Add(1)
 	case GridCollect:
 		e.collects.Add(1)
 	}
@@ -56,9 +54,6 @@ func TestGridObserverCountsOutcomes(t *testing.T) {
 	if n := tally.hits.Load(); n != waiters-1 {
 		t.Errorf("hit events = %d, want %d", n, waiters-1)
 	}
-	if n := tally.disk.Load(); n != 0 {
-		t.Errorf("disk events = %d, want 0 (no cache dir)", n)
-	}
 
 	// A later request over the completed entry is also a hit.
 	if _, err := l.Grid("gobmk"); err != nil {
@@ -66,32 +61,6 @@ func TestGridObserverCountsOutcomes(t *testing.T) {
 	}
 	if n := tally.hits.Load(); n != waiters {
 		t.Errorf("hit events after warm request = %d, want %d", n, waiters)
-	}
-}
-
-func TestGridObserverSeesDiskLoads(t *testing.T) {
-	dir := t.TempDir()
-	l1, err := NewLab(WithGridCacheDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l1.Grid("gobmk"); err != nil {
-		t.Fatal(err)
-	}
-
-	var tally eventTally
-	l2, err := NewLab(WithGridCacheDir(dir), WithGridObserver(tally.observe))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l2.Grid("gobmk"); err != nil {
-		t.Fatal(err)
-	}
-	if n := tally.disk.Load(); n != 1 {
-		t.Errorf("disk events = %d, want 1", n)
-	}
-	if n := tally.collects.Load(); n != 0 {
-		t.Errorf("collect events = %d, want 0 (disk hit)", n)
 	}
 }
 

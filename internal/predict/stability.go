@@ -26,6 +26,10 @@ func NewStabilityPredictor(maxHist int) (*StabilityPredictor, error) {
 // ObserveStable records that the region survived one more sample.
 func (p *StabilityPredictor) ObserveStable() { p.current++ }
 
+// ObserveStableRun records that the region survived n more samples, as n
+// ObserveStable calls would, in constant time.
+func (p *StabilityPredictor) ObserveStableRun(n int) { p.current += n }
+
 // ObserveBreak records that the region ended (the cluster moved), closing
 // the current run length into history.
 func (p *StabilityPredictor) ObserveBreak() {

@@ -61,13 +61,14 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 }
 
 // fail maps a work error onto a response: saturation sheds with 429 +
-// Retry-After, deadline overruns are 504, a cancelled client gets 408
-// (nobody is reading, but the metrics class should not be a 5xx), and
-// everything else is a 500.
+// Retry-After (RetryAfter rounded up to whole seconds, so a sub-second
+// hint never reads as "retry now"), deadline overruns are 504, a
+// cancelled client gets 408 (nobody is reading, but the metrics class
+// should not be a 5xx), and everything else is a 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
 		WriteError(w, http.StatusTooManyRequests, "collection capacity saturated; retry later")
 	case errors.Is(err, context.DeadlineExceeded):
 		WriteError(w, http.StatusGatewayTimeout, err.Error())
@@ -261,6 +262,12 @@ type StabilityRequest struct {
 	MaxHistory int   `json:"max_history,omitempty"`
 }
 
+// maxStableRun bounds every region length and current in a
+// StabilityRequest: 2^32 samples, 4×10^16 instructions. At that bound
+// the predictor's sum over the ~500k lengths a 1 MiB body can hold stays
+// inside int64.
+const maxStableRun = 1 << 32
+
 // StabilityResponse carries the predicted remaining stable samples.
 type StabilityResponse struct {
 	PredictedRemaining int `json:"predicted_remaining"`
@@ -284,22 +291,18 @@ func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, l := range req.History {
-		if l <= 0 {
-			WriteError(w, http.StatusBadRequest, fmt.Sprintf("region length %d must be positive", l))
+		if l <= 0 || l > maxStableRun {
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("region length %d must be in [1, %d]", l, maxStableRun))
 			return
 		}
-		for i := 0; i < l; i++ {
-			p.ObserveStable()
-		}
+		p.ObserveStableRun(l)
 		p.ObserveBreak()
 	}
-	if req.Current < 0 {
-		WriteError(w, http.StatusBadRequest, "current must be non-negative")
+	if req.Current < 0 || req.Current > maxStableRun {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("current must be in [0, %d]", maxStableRun))
 		return
 	}
-	for i := 0; i < req.Current; i++ {
-		p.ObserveStable()
-	}
+	p.ObserveStableRun(req.Current)
 	WriteJSON(w, http.StatusOK, StabilityResponse{
 		PredictedRemaining: p.PredictRemaining(),
 		HistoryLen:         len(req.History),

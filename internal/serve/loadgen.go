@@ -155,7 +155,6 @@ type LoadReport struct {
 	GridRequests    int64
 	GridCollections int64
 	GridCacheHits   int64
-	GridDiskLoads   int64
 	OptimalRequests int64
 	OptimalMemoHits int64
 	// CoalesceHitRate is GridCacheHits / GridRequests over the run, the
@@ -251,7 +250,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		delta := func(name string) int64 { return a[name] - b[name] }
 		report.GridRequests += delta("mcdvfsd_grid_requests_total")
 		report.GridCacheHits += delta("mcdvfsd_grid_cache_hits_total")
-		report.GridDiskLoads += delta("mcdvfsd_grid_disk_loads_total")
 		report.OptimalRequests += delta("mcdvfsd_optimal_requests_total")
 		report.OptimalMemoHits += delta("mcdvfsd_optimal_memo_hits_total")
 		collections := delta("mcdvfsd_grid_collections_total")
@@ -519,8 +517,8 @@ func (r *LoadReport) String() string {
 			ep, es.Count, es.Errors, es.P50, es.P95, es.P99, es.Max)
 	}
 	if r.GridRequests > 0 {
-		fmt.Fprintf(&b, "grid cache         %d requests: %d collections, %d coalesced/cached hits, %d disk loads (hit rate %.1f%%)\n",
-			r.GridRequests, r.GridCollections, r.GridCacheHits, r.GridDiskLoads, 100*r.CoalesceHitRate)
+		fmt.Fprintf(&b, "grid cache         %d requests: %d collections, %d coalesced/cached hits (hit rate %.1f%%)\n",
+			r.GridRequests, r.GridCollections, r.GridCacheHits, 100*r.CoalesceHitRate)
 	}
 	if r.OptimalRequests > 0 {
 		fmt.Fprintf(&b, "optimal memo       %d requests, %d memo hits (%.1f%%)\n",

@@ -24,7 +24,6 @@ type metrics struct {
 	gridRequests     atomic.Int64 // /v1/grid and analysis-backed requests that asked the Lab for a grid
 	gridCacheHits    atomic.Int64 // served from memory, incl. coalesced joins of in-flight collections
 	gridCollections  atomic.Int64 // full collections executed
-	gridDiskLoads    atomic.Int64 // grids reloaded from the persistent cache
 	gridColumns      atomic.Int64 // setting columns collected (progress hook)
 	workloadCollects atomic.Int64 // uncached collections for inline user workloads
 
@@ -38,8 +37,6 @@ func (m *metrics) gridEvent(ev experiments.GridEvent) {
 	switch ev.Kind {
 	case experiments.GridHit:
 		m.gridCacheHits.Add(1)
-	case experiments.GridDiskLoad:
-		m.gridDiskLoads.Add(1)
 	case experiments.GridCollect:
 		m.gridCollections.Add(1)
 	case experiments.GridEvict:
@@ -82,7 +79,6 @@ func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchm
 	counter("mcdvfsd_grid_requests_total", m.gridRequests.Load())
 	counter("mcdvfsd_grid_cache_hits_total", m.gridCacheHits.Load())
 	counter("mcdvfsd_grid_collections_total", m.gridCollections.Load())
-	counter("mcdvfsd_grid_disk_loads_total", m.gridDiskLoads.Load())
 	counter("mcdvfsd_grid_columns_collected_total", m.gridColumns.Load())
 	counter("mcdvfsd_workload_collections_total", m.workloadCollects.Load())
 	counter("mcdvfsd_optimal_requests_total", m.optimalRequests.Load())

@@ -41,11 +41,10 @@ type Config struct {
 	MaxBenchmarks int
 	// MemoSize bounds the /v1/optimal response memo. Default 256.
 	MemoSize int
-	// GridCacheDir enables the Lab's persistent grid cache.
-	GridCacheDir string
 	// RequestTimeout caps each request's context. Zero disables.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint attached to 429 responses. Default 1s.
+	// RetryAfter is the hint attached to 429 responses, sent in whole
+	// seconds rounded up. Default 1s.
 	RetryAfter time.Duration
 	// CollectSpan, when set, brackets every grid-cache flight the daemon's
 	// Lab owns (experiments.WithCollectSpan): called when a flight starts,
@@ -113,9 +112,6 @@ func New(cfg Config) (*Server, error) {
 		experiments.WithGridObserver(s.met.gridEvent),
 		experiments.WithCollectGate(s.pool.acquire),
 		experiments.WithCollectProgress(s.met.collectProgress),
-	}
-	if cfg.GridCacheDir != "" {
-		opts = append(opts, experiments.WithGridCacheDir(cfg.GridCacheDir))
 	}
 	if cfg.CollectSpan != nil {
 		opts = append(opts, experiments.WithCollectSpan(cfg.CollectSpan))
@@ -207,8 +203,8 @@ func (s *Server) beginDrain() {
 func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Lab exposes the daemon's Lab to layered subsystems: the cluster router
-// takes its routing keys from Lab.Key, peeks for warm replica copies, and
-// seeds grids replicated from peers.
+// takes its routing keys from Lab.Key and publishes the Lab's in-flight
+// grids.
 func (s *Server) Lab() *experiments.Lab { return s.lab }
 
 // AcquireCollectSlot takes one slot of the collection admission pool,

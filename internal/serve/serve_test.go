@@ -244,26 +244,38 @@ func TestGridCoalescing64(t *testing.T) {
 
 // TestSheddingWhenSaturated fills the admission pool by hand — no timing
 // races — and verifies the 429 + Retry-After contract, then that capacity
-// freed means service restored.
+// freed means service restored. Retry-After is whole seconds rounded up:
+// a sub-second hint must not read as "retry now".
 func TestSheddingWhenSaturated(t *testing.T) {
-	s, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: -1, RetryAfter: 7 * time.Second})
-	release, err := s.pool.acquire(context.Background())
-	if err != nil {
-		t.Fatalf("priming acquire: %v", err)
-	}
-	resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Benchmark: "gobmk"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated status %d, want 429 (%s)", resp.StatusCode, data)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After %q, want 7", got)
-	}
-	if got := metricValue(t, ts, "mcdvfsd_shed_total"); got != 1 {
-		t.Errorf("shed = %d, want 1", got)
-	}
-	release()
-	if resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Benchmark: "gobmk"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-release status %d: %s", resp.StatusCode, data)
+	for _, tc := range []struct {
+		retryAfter time.Duration
+		want       string
+	}{
+		{7 * time.Second, "7"},
+		{300 * time.Millisecond, "1"},
+		{1500 * time.Millisecond, "2"},
+	} {
+		t.Run(tc.retryAfter.String(), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: -1, RetryAfter: tc.retryAfter})
+			release, err := s.pool.acquire(context.Background())
+			if err != nil {
+				t.Fatalf("priming acquire: %v", err)
+			}
+			resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Benchmark: "gobmk"})
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("saturated status %d, want 429 (%s)", resp.StatusCode, data)
+			}
+			if got := resp.Header.Get("Retry-After"); got != tc.want {
+				t.Errorf("Retry-After %q, want %s", got, tc.want)
+			}
+			if got := metricValue(t, ts, "mcdvfsd_shed_total"); got != 1 {
+				t.Errorf("shed = %d, want 1", got)
+			}
+			release()
+			if resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Benchmark: "gobmk"}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("post-release status %d: %s", resp.StatusCode, data)
+			}
+		})
 	}
 }
 
@@ -397,22 +409,60 @@ func TestOptimalValidation(t *testing.T) {
 	}
 }
 
+// TestStabilityEndpoint: /v1/stability costs the same however many
+// samples a region spans, and refuses a non-positive length, or a length
+// or current past 2^32 samples. The handler runs on its own goroutine
+// under a deadline, since an httptest.Server's Close would wait for a
+// handler that spins once per sample.
 func TestStabilityEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, data := postJSON(t, ts, "/v1/stability", StabilityRequest{History: []int{4, 6, 5}, Current: 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var out StabilityResponse
-	if err := json.Unmarshal(data, &out); err != nil {
+	s, err := New(Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Mean completed length 5, 2 spent: 3 remaining.
-	if out.PredictedRemaining != 3 {
-		t.Errorf("predicted %d, want 3", out.PredictedRemaining)
+	cases := []struct {
+		name      string
+		req       StabilityRequest
+		code      int
+		remaining int
+	}{
+		// Mean completed length 5, 2 spent: 3 remaining.
+		{"short history", StabilityRequest{History: []int{4, 6, 5}, Current: 2}, http.StatusOK, 3},
+		{"2^31 history, 2^30 current", StabilityRequest{History: []int{1 << 31}, Current: 1 << 30}, http.StatusOK, 1 << 30},
+		{"negative length", StabilityRequest{History: []int{-1}}, http.StatusBadRequest, 0},
+		{"2^40 current", StabilityRequest{History: []int{4}, Current: 1 << 40}, http.StatusBadRequest, 0},
+		{"two 2^62 lengths", StabilityRequest{History: []int{1 << 62, 1 << 62}}, http.StatusBadRequest, 0},
 	}
-	if resp, _ := postJSON(t, ts, "/v1/stability", StabilityRequest{History: []int{-1}}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative region length accepted: %d", resp.StatusCode)
+	for _, tc := range cases {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/stability", bytes.NewReader(body))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Handler().ServeHTTP(rec, req)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no answer within 2s", tc.name)
+		}
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.code, rec.Body)
+			continue
+		}
+		if tc.code != http.StatusOK {
+			continue
+		}
+		var out StabilityResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.PredictedRemaining != tc.remaining {
+			t.Errorf("%s: predicted_remaining %d, want %d", tc.name, out.PredictedRemaining, tc.remaining)
+		}
 	}
 }
 

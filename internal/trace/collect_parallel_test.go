@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,25 +77,34 @@ func TestCollectContextCancelMidSweep(t *testing.T) {
 	// The largest sweep available: every setting of the fine space for a
 	// full-size benchmark, so cancellation strikes well before completion.
 	b := workload.MustByName("gobmk")
+	space := freq.FineSpace()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel from inside the sweep, as the first column reports, so the
+	// strike lands mid-sweep however fast the engine runs.
+	var reported atomic.Int64
+	opts := CollectOptions{Workers: 2, OnProgress: func(done, total int) {
+		reported.Add(1)
+		if done == 1 {
+			cancel()
+		}
+	}}
 	type result struct {
 		g   *Grid
 		err error
 	}
-	done := make(chan result, 1)
+	finished := make(chan result, 1)
 	go func() {
-		g, err := CollectContext(ctx, sys, b, freq.FineSpace(), CollectOptions{Workers: 2})
-		done <- result{g, err}
+		g, err := CollectContext(ctx, sys, b, space, opts)
+		finished <- result{g, err}
 	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	// Workers poll the context at every sample boundary, so the engine
-	// must stop far inside one collection quantum (a full fine sweep),
-	// not run the sweep to completion. The bound is a channel timeout, not
-	// a wall-clock measurement: the determinism check bans time.Now/Since
-	// here so timing jitter cannot mask race-ordering bugs.
+	// Workers poll the context at every column boundary, so the engine
+	// must stop within a column per worker, not run the sweep to
+	// completion. The bound is a channel timeout, not a wall-clock
+	// measurement: the determinism check bans time.Now/Since here so
+	// timing jitter cannot mask race-ordering bugs.
 	select {
-	case r := <-done:
+	case r := <-finished:
 		if !errors.Is(r.err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", r.err)
 		}
@@ -103,6 +113,9 @@ func TestCollectContextCancelMidSweep(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("collection did not return within 2s of cancellation, want far below one full sweep")
+	}
+	if n := reported.Load(); n >= int64(space.Len()) {
+		t.Errorf("%d of %d columns reported after cancelling at the first, want fewer", n, space.Len())
 	}
 }
 

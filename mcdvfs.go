@@ -186,8 +186,8 @@ func NewProfileGovernor(p *Profile, fallback Governor, tolerance float64) (Gover
 func DefaultOverhead() Overhead { return core.DefaultOverhead() }
 
 // NewLab builds an experiment lab on the default platform. Options tune
-// the collection engine and caching; a zero-option lab matches the paper's
-// setup exactly.
+// the collection engine; a zero-option lab matches the paper's setup
+// exactly.
 func NewLab(opts ...LabOption) (*Lab, error) { return experiments.NewLab(opts...) }
 
 // NewLabWithConfig builds an experiment lab on a custom platform.
@@ -198,11 +198,6 @@ func NewLabWithConfig(cfg SystemConfig, opts ...LabOption) (*Lab, error) {
 // WithWorkers bounds a Lab's collection worker pool; zero or negative
 // selects GOMAXPROCS.
 func WithWorkers(n int) LabOption { return experiments.WithWorkers(n) }
-
-// WithGridCacheDir persists collected grids to dir as JSON, keyed by
-// (benchmark, space, platform-config hash), so later labs with the same
-// configuration reload instead of recollecting.
-func WithGridCacheDir(dir string) LabOption { return experiments.WithGridCacheDir(dir) }
 
 // NewPerformanceGovernor pins the space's maximum setting.
 func NewPerformanceGovernor(space *Space) Governor { return governor.NewPerformance(space) }

@@ -137,22 +137,13 @@ func TestFacadeCollectContextCancellation(t *testing.T) {
 }
 
 func TestFacadeLabOptions(t *testing.T) {
-	dir := t.TempDir()
-	lab, err := NewLab(WithWorkers(2), WithGridCacheDir(dir))
+	lab, err := NewLab(WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lab.GridContext(context.Background(), "bzip2"); err != nil {
+	g, err := lab.GridContext(context.Background(), "bzip2")
+	if err != nil {
 		t.Fatalf("GridContext: %v", err)
-	}
-	// A second lab over the same cache directory reloads the stored grid.
-	lab2, err := NewLab(WithGridCacheDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := lab2.Grid("bzip2")
-	if err != nil {
-		t.Fatalf("cached Grid: %v", err)
 	}
 	if g.Benchmark != "bzip2" {
 		t.Errorf("grid benchmark %q", g.Benchmark)
