@@ -52,11 +52,7 @@ func (a *Analysis) ClusterAt(sample int, budget, threshold float64) (Cluster, er
 	if err := checkThreshold(threshold); err != nil {
 		return Cluster{}, err
 	}
-	ids, err := a.WithinBudget(sample, budget)
-	if err != nil {
-		return Cluster{}, err
-	}
-	opt, err := a.bestAmong(sample, ids)
+	opt, err := a.OptimalSetting(sample, budget)
 	if err != nil {
 		return Cluster{}, err
 	}

@@ -21,34 +21,32 @@ func preferHigher(a, b freq.Setting) bool {
 // the inefficiency budget, applying the paper's selection algorithm: filter
 // settings by budget, find the highest speedup, and among settings within
 // SpeedupTieBand of it pick the one with the highest CPU then memory
-// frequency.
+// frequency. It scans the sample's rows in place, in ascending setting ID
+// order — one pass for the highest admissible speedup, one for the pick —
+// so it allocates nothing; WithinBudget lists the same admissible set.
 func (a *Analysis) OptimalSetting(sample int, budget float64) (freq.SettingID, error) {
-	ids, err := a.WithinBudget(sample, budget)
-	if err != nil {
+	a.checkSample(sample)
+	if err := checkBudget(budget); err != nil {
 		return 0, err
 	}
-	return a.bestAmong(sample, ids)
-}
-
-// bestAmong applies the max-speedup + tie-break rule over a candidate set.
-func (a *Analysis) bestAmong(sample int, ids []freq.SettingID) (freq.SettingID, error) {
-	if len(ids) == 0 {
-		return 0, fmt.Errorf("core: empty candidate set for sample %d", sample)
-	}
+	ineff, speedup := a.ineff[sample], a.speedup[sample]
 	best := 0.0
-	for _, k := range ids {
-		if sp := a.speedup[sample][int(k)]; sp > best {
+	for k, sp := range speedup {
+		if ineff[k] <= budget && sp > best {
 			best = sp
 		}
 	}
 	chosen := freq.SettingID(-1)
-	for _, k := range ids {
-		if a.speedup[sample][int(k)] < best*(1-SpeedupTieBand) {
+	for k, sp := range speedup {
+		if !(ineff[k] <= budget) || sp < best*(1-SpeedupTieBand) {
 			continue
 		}
-		if chosen < 0 || preferHigher(a.grid.Setting(k), a.grid.Setting(chosen)) {
-			chosen = k
+		if id := freq.SettingID(k); chosen < 0 || preferHigher(a.grid.Setting(id), a.grid.Setting(chosen)) {
+			chosen = id
 		}
+	}
+	if chosen < 0 {
+		return 0, fmt.Errorf("core: empty candidate set for sample %d", sample)
 	}
 	return chosen, nil
 }

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"mcdvfs/internal/freq"
+	"mcdvfs/internal/sim"
+	"mcdvfs/internal/trace"
+	"mcdvfs/internal/workload"
 )
 
 func TestOptimalSettingPicksFastestInBudget(t *testing.T) {
@@ -139,6 +142,68 @@ func TestPreferHigher(t *testing.T) {
 	for _, c := range cases {
 		if got := preferHigher(c.a, c.b); got != c.want {
 			t.Errorf("preferHigher(%v, %v) = %v", c.a, c.b, got)
+		}
+	}
+}
+
+// composedOptimal is the selection as WithinBudget's candidate list
+// followed by the max-speedup and tie-break rule over it, the two-step
+// form OptimalSetting's in-place scan replaced.
+func composedOptimal(a *Analysis, sample int, budget float64) (freq.SettingID, bool) {
+	ids, err := a.WithinBudget(sample, budget)
+	if err != nil || len(ids) == 0 {
+		return 0, false
+	}
+	best := 0.0
+	for _, k := range ids {
+		if sp := a.Speedup(sample, k); sp > best {
+			best = sp
+		}
+	}
+	chosen := freq.SettingID(-1)
+	for _, k := range ids {
+		if a.Speedup(sample, k) < best*(1-SpeedupTieBand) {
+			continue
+		}
+		if chosen < 0 || preferHigher(a.Grid().Setting(k), a.Grid().Setting(chosen)) {
+			chosen = k
+		}
+	}
+	return chosen, true
+}
+
+func TestOptimalSettingMatchesComposedSelection(t *testing.T) {
+	// Every sample of three collected benchmarks, in both spaces, at the
+	// Figure 10 budgets (experiments.Fig10Budgets) and unconstrained.
+	sys := sim.MustNew(sim.DefaultConfig())
+	budgets := []float64{1.0, 1.1, 1.2, 1.3, 1.6, Unconstrained}
+	for _, name := range []string{"gobmk", "milc", "lbm"} {
+		for _, space := range []*freq.Space{freq.CoarseSpace(), freq.FineSpace()} {
+			g, err := trace.Collect(sys, workload.MustByName(name), space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := NewAnalysis(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < a.NumSamples(); s++ {
+				for _, b := range budgets {
+					want, ok := composedOptimal(a, s, b)
+					got, err := a.OptimalSetting(s, b)
+					if !ok || err != nil {
+						t.Fatalf("%s/%d sample %d budget %v: composed ok=%v, scan err %v", name, space.Len(), s, b, ok, err)
+					}
+					if got != want {
+						t.Fatalf("%s/%d sample %d budget %v: scan picked %v, composed selection %v",
+							name, space.Len(), s, b, g.Setting(got), g.Setting(want))
+					}
+					c, err := a.ClusterAt(s, b, 0.05)
+					if err != nil || c.Optimal != want {
+						t.Fatalf("%s/%d sample %d budget %v: cluster optimal %v (err %v), want %v", name, space.Len(), s, b, c.Optimal, err, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -6,9 +6,21 @@ package sim
 // per-call validation, model re-derivation, and struct traffic for every
 // cell. A Runner instead ingests the realized specs once into per-sample
 // input records (System.ingest), hoists every per-setting invariant via
-// System.consts, and solves whole setting-columns through the per-cell
-// kernel (System.cell) in a check-free loop — reusing its arenas across
-// columns so a full grid performs O(1) allocations per column.
+// System.consts, and solves whole setting-columns in a check-free loop,
+// reusing its arenas across columns so a full grid performs O(1)
+// allocations per column.
+//
+// A column is solved breadth-first. startCell hoists every cell's solve
+// inputs and start iterate into the cell arena; then each pass advances
+// every cell that has not yet converged by exactly one damped step,
+// finishes the cells that just converged into their measurements, and
+// compacts the list of the rest in place. Each step is a serial chain of
+// three float divisions, so stepping one cell to convergence before
+// starting the next (as SimulateSample does) leaves the core waiting on
+// its divider; stepping independent cells in turn lets the out-of-order
+// core overlap their divisions. Every cell still performs the same float
+// operations in the same order, so the column is bit-identical to the
+// depth-first solve, and so are the per-cell iteration counts.
 //
 // Adjacent operating points share the workload trace, so the Runner can
 // seed each cell's fixed-point iteration from the time the same sample
@@ -32,10 +44,13 @@ type Runner struct {
 	sys *System
 	in  []sampleIn // per-sample inputs, fixed at construction
 
-	// solvedNS is the pre-noise converged time of the last solved column,
-	// the warm-start seed vector for the next.
-	solvedNS  []float64
+	// cells is the column arena, one cell per sample. Between Solves,
+	// cells[i].t is the pre-noise time sample i solved to at the last
+	// setting, the warm-start seed for the next.
+	cells     []cellSolve
 	seedValid bool
+	// active lists the cells still iterating during a Solve's passes.
+	active []int
 
 	// samples is the output arena; Solve returns it, overwritten per call.
 	samples []Sample
@@ -60,10 +75,11 @@ type RunnerStats struct {
 // NewRunner validates and ingests every spec once.
 func NewRunner(sys *System, specs []workload.SampleSpec) (*Runner, error) {
 	r := &Runner{
-		sys:      sys,
-		in:       make([]sampleIn, len(specs)),
-		solvedNS: make([]float64, len(specs)),
-		samples:  make([]Sample, len(specs)),
+		sys:     sys,
+		in:      make([]sampleIn, len(specs)),
+		cells:   make([]cellSolve, len(specs)),
+		active:  make([]int, len(specs)),
+		samples: make([]Sample, len(specs)),
 	}
 	for i, spec := range specs {
 		if err := validateSpec(spec); err != nil {
@@ -89,6 +105,11 @@ func (r *Runner) ResetSeed() { r.seedValid = false }
 // returned slice is the Runner's arena: it is overwritten by the next Solve
 // and must be consumed (or copied) before then.
 //
+// The column is solved breadth-first: up to fixedPointIters passes, each
+// advancing every still-unconverged cell by one damped step (see the
+// file comment). Cells left after the last pass are the column's
+// convergence failures, finished from their last iterate.
+//
 // With warm=false every cell cold-starts from the unloaded latency, making
 // the column bit-identical to per-cell SimulateSample calls. With warm=true
 // (and a previously solved column) each cell seeds its fixed point from the
@@ -107,25 +128,36 @@ func (r *Runner) Solve(st freq.Setting, warm bool) ([]Sample, error) {
 		return nil, err
 	}
 	warm = warm && r.seedValid
-	iters := uint64(0)
-	failures := uint64(0)
 	for i := range r.in {
 		seedNS := coldStart
 		if warm {
-			seedNS = r.solvedNS[i]
+			seedNS = r.cells[i].t
 		}
-		smp, solvedNS, n := r.sys.cell(c, r.in[i], seedNS)
-		r.solvedNS[i] = solvedNS
-		iters += uint64(n)
-		if !smp.Converged {
-			failures++
+		r.cells[i] = startCell(&c, &r.in[i], seedNS)
+		r.active[i] = i
+	}
+	live := len(r.active)
+	iters := uint64(0)
+	for pass := 0; pass < fixedPointIters && live > 0; pass++ {
+		iters += uint64(live)
+		n := 0
+		for _, i := range r.active[:live] {
+			if r.cells[i].step(&c.lat) {
+				r.samples[i] = r.sys.finish(&c, &r.in[i], &r.cells[i], true)
+				continue
+			}
+			r.active[n] = i
+			n++
 		}
-		r.samples[i] = smp
+		live = n
+	}
+	for _, i := range r.active[:live] {
+		r.samples[i] = r.sys.finish(&c, &r.in[i], &r.cells[i], false)
 	}
 	r.seedValid = true
 	r.stats.Columns++
 	r.stats.Cells += uint64(len(r.in))
 	r.stats.Iterations += iters
-	r.stats.ConvergenceFailures += failures
+	r.stats.ConvergenceFailures += uint64(live)
 	return r.samples, nil
 }

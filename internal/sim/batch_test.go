@@ -3,8 +3,9 @@ package sim
 // Differential and property suite for the columnar batch engine. The
 // load-bearing contract: cold-started batch columns are bit-identical to
 // the retained scalar reference (reference.go), warm-started columns are
-// bit-identical to the seeded reference, and warm starts land on the cold
-// fixed point within solver tolerance.
+// bit-identical to the seeded reference, warm starts land on the cold
+// fixed point within solver tolerance, and the breadth-first passes take
+// exactly the per-cell steps of the depth-first solve.
 
 import (
 	"math"
@@ -316,13 +317,152 @@ func TestRunnerSolveRejectsBadSetting(t *testing.T) {
 	}
 }
 
-// FuzzBatchVsScalar drives a randomized sample through a warm memory chain
-// on both engines and requires bit-identical results at every step.
+// bwClampSpec is a sample whose every iterate clamps to the bandwidth
+// bound: so little compute and so much memory-level parallelism that the
+// bus, not latency, bounds the time at every setting. Non-physical, and no
+// built-in cell reaches the clamp.
+func bwClampSpec() workload.SampleSpec {
+	return workload.SampleSpec{
+		Instructions: workload.SampleLen,
+		BaseCPI:      0.01, MPKI: 1000, RowHitRate: 1, MLP: 64, WriteFrac: 0,
+	}
+}
+
+// utilCapSpec is a sample that converges with the queueing term at the
+// utilization cap and its time above the bandwidth bound, at 700/400 MHz.
+// Non-physical, and no built-in cell reaches the cap.
+func utilCapSpec() workload.SampleSpec {
+	return workload.SampleSpec{
+		Instructions: workload.SampleLen,
+		BaseCPI:      0.5, MPKI: 1000, RowHitRate: 1, MLP: 24, WriteFrac: 0.5,
+	}
+}
+
+func TestBranchSpecsReachClampAndCap(t *testing.T) {
+	s := system(t)
+	st := freq.Setting{CPU: 700, Mem: 400}
+	c, err := s.consts(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []float64{coldStart, coldStart}
+	specs := []workload.SampleSpec{bwClampSpec(), utilCapSpec()}
+	var cells [2]cellSolve
+	for i, spec := range specs {
+		in := s.ingest(spec)
+		cells[i] = startCell(&c, &in, seeds[i])
+		if _, ok := solveTimeNS(&cells[i], &c.lat); !ok {
+			t.Fatalf("spec %d did not converge at %v", i, st)
+		}
+	}
+	if clamp := cells[0]; clamp.t != clamp.bwBoundNS {
+		t.Errorf("bwClampSpec solved to %v, not its bandwidth bound %v", clamp.t, clamp.bwBoundNS)
+	}
+	capped := cells[1]
+	if util := capped.accesses / capped.t * c.lat.LineTransferNS; util <= c.lat.UtilCap || capped.t <= capped.bwBoundNS {
+		t.Errorf("utilCapSpec solved to %v (bound %v) at utilization %v, want above the bound and the cap %v",
+			capped.t, capped.bwBoundNS, util, c.lat.UtilCap)
+	}
+}
+
+// depthFirst solves each cell of one column depth-first, from seeds, the
+// way SimulateSample does, and returns the per-cell iteration counts and
+// the number of cells that did not converge.
+func depthFirst(t *testing.T, s *System, specs []workload.SampleSpec, st freq.Setting, seeds []float64) (iters []int, failures uint64) {
+	t.Helper()
+	c, err := s.consts(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters = make([]int, len(specs))
+	for i, spec := range specs {
+		in := s.ingest(spec)
+		cs := startCell(&c, &in, seeds[i])
+		n, ok := solveTimeNS(&cs, &c.lat)
+		iters[i] = n
+		if !ok {
+			failures++
+		}
+	}
+	return iters, failures
+}
+
+func TestColumnPassesMatchDepthFirst(t *testing.T) {
+	// The oscillator sits between cells that converge on different passes
+	// (the clamped cell on the first, the lbm cells a dozen or more later),
+	// so each column drops cells from the active list at several passes
+	// and keeps one to the end. Every cell must still match the reference
+	// bit for bit, and the column's counters must equal the depth-first
+	// per-cell sums.
+	s := system(t)
+	lbm := workload.MustByName("lbm").MustRealize()
+	specs := append([]workload.SampleSpec(nil), lbm[:3]...)
+	specs = append(specs, oscillatorSpec(), bwClampSpec())
+	specs = append(specs, lbm[3:6]...)
+	r, err := NewRunner(s, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]float64, len(specs))
+	for i := range seeds {
+		seeds[i] = coldStart
+	}
+	columns := 0
+	for _, st := range freq.CoarseSpace().Settings() {
+		if smp, err := s.SimulateSample(oscillatorSpec(), st); err != nil || smp.Converged {
+			continue
+		}
+		columns++
+		before := r.Stats()
+		col, err := r.Solve(st, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range specs {
+			want, _, err := s.ReferenceSimulate(spec, st, seeds[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col[i] != want {
+				t.Fatalf("cell %d at %v: batch %+v != reference %+v", i, st, col[i], want)
+			}
+		}
+		iters, failures := depthFirst(t, s, specs, st, seeds)
+		got := r.Stats()
+		if n := got.ConvergenceFailures - before.ConvergenceFailures; n != 1 || failures != 1 {
+			t.Errorf("at %v: column counted %d convergence failures, depth-first %d, want 1", st, n, failures)
+		}
+		sum, lo, hi := uint64(0), fixedPointIters, 0
+		for i, n := range iters {
+			sum += uint64(n)
+			if col[i].Converged {
+				lo, hi = min(lo, n), max(hi, n)
+			}
+		}
+		if n := got.Iterations - before.Iterations; n != sum {
+			t.Errorf("at %v: column took %d iterations, per-cell solveTimeNS sum %d", st, n, sum)
+		}
+		if lo == hi {
+			t.Errorf("at %v: every converged cell took %d iterations; the column never compacts mid-pass", st, lo)
+		}
+	}
+	if columns == 0 {
+		t.Fatal("oscillator spec converged at every coarse setting — rebuild the adversarial case")
+	}
+}
+
+// FuzzBatchVsScalar places a randomized sample at a fuzzed position among
+// fixed neighbors — lbm samples and the oscillator — drives the column
+// through a warm memory chain on both engines, and requires every cell
+// bit-identical to the reference at every step.
 func FuzzBatchVsScalar(f *testing.F) {
-	f.Add(uint64(3), 0.9, 12.0, 0.7, 2.5, 0.3, uint8(4), 0.01)
-	f.Add(uint64(0), 0.5, 300.0, 0.0, 8.0, 1.0, uint8(9), 0.0)
-	f.Add(uint64(91), 2.4, 0.0, 1.0, 1.0, 0.0, uint8(0), 0.05)
-	f.Fuzz(func(t *testing.T, idx uint64, baseCPI, mpki, rowHit, mlp, writeFrac float64, cpuIdx uint8, noise float64) {
+	f.Add(uint64(3), 0.9, 12.0, 0.7, 2.5, 0.3, uint8(4), 0.01, uint8(1))
+	f.Add(uint64(0), 0.5, 300.0, 0.0, 8.0, 1.0, uint8(9), 0.0, uint8(0))
+	f.Add(uint64(91), 2.4, 0.0, 1.0, 1.0, 0.0, uint8(0), 0.05, uint8(4))
+	f.Add(uint64(5), 0.01, 1000.0, 1.0, 64.0, 0.0, uint8(2), 0.01, uint8(2))
+	f.Add(uint64(7), 0.5, 1000.0, 1.0, 24.0, 0.5, uint8(6), 0.0, uint8(3))
+	neighbors := append(workload.MustByName("lbm").MustRealize()[:3:3], oscillatorSpec())
+	f.Fuzz(func(t *testing.T, idx uint64, baseCPI, mpki, rowHit, mlp, writeFrac float64, cpuIdx uint8, noise float64, pos uint8) {
 		spec := workload.SampleSpec{
 			Index:        int(idx % 4096),
 			Instructions: workload.SampleLen,
@@ -335,6 +475,8 @@ func FuzzBatchVsScalar(f *testing.F) {
 		if validateSpec(spec) != nil {
 			t.Skip("invalid spec")
 		}
+		p := int(pos) % (len(neighbors) + 1)
+		specs := append(append(append([]workload.SampleSpec(nil), neighbors[:p]...), spec), neighbors[p:]...)
 		cfg := NoiselessConfig()
 		if math.IsNaN(noise) || noise < 0 || noise > 0.2 {
 			noise = 0.01
@@ -343,24 +485,67 @@ func FuzzBatchVsScalar(f *testing.F) {
 		s := MustNew(cfg)
 		ladder := freq.CoarseSpace().CPULadder()
 		fc := ladder[int(cpuIdx)%len(ladder)]
-		r, err := NewRunner(s, []workload.SampleSpec{spec})
+		r, err := NewRunner(s, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := coldStart
+		seeds := make([]float64, len(specs))
+		for i := range seeds {
+			seeds[i] = coldStart
+		}
 		for mi, st := range chainSettings(fc) {
 			col, err := r.Solve(st, mi > 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, solved, err := s.ReferenceSimulate(spec, st, seed)
-			if err != nil {
-				t.Fatal(err)
+			for i, sp := range specs {
+				want, solved, err := s.ReferenceSimulate(sp, st, seeds[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if col[i] != want {
+					t.Fatalf("cell %d at %v (step %d): batch %+v != reference %+v", i, st, mi, col[i], want)
+				}
+				seeds[i] = solved
 			}
-			if col[0] != want {
-				t.Fatalf("at %v (step %d): batch %+v != reference %+v", st, mi, col[0], want)
-			}
-			seed = solved
 		}
 	})
+}
+
+func TestSolveAndSimulateSampleDoNotAllocate(t *testing.T) {
+	// The runtime twin of the static hotpath check: once NewRunner has
+	// sized the arenas, a column solve allocates nothing, cold or warm, and
+	// neither does the single-cell path.
+	s := MustNew(DefaultConfig())
+	specs := workload.MustByName("lbm").MustRealize()
+	r, err := NewRunner(s, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := freq.Setting{CPU: 700, Mem: 800}
+	slow := freq.Setting{CPU: 700, Mem: 700}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"cold Solve", func() {
+			if _, err := r.Solve(fast, false); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"warm Solve", func() {
+			if _, err := r.Solve(slow, true); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SimulateSample", func() {
+			if _, err := s.SimulateSample(specs[0], slow); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(20, tc.run); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", tc.name, n)
+		}
+	}
 }

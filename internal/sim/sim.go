@@ -30,11 +30,15 @@
 // collection ingests the realized workload once into per-sample input
 // records and solves whole setting-columns with every per-setting
 // invariant hoisted, optionally warm-starting each cell's fixed point from
-// the neighboring operating point. SimulateSample is the thin
-// single-sample wrapper over the same per-cell kernel (cell) for
-// governors, the daemon, and experiments. The
-// pre-columnar scalar implementation is retained verbatim (reference.go)
-// as the oracle for the differential test suite.
+// the neighboring operating point. A column is solved breadth-first, one
+// damped step per unconverged cell per pass, so the float divisions of
+// independent cells overlap. Each cell's arithmetic lives in three
+// functions — startCell (inputs and start iterate), cellSolve.step (one
+// damped step) and finish (activity, energy, noise) — which the column
+// passes and SimulateSample, the depth-first single-cell path for
+// governors, the daemon, and experiments, both call. The pre-columnar
+// scalar implementation is retained verbatim (reference.go) as the oracle
+// for the differential test suite.
 package sim
 
 import (
@@ -176,7 +180,7 @@ const coldStart = -1.0
 // hoisted latency, CPU-power, and DRAM-energy coefficients plus the clock
 // rate and the setting's contribution to the noise hash. Deriving it once
 // per setting-column is what makes the batch engine fast — the fixed-point
-// loop then runs on a handful of local float64s.
+// steps then run on a handful of float64s per cell.
 //
 //vet:invariant cyclesPerNS > 0
 type settingConsts struct {
@@ -232,50 +236,9 @@ func validateSpec(spec workload.SampleSpec) error {
 	return nil
 }
 
-// solveTimeNS runs the damped fixed-point iteration on execution time with
-// every invariant prehoisted. seedNS selects the start: coldStart begins
-// from the unloaded latency (zero offered load makes the queueing term
-// vanish, so the unloaded latency is exactly the core service time); a
-// non-negative seed begins from that time, the warm start the batch engine
-// feeds from the neighboring operating point. The returned flag reports
-// whether the iteration met fixedPointTol.
-//
-// The loop body mirrors the retained scalar reference (reference.go)
-// operation-for-operation, so identical seeds produce bit-identical times.
-// iters reports the iterations consumed, the currency warm starts save.
-//
-//vet:requires computeNS >= 0 && accesses >= 0 && mlp >= 1 && coreNS >= 0 && serviceNS >= 0 && bwBoundNS >= 0
-//vet:ensures timeNS >= 0
-func solveTimeNS(computeNS, accesses, mlp, coreNS, serviceNS, bwBoundNS float64, lat memctrl.Coeffs, seedNS float64) (timeNS float64, iters int, converged bool) {
-	t := seedNS
-	if seedNS < 0 {
-		t = computeNS + accesses*coreNS/mlp
-	}
-	if t < bwBoundNS {
-		t = bwBoundNS
-	}
-	for i := 0; i < fixedPointIters; i++ {
-		accessPerNS := 0.0
-		if t > 0 {
-			accessPerNS = accesses / t
-		}
-		latNS := coreNS + lat.QueueNS(accessPerNS, serviceNS)
-		next := computeNS + accesses*latNS/mlp
-		if next < bwBoundNS {
-			next = bwBoundNS
-		}
-		// Damp to guarantee convergence of the negative-feedback loop.
-		next = (next + t) / 2
-		if math.Abs(next-t) <= fixedPointTol*t {
-			return next, i + 1, true
-		}
-		t = next
-	}
-	return t, fixedPointIters, false
-}
-
 // SimulateSample produces the measurement for one workload sample at one
-// setting. It is the thin single-sample wrapper over the batch solver core;
+// setting. It is the single-cell path through the same start, step and
+// finish functions the batch engine runs, solving the cell depth-first;
 // sweeping many samples or settings is much faster through Runner.
 //
 //vet:hotpath
@@ -287,8 +250,10 @@ func (s *System) SimulateSample(spec workload.SampleSpec, st freq.Setting) (Samp
 	if err != nil {
 		return Sample{}, err
 	}
-	smp, _, _ := s.cell(c, s.ingest(spec), coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
-	return smp, nil
+	in := s.ingest(spec)
+	cs := startCell(&c, &in, coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
+	_, converged := solveTimeNS(&cs, &c.lat)
+	return s.finish(&c, &in, &cs, converged), nil
 }
 
 // sampleIn is one validated sample's setting-independent inputs, derived
@@ -332,26 +297,96 @@ func (s *System) ingest(spec workload.SampleSpec) sampleIn {
 	}
 }
 
-// cell solves one ingested sample at one hoisted setting, returning the
-// finished sample, the pre-noise converged time (the warm-start seed for
-// the neighboring operating point), and the fixed-point iterations spent.
-// The requires restate validateSpec over the ingested fields: callers
-// hold a validated spec (the batch engine validates at Runner
-// construction, SimulateSample per call).
+// cellSolve is one cell's fixed-point state: the inputs of the damped step
+// at one setting, hoisted once per cell by startCell, and the current
+// iterate t. Once the cell is solved, t is its pre-noise execution time,
+// which the batch engine keeps as the warm seed for the same sample at the
+// next setting of a chain.
+//
+//vet:invariant computeNS >= 0 && accesses >= 0 && mlp >= 1 && coreNS >= 0 && serviceNS >= 0 && bwBoundNS >= 0 && t >= 0
+type cellSolve struct {
+	computeNS float64 // compute time at the CPU clock
+	accesses  float64 // memory accesses
+	mlp       float64 // memory-level parallelism
+	coreNS    float64 // unloaded (core service) latency per access
+	serviceNS float64 // contended service time of the queueing term
+	bwBoundNS float64 // bandwidth bound: the least time the bus needs
+	t         float64 // current iterate
+}
+
+// startCell hoists one cell's solve inputs and its start iterate. seedNS
+// selects the start: coldStart begins from the unloaded latency (zero
+// offered load makes the queueing term vanish, so the unloaded latency is
+// exactly the core service time); a non-negative seed begins from that
+// time, the warm start the batch engine feeds from the neighboring
+// operating point. Either start is clamped below by the bandwidth bound.
+// The requires restate validateSpec over the ingested fields: callers hold
+// a validated spec (the batch engine validates at Runner construction,
+// SimulateSample per call).
 //
 //vet:requires in.cpiNum > 0 && in.accesses >= 0 && in.mlp >= 1 && in.rowHit >= 0 && in.rowHit <= 1 && in.writeFrac >= 0 && in.writeFrac <= 1
-func (s *System) cell(c settingConsts, in sampleIn, seedNS float64) (smp Sample, solvedNS float64, iters int) {
-	computeNS := in.cpiNum / c.cyclesPerNS
-	coreNS := c.lat.CoreServiceNS(in.rowHit)
-	serviceNS := c.lat.ServiceNS(in.writeFrac)
-	bwBoundNS := c.lat.MinServiceTimeNS(in.accesses)
+func startCell(c *settingConsts, in *sampleIn, seedNS float64) cellSolve {
+	cs := cellSolve{
+		computeNS: in.cpiNum / c.cyclesPerNS,
+		accesses:  in.accesses,
+		mlp:       in.mlp,
+		coreNS:    c.lat.CoreServiceNS(in.rowHit),
+		serviceNS: c.lat.ServiceNS(in.writeFrac),
+		bwBoundNS: c.lat.MinServiceTimeNS(in.accesses),
+	}
+	cs.t = seedNS
+	if seedNS < 0 {
+		cs.t = cs.computeNS + cs.accesses*cs.coreNS/cs.mlp
+	}
+	if cs.t < cs.bwBoundNS {
+		cs.t = cs.bwBoundNS
+	}
+	return cs
+}
 
-	t, iters, converged := solveTimeNS(computeNS, in.accesses, in.mlp, coreNS, serviceNS, bwBoundNS, c.lat, seedNS)
-	solvedNS = t
+// step advances the cell by one damped fixed-point step on execution time
+// and reports whether the step met fixedPointTol. The body mirrors the
+// retained scalar reference (reference.go) operation for operation, so
+// identical seeds produce bit-identical iterates.
+func (cs *cellSolve) step(lat *memctrl.Coeffs) bool {
+	t := cs.t
+	accessPerNS := 0.0
+	if t > 0 {
+		accessPerNS = cs.accesses / t
+	}
+	latNS := cs.coreNS + lat.QueueNS(accessPerNS, cs.serviceNS)
+	next := cs.computeNS + cs.accesses*latNS/cs.mlp
+	if next < cs.bwBoundNS {
+		next = cs.bwBoundNS
+	}
+	// Damp to guarantee convergence of the negative-feedback loop.
+	next = (next + t) / 2
+	done := math.Abs(next-t) <= fixedPointTol*t
+	cs.t = next
+	return done
+}
 
+// solveTimeNS steps one cell until it meets fixedPointTol or exhausts
+// fixedPointIters, leaving the last iterate in cs.t. iters reports the
+// steps taken; the batch engine takes the same steps per cell, only
+// interleaved across a column.
+func solveTimeNS(cs *cellSolve, lat *memctrl.Coeffs) (iters int, converged bool) {
+	for i := 0; i < fixedPointIters; i++ {
+		if cs.step(lat) {
+			return i + 1, true
+		}
+	}
+	return fixedPointIters, false
+}
+
+// finish turns a solved cell into its measurement: the activity share, CPU
+// and DRAM energy over the solved time, then the deterministic measurement
+// noise on time and both energies.
+func (s *System) finish(c *settingConsts, in *sampleIn, cs *cellSolve, converged bool) Sample {
+	t := cs.t
 	activity := 1.0
 	if t > 0 {
-		activity = computeNS / t
+		activity = cs.computeNS / t
 	}
 	if activity > 1 {
 		activity = 1
@@ -376,7 +411,7 @@ func (s *System) cell(c settingConsts, in sampleIn, seedNS float64) (smp Sample,
 		MPKI:         in.mpki,
 		Activity:     activity,
 		Converged:    converged,
-	}, solvedNS, iters
+	}
 }
 
 // sampleNoiseHash is the sample half of the noise-stream hash; XORed with
