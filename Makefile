@@ -48,14 +48,17 @@ loadtest:
 loadtest-cluster:
 	$(GO) test -race ./internal/cluster -count=1
 
-# Differential-fuzz smoke tier: FUZZTIME of FuzzBatchVsScalar, the
-# bit-identity oracle between the columnar batch engine and the retained
-# scalar reference, starting from the committed seed corpus
-# (internal/sim/testdata/fuzz/FuzzBatchVsScalar). New crashers land in that
-# directory; CI uploads them as artifacts so a red run ships its repro.
+# Differential-fuzz smoke tier: FUZZTIME each of two oracles, each
+# starting from its committed seed corpus. FuzzBatchVsScalar holds the
+# columnar batch engine bit-identical to the retained scalar reference
+# (internal/sim/testdata/fuzz/FuzzBatchVsScalar); FuzzGridJSON then holds
+# the grid encoder, trace.Grid.AppendJSON, byte-identical to encoding/json
+# (internal/trace/testdata/fuzz/FuzzGridJSON). New crashers land in those
+# directories; CI uploads them as artifacts so a red run ships its repro.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzBatchVsScalar$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGridJSON$$' -fuzztime $(FUZZTIME)
 
 # Simulator-core benchmark record: the columnar batch engine (serial and
 # parallel full-grid collection) against the retained scalar reference,

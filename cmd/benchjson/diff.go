@@ -126,8 +126,8 @@ func report(w io.Writer, deltas []Delta, onlyBase, onlyHead []string, threshold 
 	return regressions + len(onlyBase)
 }
 
-// diff loads and compares the two records, renders the report to w, and
-// returns its failure count.
+// diff loads and compares the two records, renders each one's
+// provenance and the report to w, and returns the report's failure count.
 func diff(w io.Writer, basePath, headPath string, threshold float64, filterExpr string) (int, error) {
 	var filter *regexp.Regexp
 	if filterExpr != "" {
@@ -145,6 +145,11 @@ func diff(w io.Writer, basePath, headPath string, threshold float64, filterExpr 
 		if err := json.Unmarshal(data, &recs[i]); err != nil {
 			return 0, fmt.Errorf("%s: %w", path, err)
 		}
+		commit := recs[i].Meta.Commit
+		if commit == "" {
+			commit = "unknown"
+		}
+		fmt.Fprintf(w, "%s %s: commit %s, dirty %t\n", [2]string{"base", "head"}[i], path, commit, recs[i].Meta.Dirty)
 	}
 	deltas, onlyBase, onlyHead := compare(recs[0], recs[1], threshold, filter)
 	return report(w, deltas, onlyBase, onlyHead, threshold), nil

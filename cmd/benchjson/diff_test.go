@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -50,7 +53,7 @@ func TestCompareIgnoresMeta(t *testing.T) {
 		{Name: "BenchmarkCollect/fine/workers=4", NsPerOp: 30e6, AllocsPerOp: 120},
 	}
 	base := rec(results...)
-	base.Meta = Meta{GoVersion: "go1.22.1", Goos: "linux", Goarch: "amd64", GoMaxProcs: 8, Commit: "aaaa"}
+	base.Meta = Meta{GoVersion: "go1.22.1", Goos: "linux", Goarch: "amd64", GoMaxProcs: 8, Commit: "aaaa", Dirty: true}
 	head := rec(results...)
 	head.Meta = Meta{GoVersion: "go1.23.0", Goos: "darwin", Goarch: "arm64", GoMaxProcs: 4, Commit: "bbbb"}
 	deltas, onlyBase, onlyHead := compare(base, head, 0.10, nil)
@@ -152,5 +155,30 @@ func TestReportCountsAndRenders(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "only in head") {
 		t.Errorf("new benchmark not reported: %q", sb.String())
+	}
+}
+
+func TestDiffPrintsProvenance(t *testing.T) {
+	dir := t.TempDir()
+	paths := [2]string{filepath.Join(dir, "base.json"), filepath.Join(dir, "head.json")}
+	for i, meta := range []Meta{{Commit: "aaaa", Dirty: true}, {}} {
+		r := rec(Result{Name: "B", NsPerOp: 100})
+		r.Meta = meta
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paths[i], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sb strings.Builder
+	if _, err := diff(&sb, paths[0], paths[1], 0.10, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"base " + paths[0] + ": commit aaaa, dirty true", "head " + paths[1] + ": commit unknown, dirty false"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("diff output lacks %q:\n%s", want, sb.String())
+		}
 	}
 }

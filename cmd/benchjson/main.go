@@ -12,7 +12,8 @@
 // "procs", "iterations", "ns_per_op", ...}: the package is that of the
 // "pkg:" header above it, and the "-N" suffix is GOMAXPROCS. A "meta"
 // block records the collecting environment (go version, GOOS / GOARCH,
-// GOMAXPROCS, git commit) for provenance only.
+// GOMAXPROCS, git commit, and whether the tree had uncommitted changes)
+// for provenance only; the diff prints each side's commit and dirty flag.
 //
 // With -base and -head it is the CI gate for the collection hot path: it
 // matches results by package, name and GOMAXPROCS (-filter selects by
@@ -32,6 +33,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path"
 	"runtime"
 	"strconv"
 	"strings"
@@ -61,6 +63,9 @@ type Meta struct {
 	// Commit is the git HEAD at collection time, empty when git or the
 	// repository is unavailable (e.g. a source tarball).
 	Commit string `json:"commit,omitempty"`
+	// Dirty marks a record collected from a tree whose tracked files
+	// differed from Commit: it measured Commit plus uncommitted changes.
+	Dirty bool `json:"dirty,omitempty"`
 }
 
 // collectMeta snapshots the collecting process's environment.
@@ -74,7 +79,29 @@ func collectMeta() Meta {
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		m.Commit = strings.TrimSpace(string(out))
 	}
+	if out, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil {
+		m.Dirty = dirtyTree(string(out))
+	}
 	return m
+}
+
+// dirtyTree reports whether `git status --porcelain --untracked-files=no`
+// output (one "XY path" or "XY from -> to" line per changed tracked file,
+// paths from the repository root) lists a file other than a bench record,
+// BENCH_*.json at the root. Records are this tool's own output: writing
+// one must not mark the next one recorded from the same tree.
+func dirtyTree(porcelain string) bool {
+	for _, line := range strings.Split(porcelain, "\n") {
+		if len(line) < 4 {
+			continue
+		}
+		for _, p := range strings.Split(line[3:], " -> ") {
+			if record, _ := path.Match("BENCH_*.json", p); !record {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Record is the whole run: environment header plus every result.

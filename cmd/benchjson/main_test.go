@@ -95,3 +95,25 @@ func TestCompareKeysByPackageAndProcs(t *testing.T) {
 		t.Errorf("report counted %d failures, want 2", got)
 	}
 }
+
+func TestDirtyTree(t *testing.T) {
+	for _, c := range []struct {
+		name, porcelain string
+		want            bool
+	}{
+		{"clean", "", false},
+		{"modified source", " M internal/trace/encode.go\n", true},
+		{"staged source", "M  Makefile\n", true},
+		{"only records", " M BENCH_sim.json\n M BENCH_serve.json\n", false},
+		{"new record", "A  BENCH_new.json\n", false},
+		{"record and source", " M BENCH_serve.json\nM  internal/serve/handlers.go\n", true},
+		{"record outside the root", " M docs/BENCH_old.json\n", true},
+		{"renamed source", "R  old.go -> new.go\n", true},
+		{"source renamed to a record name", "R  main.go -> BENCH_x.json\n", true},
+		{"no trailing newline", " D README.md", true},
+	} {
+		if got := dirtyTree(c.porcelain); got != c.want {
+			t.Errorf("%s: dirtyTree(%q) = %v, want %v", c.name, c.porcelain, got, c.want)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 
 	"mcdvfs/internal/experiments"
 	"mcdvfs/internal/freq"
@@ -48,7 +49,7 @@ func decode(r *http.Request, dst any) error {
 
 // WriteJSON writes v as a JSON response with the given status. The
 // cluster router answers with the same writer, so a routed response is
-// byte-identical to a local one.
+// byte-identical to a local one. Grid bodies go through writeGrid.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -103,6 +104,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var g *trace.Grid
+	encodeFail := http.StatusInternalServerError
 	switch {
 	case len(req.Workload) > 0 && req.Benchmark != "":
 		WriteError(w, http.StatusBadRequest, "benchmark and workload are mutually exclusive")
@@ -121,6 +123,9 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.met.workloadCollects.Add(1)
+		// Validation sets no upper bounds (a base CPI of 1e301 passes),
+		// so a posted definition can drive the model past float64.
+		encodeFail = http.StatusBadRequest
 	case req.Benchmark != "":
 		if _, err := workload.ByName(req.Benchmark); err != nil {
 			WriteError(w, http.StatusNotFound, err.Error())
@@ -136,7 +141,32 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "missing benchmark or workload")
 		return
 	}
-	WriteJSON(w, http.StatusOK, g)
+	writeGrid(w, g, encodeFail)
+}
+
+// gridBuffers recycles grid body buffers between /v1/grid responses. A
+// buffer holds a body only while that response is written; no encoded
+// grid outlives its request.
+var gridBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeGrid answers 200 with g's JSON body (trace.Grid.AppendJSON, the
+// bytes encoding/json writes) in one Write, so the response is framed as
+// WriteJSON's are: only Content-Type set, chunked past net/http's write
+// buffer. It encodes before it commits a status: a grid JSON cannot
+// represent (a NaN or infinite cell) answers failCode with the
+// {"error": ...} body instead.
+func writeGrid(w http.ResponseWriter, g *trace.Grid, failCode int) {
+	buf := gridBuffers.Get().(*[]byte)
+	defer gridBuffers.Put(buf)
+	body, err := g.AppendJSON((*buf)[:0])
+	*buf = body[:0]
+	if err != nil {
+		WriteError(w, failCode, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the status is sent; a failed write is a gone client
 }
 
 // OptimalRequest asks for the budget-constrained optimal schedule.

@@ -134,6 +134,10 @@ func TestGridEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
+	// One Write of the whole body: chunked, no Content-Length.
+	if ct, te := resp.Header.Get("Content-Type"), resp.TransferEncoding; ct != "application/json" || len(te) != 1 || te[0] != "chunked" || resp.ContentLength != -1 {
+		t.Errorf("framing: Content-Type %q, Transfer-Encoding %v, Content-Length %d; want application/json, chunked, none", ct, te, resp.ContentLength)
+	}
 	var g struct {
 		Benchmark string            `json:"benchmark"`
 		Settings  []json.RawMessage `json:"settings"`
@@ -206,6 +210,25 @@ func TestGridInlineWorkload(t *testing.T) {
 	resp, _ = postJSON(t, ts, "/v1/grid", GridRequest{Benchmark: "gobmk", Workload: raw})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("ambiguous request status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestGridNonFiniteInlineWorkload posts a definition that validation
+// accepts but whose base CPI overflows every cell's time to +Inf. JSON
+// cannot carry that grid, and the daemon must answer 400 with an error
+// body, not 200 with an empty one.
+func TestGridNonFiniteInlineWorkload(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	raw := json.RawMessage(`{"name":"overflow","repeat":1,"phases":[{"name":"p0","base_cpi":1e301,"mpki":2,"samples":2,"mlp":1.5,"row_hit_rate":0.6}]}`)
+	resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Workload: raw})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%d-byte body %q), want 400", resp.StatusCode, len(data), data)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(data, &body); err != nil || !strings.Contains(body.Error, "not finite") {
+		t.Errorf("body %q (%v), want an error naming the non-finite cell", data, err)
 	}
 }
 

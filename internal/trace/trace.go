@@ -294,12 +294,6 @@ func drainChain(ctx context.Context, r *sim.Runner, g *Grid, ci, nm int, columns
 	return nil
 }
 
-// WriteJSON serializes the grid.
-func (g *Grid) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(g)
-}
-
 // ReadJSON deserializes a grid and validates it.
 func ReadJSON(r io.Reader) (*Grid, error) {
 	var g Grid

@@ -161,7 +161,10 @@ func CollectOnContext(ctx context.Context, sys *System, benchmark string, space 
 func Analyze(g *Grid) (*Analysis, error) { return core.NewAnalysis(g) }
 
 // ReadGridJSON deserializes and validates a characterization grid written
-// with Grid.WriteJSON.
+// with Grid.WriteJSON or served by mcdvfsd's /v1/grid. Both write exactly
+// the bytes encoding/json writes for the grid, so any JSON decoder reads
+// them; ReadGridJSON decodes with encoding/json and then checks the grid's
+// shape and physics (Grid.Validate).
 func ReadGridJSON(r io.Reader) (*Grid, error) { return trace.ReadJSON(r) }
 
 // Profile is an offline stable-region profile (paper Section VII).
