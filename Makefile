@@ -10,8 +10,7 @@
 # (`go test` runs only part of vet, and not copylocks, which catches copied
 # mutexes and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
 # enforcing determinism, unit safety, context discipline, goroutine joins,
-# error flow, value ranges, allocation-free hot paths, and model contracts
-# (see DESIGN.md §7).
+# error flow, and model contracts (see DESIGN.md §7).
 
 GO ?= go
 
@@ -81,7 +80,7 @@ bench-serve:
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
 # Analyzer benchmark record: the full mcdvfsvet suite (BenchmarkVet) and
-# the isolated abstract-interpretation tier (BenchmarkAbsint — rangecheck
+# the isolated abstract-interpretation tier (BenchmarkAbsint — contract
 # and the purity-summary determinism prep), each serial vs
 # parallel, captured as BENCH_vet.json for regression tracking.
 bench-vet:

@@ -1,18 +1,12 @@
 // Command mcdvfsvet runs the repository's domain-invariant analyzer suite
-// (internal/analysis), eight checks that go vet, the race detector and the
+// (internal/analysis), six checks that go vet, the race detector and the
 // tests do not cover: determinism (including purity summaries that trace
 // entropy through helper calls), interprocedural unit safety, context
-// discipline, goroutine joins (goleak), error flow, rangecheck (interval
-// analysis: zero-capable divisors, negative physical quantities at call
-// boundaries, provably out-of-range table indices), hotpath (functions
-// marked //vet:hotpath, and all they statically call, are proven
-// allocation-free — interface boxing, escaping composite literals,
-// unproven appends, map/chan/string traffic, closures, defers in loops),
-// and contract, which proves //vet:requires / //vet:ensures /
-// //vet:invariant annotations with the interval interpreter — ensures on
-// every return path, requires at every static call site, invariants across
-// mutating methods. It is the `make lint` tier of `make verify`, after
-// go vet.
+// discipline, goroutine joins (goleak), error flow, and contract, which
+// proves //vet:requires / //vet:ensures / //vet:invariant annotations with
+// the interval interpreter — ensures on every return path, requires at
+// every static call site, invariants across mutating methods. It is the
+// `make lint` tier of `make verify`, after go vet.
 //
 // Usage:
 //

@@ -60,9 +60,6 @@ func (iv Interval) ContainsZero() bool {
 	return iv.Known && !iv.NonZero && iv.Lo <= 0 && iv.Hi >= 0
 }
 
-// DefinitelyNegative reports a fact whose every value is < 0.
-func (iv Interval) DefinitelyNegative() bool { return iv.Known && iv.Hi < 0 }
-
 // String renders the fact for diagnostics: "[0, 3200]", "[1, +inf)", "top".
 func (iv Interval) String() string {
 	if !iv.Known {
@@ -163,12 +160,6 @@ type IntervalEval struct {
 	// environment, so a hook can propagate argument facts through a callee
 	// (monotone math functions, contract summaries seeded by requires).
 	CallEnv func(call *ast.CallExpr, env *Env[Interval]) (Interval, bool)
-	// CallTuple resolves a multi-result call on the right of a tuple
-	// assignment to per-result intervals, so annotated callees publish
-	// facts for every result instead of clobbering each target to top.
-	// The returned slice must have length n; unknown entries leave the
-	// corresponding target untracked.
-	CallTuple func(call *ast.CallExpr, n int) ([]Interval, bool)
 }
 
 // Interp wraps the evaluator as a fixpoint driver.
@@ -247,7 +238,8 @@ func (ev *IntervalEval) Expr(e ast.Expr, env *Env[Interval]) Interval {
 }
 
 // callExpr evaluates conversions, the len/cap/min/max builtins, and — through
-// the Call hook — summarized module functions.
+// the Call hook — summarized module functions. Only len carries path facts;
+// cap is never negative and exact for arrays.
 func (ev *IntervalEval) callExpr(call *ast.CallExpr, env *Env[Interval]) Interval {
 	if tv, ok := ev.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return convertIv(ev.Expr(call.Args[0], env), tv.Type)
@@ -258,13 +250,6 @@ func (ev *IntervalEval) callExpr(call *ast.CallExpr, env *Env[Interval]) Interva
 			if path, ok := lenKey(ev.Info, call); ok {
 				if iv, ok := env.Path(path); ok {
 					return iv
-				}
-				// cap without its own fact is still bounded below by any
-				// length fact: cap(x) >= len(x) always.
-				if strings.HasPrefix(path, "cap(") {
-					if iv, ok := env.Path("len(" + strings.TrimPrefix(path, "cap(")); ok && iv.Known {
-						return Range(iv.Lo, inf)
-					}
 				}
 			}
 			if n, ok := staticLen(ev.Info, call.Args[0]); ok {
@@ -314,7 +299,7 @@ func (ev *IntervalEval) Transfer(n ast.Node, env *Env[Interval]) {
 			delta = Exact(-1)
 		}
 		ev.sideEffects(n, env)
-		ev.write(n.X, addIv(cur, delta), contFacts{}, env)
+		ev.write(n.X, addIv(cur, delta), Top(), env)
 	case *ast.DeclStmt:
 		ev.declare(n, env)
 	case *ast.RangeStmt:
@@ -331,32 +316,21 @@ func (ev *IntervalEval) assign(as *ast.AssignStmt, env *Env[Interval]) {
 	case token.DEFINE, token.ASSIGN:
 		if len(as.Lhs) == len(as.Rhs) {
 			vals := make([]Interval, len(as.Rhs))
-			conts := make([]contFacts, len(as.Rhs))
+			lens := make([]Interval, len(as.Rhs))
 			for i, r := range as.Rhs {
 				vals[i] = ev.Expr(r, env)
-				conts[i] = ev.contOf(r, env)
+				lens[i], _ = ev.lenOf(r, env)
 			}
 			ev.sideEffects(as, env)
 			for i, l := range as.Lhs {
-				ev.write(l, vals[i], conts[i], env)
+				ev.write(l, vals[i], lens[i], env)
 			}
 			return
 		}
-		// Tuple assignment from a call or comma-ok: results untracked
-		// unless the CallTuple hook can summarize the callee per-result.
+		// Tuple assignment from a call or comma-ok: results untracked.
 		ev.sideEffects(as, env)
-		if ev.CallTuple != nil && len(as.Rhs) == 1 {
-			if call, ok := unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-				if ivs, ok := ev.CallTuple(call, len(as.Lhs)); ok && len(ivs) == len(as.Lhs) {
-					for i, l := range as.Lhs {
-						ev.write(l, ivs[i], contFacts{}, env)
-					}
-					return
-				}
-			}
-		}
 		for _, l := range as.Lhs {
-			ev.write(l, Top(), contFacts{}, env)
+			ev.write(l, Top(), Top(), env)
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN, token.REM_ASSIGN:
 		if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
@@ -378,12 +352,12 @@ func (ev *IntervalEval) assign(as *ast.AssignStmt, env *Env[Interval]) {
 			nv = modIv(cur, rhs)
 		}
 		ev.sideEffects(as, env)
-		ev.write(as.Lhs[0], nv, contFacts{}, env)
+		ev.write(as.Lhs[0], nv, Top(), env)
 	default:
 		// Bit-op assigns and anything exotic: clobber the target.
 		ev.sideEffects(as, env)
 		for _, l := range as.Lhs {
-			ev.write(l, Top(), contFacts{}, env)
+			ev.write(l, Top(), Top(), env)
 		}
 	}
 }
@@ -412,7 +386,8 @@ func (ev *IntervalEval) declare(d *ast.DeclStmt, env *Env[Interval]) {
 			}
 			if i < len(vs.Values) {
 				iv := ev.Expr(vs.Values[i], env)
-				ev.write(name, iv, ev.contOf(vs.Values[i], env), env)
+				ln, _ := ev.lenOf(vs.Values[i], env)
+				ev.write(name, iv, ln, env)
 				continue
 			}
 			if len(vs.Values) > 0 {
@@ -422,10 +397,7 @@ func (ev *IntervalEval) declare(d *ast.DeclStmt, env *Env[Interval]) {
 				env.Vars[v] = Exact(0)
 			}
 			switch v.Type().Underlying().(type) {
-			case *types.Slice:
-				env.Paths["len("+name.Name+")"] = Exact(0)
-				env.Paths["cap("+name.Name+")"] = Exact(0)
-			case *types.Map:
+			case *types.Slice, *types.Map:
 				env.Paths["len("+name.Name+")"] = Exact(0)
 			}
 		}
@@ -468,32 +440,17 @@ func (ev *IntervalEval) rangeHead(r *ast.RangeStmt, env *Env[Interval]) {
 		}
 	}
 	if id, ok := r.Value.(*ast.Ident); ok && id.Name != "_" {
-		ev.write(id, Top(), contFacts{}, env)
+		ev.write(id, Top(), Top(), env)
 	}
 }
 
-// contFacts carries the container facts (length, capacity) of an RHS value
-// being written; each side is valid only when its OK bit is set.
-type contFacts struct {
-	len, cap     Interval
-	lenOK, capOK bool
-}
-
-// contOf bundles lenOf and capOf for a value about to be stored.
-func (ev *IntervalEval) contOf(e ast.Expr, env *Env[Interval]) contFacts {
-	var cf contFacts
-	cf.len, cf.lenOK = ev.lenOf(e, env)
-	cf.cap, cf.capOK = ev.capOf(e, env)
-	return cf
-}
-
 // write stores a fact at an assignable destination, invalidating whatever the
-// store makes stale. cf carries length/capacity facts for container-valued
-// RHS (make, composite literal, append).
-func (ev *IntervalEval) write(lhs ast.Expr, val Interval, cf contFacts, env *Env[Interval]) {
+// store makes stale. length is the length fact of a container-valued RHS
+// (make, composite literal, append), top otherwise.
+func (ev *IntervalEval) write(lhs ast.Expr, val Interval, length Interval, env *Env[Interval]) {
 	switch l := lhs.(type) {
 	case *ast.ParenExpr:
-		ev.write(l.X, val, cf, env)
+		ev.write(l.X, val, length, env)
 	case *ast.Ident:
 		if l.Name == "_" {
 			return
@@ -508,7 +465,7 @@ func (ev *IntervalEval) write(lhs ast.Expr, val Interval, cf contFacts, env *Env
 		} else {
 			delete(env.Vars, v)
 		}
-		writeContFacts(env, l.Name, cf)
+		writeLen(env, l.Name, length)
 	case *ast.SelectorExpr:
 		path, _, ok := PathOf(ev.Info, l)
 		if !ok {
@@ -521,7 +478,7 @@ func (ev *IntervalEval) write(lhs ast.Expr, val Interval, cf contFacts, env *Env
 		if val.Known {
 			env.Paths[path] = val
 		}
-		writeContFacts(env, path, cf)
+		writeLen(env, path, length)
 	case *ast.IndexExpr:
 		// Element writes don't change lengths and elements are untracked.
 	case *ast.StarExpr:
@@ -530,23 +487,14 @@ func (ev *IntervalEval) write(lhs ast.Expr, val Interval, cf contFacts, env *Env
 	}
 }
 
-func writeContFacts(env *Env[Interval], path string, cf contFacts) {
-	if cf.lenOK && cf.len.Known {
-		env.Paths["len("+path+")"] = cf.len
-	}
-	if cf.capOK && cf.cap.Known {
-		env.Paths["cap("+path+")"] = cf.cap
+func writeLen(env *Env[Interval], path string, length Interval) {
+	if length.Known {
+		env.Paths["len("+path+")"] = length
 	}
 }
 
 // lenOf produces a length fact for container-valued expressions: append
 // arithmetic, make sizes, composite literals, fixed arrays, aliases.
-// LenOf exposes the length fact the evaluator holds for e, if any, so
-// checks can compare indices against container sizes.
-func (ev *IntervalEval) LenOf(e ast.Expr, env *Env[Interval]) (Interval, bool) {
-	return ev.lenOf(e, env)
-}
-
 func (ev *IntervalEval) lenOf(e ast.Expr, env *Env[Interval]) (Interval, bool) {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
@@ -615,83 +563,6 @@ func (ev *IntervalEval) lenOf(e ast.Expr, env *Env[Interval]) (Interval, bool) {
 		}
 	}
 	return Top(), false
-}
-
-// CapOf exposes the capacity fact the evaluator holds for e, if any, so
-// checks can prove appends grow in place (len + k <= cap).
-func (ev *IntervalEval) CapOf(e ast.Expr, env *Env[Interval]) (Interval, bool) {
-	return ev.capOf(e, env)
-}
-
-// capOf produces a capacity fact for container-valued expressions. It
-// mirrors lenOf where capacities are determined: make sizes seed it, a slice
-// literal's capacity equals its length, and append never shrinks capacity.
-func (ev *IntervalEval) capOf(e ast.Expr, env *Env[Interval]) (Interval, bool) {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return ev.capOf(e.X, env)
-	case *ast.Ident, *ast.SelectorExpr:
-		if path, _, ok := PathOf(ev.Info, e); ok {
-			if iv, ok := env.Path("cap(" + path + ")"); ok {
-				return iv, true
-			}
-		}
-		if tv, ok := ev.Info.Types[e]; ok {
-			if n, ok := arrayLen(tv.Type); ok {
-				return Exact(float64(n)), true
-			}
-		}
-		return Top(), false
-	case *ast.CompositeLit:
-		tv, ok := ev.Info.Types[e]
-		if !ok {
-			return Top(), false
-		}
-		if _, isSlice := tv.Type.Underlying().(*types.Slice); isSlice {
-			if ln, ok := ev.lenOf(e, env); ok {
-				return ln, true
-			}
-			return Top(), false
-		}
-		if n, ok := arrayLen(tv.Type); ok {
-			return Exact(float64(n)), true
-		}
-		return Top(), false
-	case *ast.CallExpr:
-		switch builtinName(ev.Info, e) {
-		case "make":
-			if _, isMap := typeUnder(ev.Info, e).(*types.Map); isMap {
-				return Top(), false // maps have no capacity fact
-			}
-			if len(e.Args) >= 3 {
-				return ev.Expr(e.Args[2], env), true
-			}
-			if len(e.Args) == 2 {
-				return ev.Expr(e.Args[1], env), true
-			}
-			if len(e.Args) == 1 { // make(chan T): unbuffered
-				return Exact(0), true
-			}
-		case "append":
-			if len(e.Args) == 0 {
-				return Top(), false
-			}
-			// In place or reallocated, append never returns a smaller
-			// capacity than its base.
-			if base, ok := ev.capOf(e.Args[0], env); ok && base.Known {
-				return Range(base.Lo, inf), true
-			}
-		}
-	}
-	return Top(), false
-}
-
-func typeUnder(info *types.Info, e ast.Expr) types.Type {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	return tv.Type.Underlying()
 }
 
 // sideEffects clobbers facts a node's calls or escapes could change: any
@@ -799,7 +670,7 @@ func (ev *IntervalEval) constrain(e ast.Expr, op token.Token, bound Interval, en
 	if !cur.Known {
 		cur = Range(math.Inf(-1), inf)
 		if _, isLen := e.(*ast.CallExpr); isLen {
-			cur = Range(0, inf) // len/cap are never negative
+			cur = Range(0, inf) // len is never negative
 		}
 	}
 	nv := applyCmp(cur, op, bound, ev.isInt(e))
@@ -814,7 +685,7 @@ func (ev *IntervalEval) constrain(e ast.Expr, op token.Token, bound Interval, en
 }
 
 // factSlot maps a guardable expression to its storage: a variable, or a
-// rendered path for selectors and len()/cap() calls.
+// rendered path for selectors and len() calls.
 func (ev *IntervalEval) factSlot(e ast.Expr) (v *types.Var, path string, ok bool) {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -1102,19 +973,16 @@ func isOpaqueCall(info *types.Info, call *ast.CallExpr) bool {
 	return true
 }
 
-// lenKey renders a len/cap call over a path-able argument as a fact key.
-// len and cap are distinct slots: a make(.., n, c) seeds both, and a guard
-// on one must not be read back as the other.
+// lenKey renders a len call over a path-able argument as a fact key.
 func lenKey(info *types.Info, call *ast.CallExpr) (string, bool) {
-	name := builtinName(info, call)
-	if (name != "len" && name != "cap") || len(call.Args) != 1 {
+	if builtinName(info, call) != "len" || len(call.Args) != 1 {
 		return "", false
 	}
 	path, _, ok := PathOf(info, call.Args[0])
 	if !ok {
 		return "", false
 	}
-	return name + "(" + path + ")", true
+	return "len(" + path + ")", true
 }
 
 // staticLen resolves len of fixed-size arrays from the type alone.
@@ -1160,17 +1028,17 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// bareKey strips a len(...) or cap(...) wrapper off a fact key, leaving the
-// underlying path.
+// bareKey strips a len(...) wrapper off a fact key, leaving the underlying
+// path.
 func bareKey(k string) string {
-	if strings.HasPrefix(k, "len(") || strings.HasPrefix(k, "cap(") {
+	if strings.HasPrefix(k, "len(") {
 		return strings.TrimSuffix(k[4:], ")")
 	}
 	return k
 }
 
-// rootName extracts the root identifier of a fact key: "m.dev.TRFCNs",
-// "len(m.dev.Rows)", and "cap(m.dev.Rows)" all root at "m".
+// rootName extracts the root identifier of a fact key: "m.dev.TRFCNs" and
+// "len(m.dev.Rows)" both root at "m".
 func rootName(path string) string {
 	path = bareKey(path)
 	if i := strings.IndexByte(path, '.'); i >= 0 {
@@ -1190,7 +1058,7 @@ func invalidateRoot(env *Env[Interval], name string) {
 }
 
 // invalidatePrefix drops path and everything nested under it, plus its
-// len/cap facts.
+// len facts.
 func invalidatePrefix(env *Env[Interval], path string) {
 	for k := range env.Paths {
 		bare := bareKey(k)
@@ -1200,7 +1068,7 @@ func invalidatePrefix(env *Env[Interval], path string) {
 	}
 }
 
-// invalidateDotted drops every field-path fact but keeps len()/cap() facts of
+// invalidateDotted drops every field-path fact but keeps len() facts of
 // plain locals: a callee cannot change the length a caller-held slice header
 // sees.
 func invalidateDotted(env *Env[Interval]) {

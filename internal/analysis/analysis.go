@@ -10,10 +10,10 @@
 // unit-consistent (MHz vs Hz, joules vs watts — the same failure class the
 // SysScale and gem5 DRAM power-down models guard against with validated
 // cross-domain calibration). This package turns those review-folklore
-// invariants into machine-checked gates. It has eight checks: determinism,
-// units, ctx, goleak, errflow, rangecheck, hotpath and contract. Each one
-// catches a defect that go vet, the race detector and the tests let
-// through; DESIGN.md §7 has the catalogue and that audit.
+// invariants into machine-checked gates. It has six checks: determinism,
+// units, ctx, goleak, errflow and contract. Each one catches a defect that
+// go vet, the race detector and the tests let through; DESIGN.md §7 has
+// the catalogue and that audit.
 //
 // A check is an Analyzer: a named pass over one type-checked package.
 // The driver in run.go loads packages (load.go), applies the per-check
@@ -99,30 +99,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ModulePass is one analyzer's module-wide execution: after every
-// per-package pass, analyzers that need cross-package state in one place
-// (hotpath walks the static call graph from each root across packages)
-// run once over all in-scope packages.
-type ModulePass struct {
-	// Prog indexes the whole loaded module.
-	Prog *flow.Program
-	// Pkgs are the packages in scope for this analyzer, in load order.
-	Pkgs   []*Package
-	report func(Diagnostic)
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Prog.Fset.Position(pos)
-	p.report(Diagnostic{
-		Pos:     position,
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
 // Analyzer is one named check.
 type Analyzer struct {
 	// Name is the identifier used by -disable and //lint:allow.
@@ -140,12 +116,8 @@ type Analyzer struct {
 	// whatever it stores must be read-only afterwards, because Run executes
 	// concurrently across packages.
 	Prepare func(prog *flow.Program)
-	// Run executes the check against one package. Optional for analyzers
-	// that only need the module-wide pass.
+	// Run executes the check against one package.
 	Run func(pass *Pass)
-	// RunModule, if set, executes once over every in-scope package after the
-	// per-package passes. It runs serially.
-	RunModule func(pass *ModulePass)
 }
 
 // Suite returns every analyzer in the canonical order. The order is part of
@@ -158,8 +130,6 @@ func Suite() []*Analyzer {
 		CtxAnalyzer(),
 		GoLeakAnalyzer(),
 		ErrFlowAnalyzer(),
-		RangeCheckAnalyzer(),
-		HotPathAnalyzer(),
 		ContractAnalyzer(),
 	}
 }

@@ -18,10 +18,11 @@ package analysis
 //	cmp  := operand ("<" | "<=" | ">" | ">=" | "==" | "!=") operand
 //	operand := number | ident { "." ident }
 //
-// Verification reuses rangecheck's whole substrate — the OPP envelope, the
-// unit seeds, and the two-round function summaries — and feeds back into it:
-// an `ensures ret >= 0` tightens the callee's summary, which sharpens every
-// caller's intervals for rangecheck and for other contracts.
+// Verification runs the interval interpreter (internal/analysis/absint) with
+// physics seeds — the OPP envelope, the unit seeds, and two-round function
+// summaries — and feeds back into them: an `ensures ret >= 0` tightens the
+// callee's summary, which sharpens every caller's intervals for other
+// contracts.
 //
 // Obligations follow two different standards on purpose. An `ensures` is an
 // opt-in claim by the annotated function, so it is strict: a return path
@@ -29,14 +30,14 @@ package analysis
 // top. A `requires` obligation at a call site runs on the domain's evidence
 // semantics: only an argument the analysis KNOWS something about can fail —
 // a top argument is silent, because flagging every unannotated caller would
-// bury the provable violations (the same reasoning behind rangecheck's
-// silent-top divisors). Malformed annotations — unknown verbs, unparsable
+// bury the provable violations. Malformed annotations — unknown verbs, unparsable
 // expressions, contract verbs in the wrong place — are diagnostics, never
 // silently ignored.
 
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"math"
@@ -304,8 +305,6 @@ func collectContracts(prog *flow.Program) *contractIndex {
 			}
 			// Anything //vet:-shaped not consumed above: unknown verbs
 			// anywhere, contract verbs outside the doc position they bind to.
-			// hotpath is a line-positioned mark owned by its own check and
-			// legal anywhere.
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					verb, _, ok := vetVerb(c.Text)
@@ -313,13 +312,12 @@ func collectContracts(prog *flow.Program) *contractIndex {
 						continue
 					}
 					switch verb {
-					case "hotpath":
 					case "requires", "ensures":
 						ix.issue(pkg, c.Pos(), "//vet:%s must be in a function's doc comment", verb)
 					case "invariant":
 						ix.issue(pkg, c.Pos(), "//vet:invariant must be in a struct type's doc comment")
 					default:
-						ix.issue(pkg, c.Pos(), "unknown //vet: verb %q (known: ensures, hotpath, invariant, requires)", verb)
+						ix.issue(pkg, c.Pos(), "unknown //vet: verb %q (known: ensures, invariant, requires)", verb)
 					}
 				}
 			}
@@ -692,7 +690,7 @@ func isIntFieldPath(t types.Type, fields []string) bool {
 	return isIntType(t)
 }
 
-// invariantFieldSeed is rangecheck's PathSeed extension: a selector whose
+// invariantFieldSeed is the evaluator's PathSeed extension: a selector whose
 // base type carries a //vet:invariant inherits the conjuncts over that
 // field, intersected with any unit seed.
 func (ix *contractIndex) invariantFieldSeed(info *types.Info, sel *ast.SelectorExpr, unit absint.Interval, unitOK bool) (absint.Interval, bool) {
@@ -763,34 +761,373 @@ func violates(l, r absint.Interval, op token.Token) bool {
 	return proves(l, r, negCmpTok(op))
 }
 
-// contractState is the analyzer: it owns a private rangeState so Prepare
-// reuses the OPP envelope, the unit seeds, and the (ensures-refined)
-// function summaries without coupling the two analyzers' lifecycles.
+// contractApplies scopes the check to the model and engine packages; the
+// analysis tooling itself (and its fixtures) stays out.
+func contractApplies(path string) bool {
+	return strings.HasPrefix(path, "mcdvfs/internal/") &&
+		!strings.HasPrefix(path, "mcdvfs/internal/analysis")
+}
+
+// contractState carries Prepare-computed facts into the concurrent passes.
+// Written once in prepare, read-only afterwards.
 type contractState struct {
-	rs *rangeState
+	// opp is the operating-point envelope in MHz, joined over every
+	// freq.Ladder call with constant bounds in the module.
+	opp   absint.Interval
+	oppOK bool
+	// summaries maps module functions with one numeric result to the joined
+	// interval of their return expressions, refined by their ensures.
+	summaries map[*types.Func]absint.Interval
+	// contracts indexes //vet:requires / ensures / invariant annotations.
+	// Requires seed summary entry environments, ensures tighten the computed
+	// summaries, and invariants seed field reads.
+	contracts *contractIndex
 }
 
 // ContractAnalyzer builds the contract analyzer.
 func ContractAnalyzer() *Analyzer {
-	st := &contractState{rs: &rangeState{}}
+	st := &contractState{}
 	return &Analyzer{
 		Name:    "contract",
 		Doc:     "//vet:requires / //vet:ensures / //vet:invariant contracts proven by interval analysis: ensures on every return path, requires at every static call site, invariants across mutating methods",
-		Applies: rangeApplies,
+		Applies: contractApplies,
 		Prepare: st.prepare,
 		Run:     st.run,
 	}
 }
 
+// ---- interval seeds and function summaries ----
+//
+// The evaluator consults physics seeds only for values nothing was learned
+// about:
+//
+//   - a literal or constant is its own interval;
+//   - len(x) is at least zero, exactly n after make([]T, n) or a composite
+//     literal, and grows by k across append(x, e1..ek);
+//   - a value whose type or name says MHz inherits the module's operating-
+//     point envelope, discovered in Prepare by folding the constant
+//     arguments of every freq.Ladder call — the same range the simulator
+//     can actually be configured to run at (GHz and Hz scale it);
+//   - other physical units (durations, energies, powers, voltages, rates)
+//     seed [0, +inf);
+//   - function results propagate through per-function summaries computed in
+//     Prepare over two deterministic rounds (like the units check), with
+//     the callee's name suffix as fallback (dev.RowHitNS() is [0, +inf) by
+//     name from any package).
+
+// summaryRounds is how many times prepare re-derives function summaries;
+// round n+1 reads round n's results, so two rounds resolve one level of
+// call chaining beyond the seeds (matching the units check's depth).
+const summaryRounds = 2
+
 func (st *contractState) prepare(prog *flow.Program) {
-	st.rs.prepare(prog)
+	st.discoverOPP(prog)
+	st.contracts = collectContracts(prog)
+
+	st.summaries = map[*types.Func]absint.Interval{}
+	for round := 0; round < summaryRounds; round++ {
+		prev := st.summaries
+		next := make(map[*types.Func]absint.Interval, len(prev))
+		for _, fn := range prog.Funcs() {
+			if iv, ok := st.resultInterval(fn, prev); ok {
+				next[fn.Obj] = iv
+			}
+		}
+		st.summaries = next
+	}
+	st.refineWithEnsures(prog)
+}
+
+// refineWithEnsures intersects each function summary with its `ret op const`
+// ensures conjuncts (and creates summaries from ensures alone for functions
+// the interval walk could not summarize). The annotation is a proof
+// obligation discharged by the contract check, so treating it as a fact here
+// is sound modulo a finding the same run would surface.
+func (st *contractState) refineWithEnsures(prog *flow.Program) {
+	for _, fn := range prog.Funcs() {
+		fc := st.contracts.funcs[fn.Obj]
+		if fc == nil || len(fc.ensures) == 0 {
+			continue
+		}
+		sc := newFuncScope(fn.Obj, fn.Decl)
+		if sc.retIdx < 0 || sc.retVar == nil {
+			continue
+		}
+		basic, isBasic := sc.retVar.Type().Underlying().(*types.Basic)
+		if !isBasic || basic.Info()&types.IsNumeric == 0 {
+			continue
+		}
+		cur, have := st.summaries[fn.Obj]
+		if !have {
+			cur = absint.Range(math.Inf(-1), math.Inf(1))
+		}
+		refined := false
+		for _, cj := range fc.ensConjs() {
+			if !cj.rhs.isConst || len(cj.lhs.path) != 1 {
+				continue
+			}
+			if name := cj.lhs.path[0]; name != "ret" && name != sc.retVar.Name() {
+				continue
+			}
+			nv := absint.ApplyCmp(cur, cj.op, absint.Exact(cj.rhs.val), isIntType(sc.retVar.Type()))
+			if nv.Known {
+				cur, refined = nv, true
+			}
+		}
+		if refined {
+			st.summaries[fn.Obj] = cur
+		}
+	}
+}
+
+// discoverOPP folds the constant bounds of every freq.Ladder(lo, hi, step)
+// call in the module into one MHz envelope.
+func (st *contractState) discoverOPP(prog *flow.Program) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	found := false
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 3 {
+					return true
+				}
+				obj := flow.CalleeObj(pkg.Info, call)
+				if obj == nil || obj.Name() != "Ladder" || obj.Pkg() == nil ||
+					obj.Pkg().Path() != "mcdvfs/internal/freq" {
+					return true
+				}
+				clo, okLo := constArg(pkg.Info, call.Args[0])
+				chi, okHi := constArg(pkg.Info, call.Args[1])
+				if okLo && okHi && clo <= chi {
+					lo, hi = math.Min(lo, clo), math.Max(hi, chi)
+					found = true
+				}
+				return true
+			})
+		}
+	}
+	if found && lo > 0 {
+		st.opp, st.oppOK = absint.Range(lo, hi), true
+	}
+}
+
+func constArg(info *types.Info, e ast.Expr) (float64, bool) {
+	tv, ok := info.Types[e]
+	if !ok || tv.Value == nil {
+		return 0, false
+	}
+	switch tv.Value.Kind() {
+	case constant.Int, constant.Float:
+		f, _ := constant.Float64Val(constant.ToFloat(tv.Value))
+		return f, true
+	}
+	return 0, false
+}
+
+// resultInterval joins the intervals of fn's return expressions, for
+// functions whose only non-error result is numeric.
+func (st *contractState) resultInterval(fn *flow.Func, prev map[*types.Func]absint.Interval) (absint.Interval, bool) {
+	sig, ok := fn.Obj.Type().(*types.Signature)
+	if !ok {
+		return absint.Top(), false
+	}
+	resIdx, resVar := -1, (*types.Var)(nil)
+	for i := 0; i < sig.Results().Len(); i++ {
+		r := sig.Results().At(i)
+		if r.Type().String() == "error" {
+			continue
+		}
+		basic, isBasic := r.Type().Underlying().(*types.Basic)
+		if !isBasic || basic.Info()&types.IsNumeric == 0 {
+			return absint.Top(), false
+		}
+		if resIdx >= 0 {
+			return absint.Top(), false // two numeric results: untracked
+		}
+		resIdx, resVar = i, r
+	}
+	if resIdx < 0 {
+		return absint.Top(), false
+	}
+
+	info := fn.Pkg.Info
+	ev := st.newEval(info, prev)
+	cfg := fn.CFG()
+	// The entry environment carries the function's own requires and its
+	// receiver's invariants: a summary is the callee's view, and the callee
+	// may assume its contract (call sites discharge it).
+	envs := ev.Interp().Analyze(cfg, st.contracts.entryEnv(fn.Obj, fn.Decl, ev))
+	joined := absint.Interval{}
+	first := true
+	lat := absint.IntervalLattice{}
+	for _, blk := range cfg.Blocks {
+		entry := envs[blk]
+		if entry == nil {
+			continue
+		}
+		ev.Interp().Walk(blk, entry, func(n ast.Node, env *absint.Env[absint.Interval]) {
+			ret, ok := n.(*ast.ReturnStmt)
+			if !ok {
+				return
+			}
+			var iv absint.Interval
+			switch {
+			case resIdx < len(ret.Results):
+				iv = ev.Expr(ret.Results[resIdx], env)
+			case len(ret.Results) == 0 && resVar.Name() != "":
+				// Bare return with named results: read the named result var.
+				if v, okv := env.Var(resVar); okv {
+					iv = v
+				}
+			}
+			if first {
+				joined, first = iv, false
+			} else {
+				joined = lat.Join(joined, iv)
+			}
+		})
+	}
+	if first || !joined.Known {
+		return absint.Top(), false
+	}
+	return joined, true
+}
+
+// newEval wires an interval evaluator with the physics seeds and the given
+// summary snapshot.
+func (st *contractState) newEval(info *types.Info, summaries map[*types.Func]absint.Interval) *absint.IntervalEval {
+	var ev *absint.IntervalEval
+	ev = &absint.IntervalEval{
+		Info: info,
+		VarSeed: func(v *types.Var) (absint.Interval, bool) {
+			unit := typeUnit(v.Type())
+			if unit == "" {
+				unit = suffixUnit(v.Name())
+			}
+			if iv, ok := st.unitSeed(unit); ok {
+				return iv, true
+			}
+			if isUnsignedType(v.Type()) {
+				return absint.Range(0, math.Inf(1)), true
+			}
+			return absint.Top(), false
+		},
+		PathSeed: func(sel *ast.SelectorExpr) (absint.Interval, bool) {
+			unit := ""
+			if tv, ok := info.Types[sel]; ok && tv.Type != nil {
+				unit = typeUnit(tv.Type)
+			}
+			if unit == "" {
+				unit = suffixUnit(sel.Sel.Name)
+			}
+			iv, ok := st.unitSeed(unit)
+			if !ok {
+				if tv, okt := info.Types[sel]; okt && tv.Type != nil && isUnsignedType(tv.Type) {
+					iv, ok = absint.Range(0, math.Inf(1)), true
+				}
+			}
+			// A //vet:invariant on the base type narrows the field further.
+			return st.contracts.invariantFieldSeed(info, sel, iv, ok)
+		},
+		CallEnv: func(call *ast.CallExpr, env *absint.Env[absint.Interval]) (absint.Interval, bool) {
+			// Monotone math functions map argument bounds to result bounds —
+			// the fact that lets int(math.Round(x)) keep x's sign.
+			obj := flow.CalleeObj(info, call)
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "math" || len(call.Args) != 1 {
+				return absint.Top(), false
+			}
+			var f func(float64) float64
+			switch obj.Name() {
+			case "Round":
+				f = math.Round
+			case "Floor":
+				f = math.Floor
+			case "Ceil":
+				f = math.Ceil
+			case "Trunc":
+				f = math.Trunc
+			default:
+				return absint.Top(), false
+			}
+			x := ev.Expr(call.Args[0], env)
+			if !x.Known {
+				return absint.Top(), false
+			}
+			return absint.Range(f(x.Lo), f(x.Hi)), true
+		},
+		Call: func(call *ast.CallExpr) (absint.Interval, bool) {
+			obj := flow.CalleeObj(info, call)
+			if obj == nil {
+				return absint.Top(), false
+			}
+			if iv, ok := summaries[obj]; ok {
+				return iv, true
+			}
+			if iv, ok := mathSeed(obj); ok {
+				return iv, true
+			}
+			// Fallback: the callee's name suffix is a unit claim good enough
+			// to seed a range (RowHitNS() is nanoseconds from any package).
+			return st.unitSeed(suffixUnit(obj.Name()))
+		},
+	}
+	return ev
+}
+
+// freqScale maps frequency units to their factor relative to MHz; values
+// carrying one inherit the operating-point envelope.
+var freqScale = map[string]float64{
+	"MHz": 1, "GHz": 1e-3, "Hz": 1e6, "kHz": 1e3,
+}
+
+// unitSeed turns a unit string into a physics seed.
+func (st *contractState) unitSeed(unit string) (absint.Interval, bool) {
+	if unit == "" {
+		return absint.Top(), false
+	}
+	if scale, ok := freqScale[unit]; ok {
+		if st.oppOK {
+			return absint.Range(st.opp.Lo*scale, st.opp.Hi*scale), true
+		}
+		return absint.Range(0, math.Inf(1)), true
+	}
+	switch unit {
+	case "ns", "us", "ms", "s",
+		"J", "mJ", "uJ", "nJ", "pJ", "kJ", "MJ",
+		"W", "mW", "uW", "kW",
+		"V", "mV", "uV",
+		"1/ns", "1/s", "1/cycle",
+		"B", "KiB", "MiB", "GiB":
+		return absint.Range(0, math.Inf(1)), true
+	}
+	return absint.Top(), false
+}
+
+// mathSeed covers the handful of stdlib results with guaranteed signs.
+func mathSeed(obj *types.Func) (absint.Interval, bool) {
+	if obj.Pkg() == nil || obj.Pkg().Path() != "math" {
+		return absint.Top(), false
+	}
+	switch obj.Name() {
+	case "Abs", "Sqrt":
+		return absint.Range(0, math.Inf(1)), true
+	case "Exp", "Exp2":
+		return absint.Interval{Lo: 0, Hi: math.Inf(1), NonZero: true, Known: true}, true
+	}
+	return absint.Top(), false
+}
+
+// trimFloatStr renders a float bound compactly for messages.
+func trimFloatStr(v float64) string {
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func (st *contractState) run(pass *Pass) {
 	if !pass.IncludeSrc {
 		return
 	}
-	ix := st.rs.contracts
+	ix := st.contracts
 	if ix == nil {
 		return
 	}
@@ -800,7 +1137,7 @@ func (st *contractState) run(pass *Pass) {
 		}
 	}
 	info := pass.Pkg.Info
-	ev := st.rs.newEval(info, st.rs.summaries)
+	ev := st.newEval(info, st.summaries)
 	for _, f := range pass.Pkg.Syntax {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -820,7 +1157,7 @@ func (st *contractState) checkFunc(pass *Pass, ev *absint.IntervalEval, fd *ast.
 	if obj == nil {
 		return
 	}
-	ix := st.rs.contracts
+	ix := st.contracts
 	fc := ix.funcs[obj]
 	sc := newFuncScope(obj, fd)
 
@@ -1002,7 +1339,7 @@ func (st *contractState) checkCallRequires(pass *Pass, it *absint.Interp[absint.
 	if n == nil {
 		return
 	}
-	ix := st.rs.contracts
+	ix := st.contracts
 	absint.CondWalk(it, n, env, func(m ast.Node, env *absint.Env[absint.Interval]) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok || call.Ellipsis.IsValid() {

@@ -1,14 +1,12 @@
 package analysis
 
-// ctx: PR 1 established the CollectContext pattern — any exported entry
-// point that fans work out over goroutines, or that sweeps the frequency
-// grid (the expensive operation in this system: a fine sweep is 496
-// settings × every sample of a benchmark), must accept a context.Context
-// so callers can bound it. An exported function that spawns goroutines or
-// loops over []freq.Setting without taking a context is an API that cannot
-// be cancelled, and every future caller inherits that defect.
+// ctx: the CollectContext pattern — any exported entry point that fans work
+// out over goroutines must accept a context.Context so callers can bound
+// it. An exported function that spawns goroutines without taking a context
+// is an API that cannot be cancelled, and every future caller inherits that
+// defect.
 //
-// PR 3 (mcdvfsd) adds the serving-side corollary: a function handling a
+// The serving-side corollary (mcdvfsd): a function handling a
 // *net/http.Request must derive its work from r.Context(), never mint a
 // fresh root with context.Background() or context.TODO(). A handler that
 // roots its collection in Background keeps burning a pool slot after the
@@ -24,7 +22,7 @@ import (
 func CtxAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "ctx",
-		Doc:  "exported functions that spawn goroutines or sweep grid settings must accept context.Context",
+		Doc:  "exported functions that spawn goroutines must accept context.Context; *http.Request handlers must thread r.Context()",
 		Applies: func(path string) bool {
 			return pathHasPrefix(path, "mcdvfs/internal")
 		},
@@ -49,12 +47,8 @@ func runCtx(pass *Pass) {
 			if !fd.Name.IsExported() || hasCtxParam(pass, fd) {
 				continue
 			}
-			spawns, sweeps := bodyBehaviour(pass, fd.Body)
-			switch {
-			case spawns:
+			if spawnsGoroutines(fd.Body) {
 				pass.Reportf(fd.Name.Pos(), "exported %s spawns goroutines but takes no context.Context; callers cannot cancel it (see trace.CollectContext)", fd.Name.Name)
-			case sweeps:
-				pass.Reportf(fd.Name.Pos(), "exported %s sweeps grid settings but takes no context.Context; a fine-space sweep is the system's longest operation (see trace.CollectContext)", fd.Name.Name)
 			}
 		}
 		// HTTP handlers are often function literals (mux closures); hold
@@ -141,28 +135,18 @@ func hasCtxParam(pass *Pass, fd *ast.FuncDecl) bool {
 	return false
 }
 
-// bodyBehaviour scans a function body for goroutine launches and for range
-// loops over []freq.Setting (the grid axis). Nested function literals
-// count: spawning from a closure is still spawning.
-func bodyBehaviour(pass *Pass, body *ast.BlockStmt) (spawns, sweeps bool) {
+// spawnsGoroutines reports whether a function body launches a goroutine.
+// Nested function literals count: spawning from a closure is still
+// spawning.
+func spawnsGoroutines(body *ast.BlockStmt) bool {
+	spawns := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
+		if _, ok := n.(*ast.GoStmt); ok {
 			spawns = true
-		case *ast.RangeStmt:
-			tv, ok := pass.Pkg.Info.Types[n.X]
-			if !ok || tv.Type == nil {
-				return true
-			}
-			if sl, ok := tv.Type.Underlying().(*types.Slice); ok {
-				if isNamedType(sl.Elem(), "mcdvfs/internal/freq", "Setting") {
-					sweeps = true
-				}
-			}
 		}
-		return true
+		return !spawns
 	})
-	return spawns, sweeps
+	return spawns
 }
 
 // isNamedType reports whether t is the named type pkgPath.name.

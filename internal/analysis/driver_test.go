@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 
 // fixtures lists every fixture package and the check it exercises.
 var fixtures = []string{"determfix", "unitfix", "ctxfix", "lintfix",
-	"goleakfix", "errflowfix", "rangefix", "hotpathfix", "contractfix"}
+	"goleakfix", "errflowfix", "contractfix"}
 
 // runFixture executes the whole suite, scope-free, over one fixture.
 func runFixture(t *testing.T, name string, disable map[string]bool) string {
@@ -88,8 +88,8 @@ func TestFixturesHaveHitsAndSuppressions(t *testing.T) {
 }
 
 func TestDisableSkipsCheck(t *testing.T) {
-	got := runFixture(t, "rangefix", map[string]bool{"rangecheck": true})
-	if strings.Contains(got, "[rangecheck]") {
+	got := runFixture(t, "contractfix", map[string]bool{"contract": true})
+	if strings.Contains(got, "[contract]") {
 		t.Errorf("disabled check still reported:\n%s", got)
 	}
 }
@@ -135,7 +135,7 @@ func BenchmarkVet(b *testing.B) {
 }
 
 // BenchmarkAbsint isolates the abstract-interpretation tier: only the
-// check that runs the interval fixpoint (rangecheck) and the
+// check that runs the interval fixpoint (contract) and the
 // purity-summary determinism check stay enabled, so the number
 // tracks the cost of the absint engine itself — Prepare's interprocedural
 // summary rounds plus the per-function analyses — over the whole module.
@@ -143,7 +143,7 @@ func BenchmarkAbsint(b *testing.B) {
 	disable := map[string]bool{}
 	for _, a := range analysis.Suite() {
 		switch a.Name {
-		case "rangecheck", "determinism":
+		case "contract", "determinism":
 		default:
 			disable[a.Name] = true
 		}
@@ -193,7 +193,6 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 	runJSON := func(workers int) []byte {
 		diags, err := analysis.Run(analysis.Options{
 			Patterns: []string{
-				"./testdata/src/rangefix",
 				"./testdata/src/determfix", "./testdata/src/goleakfix",
 				"./testdata/src/contractfix",
 			},
@@ -211,7 +210,7 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 		return b
 	}
 	serial := runJSON(1)
-	if !strings.Contains(string(serial), "rangecheck") {
+	if !strings.Contains(string(serial), `"check":"contract"`) {
 		t.Fatalf("serial run missing expected findings:\n%s", serial)
 	}
 	for _, w := range []int{2, 8} {

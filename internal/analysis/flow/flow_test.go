@@ -304,7 +304,7 @@ func TestEveryPathHits(t *testing.T) {
 		})
 		return hit
 	}
-	if !EveryPathHits(New(spawn), goStmt, recv, nil) {
+	if !EveryPathHits(New(spawn), goStmt, recv) {
 		t.Errorf("Spawn: the <-done receive should satisfy every path from the go statement")
 	}
 
@@ -339,7 +339,7 @@ func TestEveryPathHits(t *testing.T) {
 		})
 		return hit
 	}
-	if EveryPathHits(New(re), second.Node, used, nil) {
+	if EveryPathHits(New(re), second.Node, used) {
 		t.Errorf("Reassigned: second err def must have an unused path to exit")
 	}
 }

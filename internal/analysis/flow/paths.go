@@ -1,20 +1,17 @@
 package flow
 
-// Every-path reachability: the query shape shared by the goleak and errflow
-// checks. Starting from a node (a goroutine spawn, an error definition), an
-// execution path is "satisfied" once it reaches a node for which ok reports
-// true; it "fails" if it reaches the function exit — or a node for which bad
-// reports true — while still unsatisfied. The checks ask for the universally
+// Every-path reachability: the query shape of the goleak check. Starting
+// from a node (a goroutine spawn), an execution path is "satisfied" once it
+// reaches a node for which ok reports true; it "fails" if it reaches the
+// function exit while still unsatisfied. The check asks for the universally
 // quantified version: does EVERY path satisfy before failing?
 
 import "go/ast"
 
 // EveryPathHits reports whether every control-flow path starting immediately
-// after `from` reaches a node satisfying ok before reaching the exit block or
-// a node satisfying bad. A node satisfying both counts as ok (evaluation
-// inside one statement happens before its own redefinition takes effect).
-// bad may be nil. If from is not found in the graph, the result is false.
-func EveryPathHits(c *CFG, from ast.Node, ok func(ast.Node) bool, bad func(ast.Node) bool) bool {
+// after `from` reaches a node satisfying ok before reaching the exit block.
+// If from is not found in the graph, the result is false.
+func EveryPathHits(c *CFG, from ast.Node, ok func(ast.Node) bool) bool {
 	startBlk, startIdx := c.find(from)
 	if startBlk == nil {
 		return false
@@ -28,9 +25,6 @@ func EveryPathHits(c *CFG, from ast.Node, ok func(ast.Node) bool, bad func(ast.N
 			n := blk.Nodes[i]
 			if ok(n) {
 				return true
-			}
-			if bad != nil && bad(n) {
-				return false
 			}
 		}
 		if blk == c.Exit {

@@ -271,7 +271,7 @@ func (g *goleakChecker) counterJoined(fn ast.Node, cfg *flow.CFG, goStmt *ast.Go
 	}
 	want := render(wg) + ".Wait"
 	ok := func(n ast.Node) bool { return nodeHasCallRendered(n, want) }
-	if flow.EveryPathHits(cfg, goStmt, ok, nil) {
+	if flow.EveryPathHits(cfg, goStmt, ok) {
 		return true
 	}
 	// Field fallback: the pool pattern joins in another method. Accept a
@@ -305,7 +305,7 @@ func (g *goleakChecker) counterJoined(fn ast.Node, cfg *flow.CFG, goStmt *ast.Go
 func (g *goleakChecker) chanJoined(fn ast.Node, cfg *flow.CFG, goStmt *ast.GoStmt, ch ast.Expr, loopSend bool) bool {
 	want := render(ch)
 	recv := func(n ast.Node) bool { return nodeReceivesFrom(n, want) }
-	if flow.EveryPathHits(cfg, goStmt, recv, nil) {
+	if flow.EveryPathHits(cfg, goStmt, recv) {
 		return true
 	}
 	if !loopSend && g.locallyBuffered(fn, ch) {

@@ -1,7 +1,7 @@
 package analysis
 
-// The driver: expand → load (parallel) → prepare → run (parallel) → module
-// passes → suppress → sort. cmd/mcdvfsvet is a thin flag-parsing shell over
+// The driver: expand → load (parallel) → prepare → run (parallel) →
+// suppress → sort. cmd/mcdvfsvet is a thin flag-parsing shell over
 // Run; tests call Run directly with ScopeAll to point every check at fixture
 // packages.
 //
@@ -187,7 +187,7 @@ func execute(opts Options) (*result, error) {
 		pkg := pkgs[i]
 		raw[i] = make([][]Diagnostic, len(suite))
 		for ai, a := range suite {
-			if a.Run == nil || opts.Disable[a.Name] {
+			if opts.Disable[a.Name] {
 				continue
 			}
 			src := opts.ScopeAll || a.Applies(pkg.Path)
@@ -215,31 +215,6 @@ func execute(opts Options) (*result, error) {
 		}
 	})
 
-	// Module passes run serially after every per-package pass: they see the
-	// fully built Program and all in-scope packages at once.
-	moduleRaw := make([][]Diagnostic, len(suite))
-	for ai, a := range suite {
-		if a.RunModule == nil || opts.Disable[a.Name] {
-			continue
-		}
-		var scoped []*Package
-		for _, pkg := range pkgs {
-			if opts.ScopeAll || a.Applies(pkg.Path) {
-				scoped = append(scoped, pkg)
-				markCovered(a.Name, pkg.Syntax, pkg.Fset)
-			}
-		}
-		if len(scoped) == 0 {
-			continue
-		}
-		mp := &ModulePass{Prog: prog, Pkgs: scoped}
-		mp.report = func(d Diagnostic) {
-			d.Check = a.Name
-			moduleRaw[ai] = append(moduleRaw[ai], d)
-		}
-		a.RunModule(mp)
-	}
-
 	// Serial filtering: waived diagnostics drop out and mark their keys
 	// used; everything else survives.
 	used := map[allowKey]bool{}
@@ -248,9 +223,6 @@ func execute(opts Options) (*result, error) {
 		for _, ds := range raw[i] {
 			diags = append(diags, sup.filter(ds, used)...)
 		}
-	}
-	for _, ds := range moduleRaw {
-		diags = append(diags, sup.filter(ds, used)...)
 	}
 
 	// Staleness: a waiver whose check ran over its file but absorbed nothing

@@ -126,11 +126,12 @@ const V = 1
 }
 
 func TestStaleWaiverForNewlyAddedCheck(t *testing.T) {
-	// A waiver can predate the check it names: hotpath entered the suite
-	// after //lint:allow grew its vocabulary from the suite's check list, so
-	// a speculative (or left-behind) hotpath waiver becomes evaluable the
-	// moment the new check first covers its file — and must go stale then,
-	// not be grandfathered.
+	// A waiver can predate the check it names: //lint:allow takes its
+	// vocabulary from the suite's check list, so a speculative (or
+	// left-behind) waiver naming a check that just entered the suite —
+	// errflow stands in for it here — becomes evaluable the moment the
+	// check first covers its file, and must go stale then, not be
+	// grandfathered.
 	opts := Options{Patterns: []string{"./testdata/src/stalenewcheck"}, ScopeAll: true}
 	diags, err := Run(opts)
 	if err != nil {
@@ -138,21 +139,21 @@ func TestStaleWaiverForNewlyAddedCheck(t *testing.T) {
 	}
 	stale := false
 	for _, d := range diags {
-		if d.Check == LintCheckName && strings.Contains(d.Message, "stale lint:allow hotpath") {
+		if d.Check == LintCheckName && strings.Contains(d.Message, "stale lint:allow errflow") {
 			stale = true
 		}
 	}
 	if !stale {
-		t.Errorf("hotpath waiver with nothing to absorb not reported stale; diagnostics: %v", diags)
+		t.Errorf("errflow waiver with nothing to absorb not reported stale; diagnostics: %v", diags)
 	}
 
 	// Disabling the newly added check removes the evidence, not the waiver:
 	// staleness must not be claimed for a check that did not run.
 	disabled := opts
-	disabled.Disable = map[string]bool{"hotpath": true}
+	disabled.Disable = map[string]bool{"errflow": true}
 	diags, err = Run(disabled)
 	if err != nil {
-		t.Fatalf("Run(disable hotpath): %v", err)
+		t.Fatalf("Run(disable errflow): %v", err)
 	}
 	for _, d := range diags {
 		if d.Check == LintCheckName && strings.Contains(d.Message, "stale") {
@@ -167,11 +168,11 @@ func TestStaleWaiverForNewlyAddedCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListWaivers: %v", err)
 	}
-	if len(ws) != 1 || ws[0].Check != "hotpath" || !ws[0].Stale {
-		t.Errorf("inventory = %+v; want the single hotpath waiver marked stale", ws)
+	if len(ws) != 1 || ws[0].Check != "errflow" || !ws[0].Stale {
+		t.Errorf("inventory = %+v; want the single errflow waiver marked stale", ws)
 	}
 	if ws, err = ListWaivers(disabled); err != nil {
-		t.Fatalf("ListWaivers(disable hotpath): %v", err)
+		t.Fatalf("ListWaivers(disable errflow): %v", err)
 	}
 	if len(ws) != 1 || !ws[0].Stale {
 		t.Errorf("inventory under -disable = %+v; want staleness still computed (ListWaivers force-enables checks)", ws)

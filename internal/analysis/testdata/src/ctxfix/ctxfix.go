@@ -1,12 +1,8 @@
 // Package ctxfix is a ctx-check fixture: exported entry points that spawn
-// goroutines or sweep the frequency grid with and without a context.
+// goroutines with and without a context.
 package ctxfix
 
-import (
-	"context"
-
-	"mcdvfs/internal/freq"
-)
+import "context"
 
 // Spawn launches a goroutine without a context. want: ctx hit.
 func Spawn(done chan struct{}) {
@@ -24,40 +20,9 @@ func SpawnContext(ctx context.Context, done chan struct{}) {
 	}()
 }
 
-// Sweep ranges the grid axis without a context. want: ctx hit.
-func Sweep(settings []freq.Setting) int {
-	n := 0
-	for range settings {
-		n++
-	}
-	return n
-}
-
-// SweepContext ranges the grid axis with a context: clean.
-func SweepContext(ctx context.Context, settings []freq.Setting) int {
-	n := 0
-	for range settings {
-		if ctx.Err() != nil {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// SweepIndirect is exported but only measures: clean — the discipline
-// binds grid sweeps and goroutine spawns, not every settings use.
-func SweepIndirect(settings []freq.Setting) int {
-	return len(settings)
-}
-
-// WaivedSweep carries a reasoned waiver: suppressed.
+// WaivedSpawn carries a reasoned waiver: suppressed.
 //
 //lint:allow ctx fixture demonstrates a reasoned waiver
-func WaivedSweep(settings []freq.Setting) int {
-	n := 0
-	for range settings {
-		n++
-	}
-	return n
+func WaivedSpawn(done chan struct{}) {
+	go func() { close(done) }()
 }

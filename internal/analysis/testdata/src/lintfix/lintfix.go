@@ -8,16 +8,16 @@ package lintfix
 
 // A directive with no reason. want: lint hit.
 //
-//lint:allow rangecheck
+//lint:allow units
 
 // A directive with no check name at all. want: lint hit.
 //
 //lint:allow
 
-// A well-formed waiver with nothing left to suppress: the division it
+// A well-formed waiver with nothing left to suppress: the unit mix it
 // excused was fixed without deleting the directive. want: stale lint hit.
 //
-//lint:allow rangecheck this division was fixed long ago
+//lint:allow units this unit mix was fixed long ago
 const Fixed = 1.0
 
 // Value exists so the package has a declaration.

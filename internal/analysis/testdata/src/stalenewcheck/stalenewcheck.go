@@ -1,13 +1,13 @@
 // Package stalenewcheck exercises the staleness scan against a check name
-// that only just entered the suite: the waiver below names hotpath, the
-// waived line gives hotpath nothing to absorb, and the driver must call the
-// waiver stale the first time the new check covers this file — but must
-// not when the check is disabled, since a skipped check produces no
-// liveness evidence either way.
+// that only just entered the suite: the waiver below names errflow, the
+// waived line gives errflow nothing to absorb, and the driver must call the
+// waiver stale the first time the check covers this file — but must not
+// when the check is disabled, since a skipped check produces no liveness
+// evidence either way.
 package stalenewcheck
 
-// double is allocation-free and not on any annotated hot path; the waiver
-// is dead weight from the moment the check exists.
+// double drops no error; the waiver is dead weight from the moment the
+// check exists.
 func double(n int) int {
-	return n * 2 //lint:allow hotpath speculative waiver with nothing to suppress
+	return n * 2 //lint:allow errflow speculative waiver with nothing to suppress
 }

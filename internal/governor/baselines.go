@@ -83,7 +83,7 @@ func NewEDP(space *freq.Space, model Model, exponent float64) (*EDP, error) {
 func (e *EDP) Name() string { return fmt.Sprintf("edp(n=%.0f)", e.exponent) }
 
 // Decide implements Governor.
-func (e *EDP) Decide(prev *Observation, prevProfile *workload.SampleSpec) (Decision, error) { //lint:allow ctx bounded argmin over at most 496 settings per decision; Governor.Decide is synchronous
+func (e *EDP) Decide(prev *Observation, prevProfile *workload.SampleSpec) (Decision, error) {
 	if prev == nil || prevProfile == nil {
 		return Decision{Setting: e.space.Min()}, nil
 	}

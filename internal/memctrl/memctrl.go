@@ -166,7 +166,6 @@ type Coeffs struct {
 
 // CoeffsAt hoists the latency-model invariants for clock f.
 //
-//vet:hotpath
 //vet:requires f > 0
 func (m *Model) CoeffsAt(f freq.MHz) (Coeffs, error) {
 	if err := m.dev.CheckClock(f); err != nil {

@@ -120,8 +120,6 @@ func (r *Runner) ResetSeed() { r.seedValid = false }
 // fixed-point iterations than cold starts on the coarse space and 6.5%
 // more on the fine one. The engine keeps them because its grids' bits
 // depend on them (DESIGN.md §6).
-//
-//vet:hotpath
 func (r *Runner) Solve(st freq.Setting, warm bool) ([]Sample, error) {
 	c, err := r.sys.consts(st)
 	if err != nil {

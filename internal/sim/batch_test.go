@@ -58,7 +58,7 @@ func TestBatchColdMatchesReferenceBitwise(t *testing.T) {
 				t.Fatalf("%s: Solve(%v): %v", name, st, err)
 			}
 			for i, spec := range specs {
-				want, _, err := s.ReferenceSimulate(spec, st, coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
+				want, _, err := s.ReferenceSimulate(spec, st, coldStart)
 				if err != nil {
 					t.Fatalf("%s: ReferenceSimulate(%v): %v", name, st, err)
 				}
@@ -281,7 +281,7 @@ func TestConvergenceFailureReported(t *testing.T) {
 	if got := r.Stats().ConvergenceFailures; got != 1 {
 		t.Fatalf("ConvergenceFailures = %d, want 1", got)
 	}
-	ref, _, err := s.ReferenceSimulate(spec, st, coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
+	ref, _, err := s.ReferenceSimulate(spec, st, coldStart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,9 +513,12 @@ func FuzzBatchVsScalar(f *testing.F) {
 }
 
 func TestSolveAndSimulateSampleDoNotAllocate(t *testing.T) {
-	// The runtime twin of the static hotpath check: once NewRunner has
-	// sized the arenas, a column solve allocates nothing, cold or warm, and
-	// neither does the single-cell path.
+	// The solve chain's allocation guard: once NewRunner has sized the
+	// arenas, a column solve allocates nothing, cold or warm, and neither
+	// does the single-cell path. The lbm column converges everywhere; the
+	// branch column adds the cells no built-in benchmark has. At 1000/200
+	// MHz its oscillator never converges, which runs Solve's loop over
+	// unconverged cells, and bwClampSpec takes step's bandwidth clamp.
 	s := MustNew(DefaultConfig())
 	specs := workload.MustByName("lbm").MustRealize()
 	r, err := NewRunner(s, specs)
@@ -546,6 +549,42 @@ func TestSolveAndSimulateSampleDoNotAllocate(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(20, tc.run); n != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", tc.name, n)
+		}
+	}
+
+	branch := append(append([]workload.SampleSpec(nil), specs[:3]...), oscillatorSpec(), bwClampSpec(), utilCapSpec())
+	br, err := NewRunner(s, branch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oscillating := freq.Setting{CPU: 1000, Mem: 200}
+	col, err := br.Solve(oscillating, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col[3].Converged {
+		t.Fatalf("oscillator converged at %v; the branch column no longer reaches the unconverged-cell loop", oscillating)
+	}
+	for _, st := range []freq.Setting{oscillating, {CPU: 700, Mem: 400}} {
+		for _, warm := range []bool{false, true} {
+			n := testing.AllocsPerRun(20, func() {
+				if _, err := br.Solve(st, warm); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 0 {
+				t.Errorf("branch column Solve(%v, warm=%v): %v allocations per run, want 0", st, warm, n)
+			}
+		}
+		for i, spec := range branch {
+			n := testing.AllocsPerRun(20, func() {
+				if _, err := s.SimulateSample(spec, st); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 0 {
+				t.Errorf("SimulateSample(branch[%d], %v): %v allocations per run, want 0", i, st, n)
+			}
 		}
 	}
 }

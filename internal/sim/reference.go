@@ -149,7 +149,7 @@ func noiseSource(spec workload.SampleSpec, st freq.Setting) *rng.Source {
 func (s *System) ReferenceRun(specs []workload.SampleSpec, st freq.Setting) ([]Sample, error) {
 	out := make([]Sample, len(specs))
 	for i, spec := range specs {
-		smp, _, err := s.ReferenceSimulate(spec, st, coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
+		smp, _, err := s.ReferenceSimulate(spec, st, coldStart)
 		if err != nil {
 			return nil, fmt.Errorf("sample %d: %w", i, err)
 		}

@@ -240,8 +240,6 @@ func validateSpec(spec workload.SampleSpec) error {
 // setting. It is the single-cell path through the same start, step and
 // finish functions the batch engine runs, solving the cell depth-first;
 // sweeping many samples or settings is much faster through Runner.
-//
-//vet:hotpath
 func (s *System) SimulateSample(spec workload.SampleSpec, st freq.Setting) (Sample, error) {
 	if err := validateSpec(spec); err != nil {
 		return Sample{}, err
@@ -251,7 +249,7 @@ func (s *System) SimulateSample(spec workload.SampleSpec, st freq.Setting) (Samp
 		return Sample{}, err
 	}
 	in := s.ingest(spec)
-	cs := startCell(&c, &in, coldStart) //lint:allow rangecheck coldStart is the out-of-band sentinel for "no seed", not a physical time
+	cs := startCell(&c, &in, coldStart)
 	_, converged := solveTimeNS(&cs, &c.lat)
 	return s.finish(&c, &in, &cs, converged), nil
 }

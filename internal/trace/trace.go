@@ -113,7 +113,7 @@ func (g *Grid) TotalEnergyJ(k freq.SettingID) float64 {
 // EminSetting returns the pinned setting that runs the whole benchmark on
 // the least energy, and that energy: the whole-run Emin reference. Ties go
 // to the lowest ID.
-func (g *Grid) EminSetting() (freq.SettingID, float64) { //lint:allow ctx in-memory loop over an already-collected grid; collection is ctx-bound via CollectContext
+func (g *Grid) EminSetting() (freq.SettingID, float64) {
 	best, emin := freq.SettingID(0), math.Inf(1)
 	for k := range g.Settings {
 		if e := g.TotalEnergyJ(freq.SettingID(k)); e < emin {
@@ -264,12 +264,10 @@ func CollectContext(ctx context.Context, sys *sim.System, bench workload.Benchma
 // the chain at the next column boundary and returns nil; CollectContext
 // surfaces ctx's error itself so cancellation is not mistaken for a solve
 // failure.
-//
-//vet:hotpath
 func drainChain(ctx context.Context, r *sim.Runner, g *Grid, ci, nm int, columnsDone *atomic.Int64, total int, onProgress func(done, total int)) error {
 	r.ResetSeed()
 	for mi := nm - 1; mi >= 0; mi-- {
-		if ctx.Err() != nil { //lint:allow hotpath one interface call per column bounds cancellation latency; the per-cell loop below stays check-free
+		if ctx.Err() != nil {
 			return nil
 		}
 		k := ci*nm + mi
@@ -288,7 +286,7 @@ func drainChain(ctx context.Context, r *sim.Runner, g *Grid, ci, nm int, columns
 			}
 		}
 		if onProgress != nil {
-			onProgress(int(columnsDone.Add(1)), total) //lint:allow hotpath progress hook runs once per column, not per cell; documented concurrent-safe
+			onProgress(int(columnsDone.Add(1)), total)
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,5 +160,33 @@ func TestCollectRejectsInvalidBenchmark(t *testing.T) {
 	bad := workload.Benchmark{Name: "bad", Repeat: 1}
 	if _, err := Collect(sys, bad, freq.CoarseSpace()); err == nil {
 		t.Error("invalid benchmark accepted")
+	}
+}
+
+// TestDrainChainDoesNotAllocate guards the collection worker's unit of
+// work: with the grid and the Runner made, draining a chain (every column's
+// solve, its scatter into the grid, the cancellation poll and the progress
+// hook) allocates nothing.
+func TestDrainChainDoesNotAllocate(t *testing.T) {
+	space := freq.CoarseSpace()
+	specs := workload.MustByName("lbm").MustRealize()
+	r, err := sim.NewRunner(sim.MustNew(sim.DefaultConfig()), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &Grid{Settings: space.Settings(), Data: make([][]Measurement, len(specs))}
+	for s := range g.Data {
+		g.Data[s] = make([]Measurement, space.Len())
+	}
+	ctx := context.Background()
+	var columnsDone atomic.Int64
+	progress := func(done, total int) {}
+	n := testing.AllocsPerRun(10, func() {
+		if err := drainChain(ctx, r, g, 1, len(space.MemLadder()), &columnsDone, space.Len(), progress); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("drainChain: %v allocations per run, want 0", n)
 	}
 }
