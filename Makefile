@@ -47,17 +47,22 @@ loadtest:
 loadtest-cluster:
 	$(GO) test -race ./internal/cluster -count=1
 
-# Differential-fuzz smoke tier: FUZZTIME each of two oracles, each
+# Differential-fuzz smoke tier: FUZZTIME each of three oracles, each
 # starting from its committed seed corpus. FuzzBatchVsScalar holds the
 # columnar batch engine bit-identical to the retained scalar reference
 # (internal/sim/testdata/fuzz/FuzzBatchVsScalar); FuzzGridJSON then holds
 # the grid encoder, trace.Grid.AppendJSON, byte-identical to encoding/json
-# (internal/trace/testdata/fuzz/FuzzGridJSON). New crashers land in those
-# directories; CI uploads them as artifacts so a red run ships its repro.
+# (internal/trace/testdata/fuzz/FuzzGridJSON); FuzzAppendFloat holds the
+# encoder's shortest-float kernel byte-identical to encoding/json's float
+# encoder on any finite float64 bits
+# (internal/trace/testdata/fuzz/FuzzAppendFloat). New crashers land
+# in those directories; CI uploads them as artifacts so a red run ships
+# its repro.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzBatchVsScalar$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGridJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME)
 
 # Simulator-core benchmark record: the columnar batch engine (serial and
 # parallel full-grid collection) against the retained scalar reference,
@@ -70,12 +75,15 @@ bench-sim:
 		| $(GO) run ./cmd/benchjson -out BENCH_sim.json
 
 # Daemon benchmark record: memoized /v1/optimal, cached /v1/grid, and
-# forced-recollection /v1/grid through mcdvfsd, plus the cluster scaling
+# forced-recollection /v1/grid through mcdvfsd, the cluster scaling
 # record (BenchmarkClusterGrid at 1/3/5 nodes — aggregate cache capacity
-# vs a thrashing single node), captured as BENCH_serve.json.
+# vs a thrashing single node), the proxy hop on a 2 MB grid body
+# (BenchmarkClusterGridProxied, matched by the same pattern), and the grid
+# encoder alone on bzip2's coarse and fine grids (BenchmarkAppendJSON),
+# captured as BENCH_serve.json.
 bench-serve:
-	$(GO) test ./internal/serve ./internal/cluster -run '^$$' \
-		-bench 'BenchmarkServe|BenchmarkClusterGrid' \
+	$(GO) test ./internal/serve ./internal/cluster ./internal/trace -run '^$$' \
+		-bench 'BenchmarkServe|BenchmarkClusterGrid|BenchmarkAppendJSON' \
 		-benchtime $(BENCHTIME) -benchmem \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 

@@ -1424,46 +1424,9 @@ func (st *contractState) checkInvariantExit(pass *Pass, fd *ast.FuncDecl, sc *fu
 // contract annotation they contain, the -contracts inventory. Malformed
 // annotations are diagnostics of a normal run, not inventory entries.
 func ListContracts(opts Options) ([]Contract, error) {
-	dir := opts.Dir
-	if dir == "" {
-		dir = "."
-	}
-	loader, err := NewLoader(dir)
+	loader, pkgs, err := loadPackages(opts)
 	if err != nil {
 		return nil, err
-	}
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	resolved := make([]string, len(patterns))
-	for i, p := range patterns {
-		if filepath.IsAbs(p) {
-			resolved[i] = p
-		} else {
-			resolved[i] = filepath.Join(dir, p)
-		}
-	}
-	dirs, err := loader.Expand(resolved)
-	if err != nil {
-		return nil, err
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("analysis: no packages match %v", opts.Patterns)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	pkgs := make([]*Package, len(dirs))
-	loadErrs := make([]error, len(dirs))
-	forEach(len(dirs), workers, func(i int) {
-		pkgs[i], loadErrs[i] = loader.LoadDir(dirs[i])
-	})
-	for _, err := range loadErrs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	matched := map[string]bool{}
 	var fpkgs []*flow.Package

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -218,6 +219,30 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 			t.Errorf("workers=%d output differs from serial\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				w, serial, w, got)
 		}
+	}
+}
+
+// TestContractsSameAtAnyWorkerCount requires the -contracts inventory of
+// the repository to be the same list, in the same order, whether its
+// packages load on one worker or on four.
+func TestContractsSameAtAnyWorkerCount(t *testing.T) {
+	list := func(workers int) []analysis.Contract {
+		cs, err := analysis.ListContracts(analysis.Options{
+			Dir:      filepath.Join("..", ".."),
+			Patterns: []string{"./..."},
+			Workers:  workers,
+		})
+		if err != nil {
+			t.Fatalf("ListContracts(workers=%d): %v", workers, err)
+		}
+		return cs
+	}
+	serial := list(1)
+	if len(serial) == 0 {
+		t.Fatal("the repository lists no contract annotations")
+	}
+	if parallel := list(4); !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("workers=4 inventory differs from workers=1:\n%v\n%v", parallel, serial)
 	}
 }
 

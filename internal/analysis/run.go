@@ -74,20 +74,25 @@ type result struct {
 	waivers []Waiver
 }
 
-func execute(opts Options) (*result, error) {
+// loadPackages loads the packages opts matches, in the order Expand lists
+// them: patterns ("./..." when there are none) resolve against opts.Dir,
+// not the process cwd, and the packages load in parallel over
+// opts.workers(). The first load error in that order wins, so failures
+// are as deterministic as successes. The loader keeps every module
+// package it saw, dependencies included.
+func loadPackages(opts Options) (*Loader, []*Package, error) {
 	dir := opts.Dir
 	if dir == "" {
 		dir = "."
 	}
 	loader, err := NewLoader(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	patterns := opts.Patterns
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Relative patterns resolve against opts.Dir, not the process cwd.
 	resolved := make([]string, len(patterns))
 	for i, p := range patterns {
 		if filepath.IsAbs(p) {
@@ -98,29 +103,36 @@ func execute(opts Options) (*result, error) {
 	}
 	dirs, err := loader.Expand(resolved)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(dirs) == 0 {
-		return nil, fmt.Errorf("analysis: no packages match %v", opts.Patterns)
+		return nil, nil, fmt.Errorf("analysis: no packages match %v", opts.Patterns)
 	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Load every matched package in parallel. Results keep dirs order; the
-	// first error (in that order) wins, so failures are as deterministic as
-	// successes.
 	pkgs := make([]*Package, len(dirs))
 	loadErrs := make([]error, len(dirs))
-	forEach(len(dirs), workers, func(i int) {
+	forEach(len(dirs), opts.workers(), func(i int) {
 		pkgs[i], loadErrs[i] = loader.LoadDir(dirs[i])
 	})
 	for _, err := range loadErrs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+	}
+	return loader, pkgs, nil
+}
+
+// workers is the worker-pool bound: opts.Workers, or GOMAXPROCS.
+func (opts Options) workers() int {
+	if opts.Workers > 0 {
+		return opts.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+func execute(opts Options) (*result, error) {
+	loader, pkgs, err := loadPackages(opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// The Program spans every module package the loader saw — the matched
@@ -183,7 +195,7 @@ func execute(opts Options) (*result, error) {
 	// analyzer) buckets so the serial filtering below sees a deterministic
 	// stream.
 	raw := make([][][]Diagnostic, len(pkgs))
-	forEach(len(pkgs), workers, func(i int) {
+	forEach(len(pkgs), opts.workers(), func(i int) {
 		pkg := pkgs[i]
 		raw[i] = make([][]Diagnostic, len(suite))
 		for ai, a := range suite {

@@ -89,3 +89,57 @@ func BenchmarkClusterGrid(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkClusterGridProxied measures the proxy hop on the ring's largest
+// answers: /v1/grid for bzip2's coarse grid (2.15 MB), sent to a node of a
+// 3-node harness that does not own the key. Every iteration pays the
+// router, the forward, the owner's encoding from its cache, the proxy's
+// full read of the peer body and the relay; bytes per second count the
+// body.
+func BenchmarkClusterGridProxied(b *testing.B) {
+	h, err := NewTestHarness(HarnessConfig{Nodes: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	const bench = "bzip2"
+	owner := h.NodeFor(bench, "coarse")
+	if owner < 0 {
+		b.Fatal("no owner found")
+	}
+	url := h.URL((owner+1)%h.Len()) + "/v1/grid"
+	body, err := json.Marshal(serve.GridRequest{Benchmark: bench})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := &http.Client{}
+	fetch := func() (int64, error) {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		//lint:allow errflow benchmark drains and closes a read-only body
+		resp.Body.Close()
+		if err != nil {
+			return 0, err
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderNode) != nodeID(owner) {
+			return 0, fmt.Errorf("status %d from %q, want 200 from owner %q", resp.StatusCode, resp.Header.Get(HeaderNode), nodeID(owner))
+		}
+		return n, nil
+	}
+
+	// Warm-up: the owner collects the grid into its cache.
+	n, err := fetch()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fetch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

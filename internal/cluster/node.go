@@ -308,11 +308,14 @@ func (n *Node) peer(ctx context.Context, id, path string, body []byte, hdr http.
 	}
 	//lint:allow errflow read-only response body; a close error after a full read carries no data loss
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// bytes.Buffer doubles as it reads. io.ReadAll grows by about a
+	// quarter per step, so it would reallocate a 2 MB grid body about 34
+	// times and copy it about five times over.
+	var data bytes.Buffer
+	if _, err := data.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
-	return &peerResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return &peerResponse{status: resp.StatusCode, header: resp.Header, body: data.Bytes()}, nil
 }
 
 // forward sends a routable request on to ring member id under the loop

@@ -2,7 +2,8 @@ package trace
 
 // The grid's JSON encoder. A grid body is most of what the daemon sends,
 // and encoding/json spends a quarter of its time on a grid in reflection
-// and buffer growth; AppendJSON writes the same bytes with neither.
+// and buffer growth; AppendJSON writes the same bytes with neither, and
+// formats its floats with the shortest-digits kernel in shortest.go.
 // encoding/json stays the oracle: encode_test.go requires byte identity
 // with json.NewEncoder(w).Encode(g) on every built-in grid and on fuzzed
 // ones, and pins the fields and tags this encoder spells out.
@@ -37,7 +38,8 @@ const (
 
 // Size bounds for jsonBound. maxFloatLen is the longest text appendFloat
 // writes, -0.0000012345678901234567: a sign, 17 significant digits and
-// the five zeros just above the 1e-6 switch to exponent form. Each
+// the five zeros just above the 1e-6 switch to exponent form. The kernel's
+// word stores stay within it too, so the bound leaves them room. Each
 // element's bound counts a separating comma, and each array's the four
 // bytes of null, which also cover its brackets.
 const (
@@ -73,9 +75,15 @@ func (g *Grid) jsonBound(nameLen int) int {
 // escaping matches too. dst grows once, to jsonBound, before the first
 // byte is written.
 //
+// AppendJSON uses dst's spare capacity, jsonBound bytes past len(dst), as
+// its workspace, so what the caller kept there does not survive the call:
+// the float kernel's word stores reach up to maxFloatLen bytes past the
+// end of the returned slice.
+//
 // Like encoding/json, AppendJSON rejects NaN and ±Inf, which JSON cannot
 // represent: it returns an error naming the first such cell or setting and
-// appends nothing (the result has dst's length).
+// appends nothing (the result has dst's length, and the bytes past it
+// hold what was written before the failure).
 //
 // sim fills every cell of a sample with the sample's MPKI, so consecutive
 // cells usually repeat it; an MPKI with the bits of the previous one
@@ -186,18 +194,20 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // is ES6's number-to-string conversion: the shortest decimal that reads
 // back as f, in positional form from 1e-6 up to 1e21 (and for ±0), in
 // exponent form outside it, with a one-digit negative exponent's leading
-// zero dropped (1.5e-7, not 1.5e-07).
+// zero dropped (1.5e-7, not 1.5e-07). The positional range goes through
+// appendShortest's kernel; zero and the exponent form through strconv.
 func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		return appendShortest(dst, f)
 	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
+	if abs == 0 {
+		return strconv.AppendFloat(dst, f, 'f', -1, 64)
+	}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
 	}
 	return dst
 }
