@@ -9,8 +9,8 @@
 # singleflight cache under real contention. `make lint` runs go vet first
 # (`go test` runs only part of vet, and not copylocks, which catches copied
 # mutexes and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
-# enforcing determinism, unit safety, context discipline, goroutine joins,
-# error flow, and model contracts (see DESIGN.md §7).
+# enforcing determinism, unit safety, context discipline, goroutine joins
+# and error flow (see DESIGN.md §7).
 
 GO ?= go
 
@@ -87,10 +87,8 @@ bench-serve:
 		-benchtime $(BENCHTIME) -benchmem \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
-# Analyzer benchmark record: the full mcdvfsvet suite (BenchmarkVet) and
-# the isolated abstract-interpretation tier (BenchmarkAbsint — contract
-# and the purity-summary determinism prep), each serial vs
-# parallel, captured as BENCH_vet.json for regression tracking.
+# Analyzer benchmark record: the full mcdvfsvet suite (BenchmarkVet),
+# serial vs parallel, captured as BENCH_vet.json for regression tracking.
 bench-vet:
-	$(GO) test ./internal/analysis -run '^$$' -bench 'BenchmarkVet|BenchmarkAbsint' -benchmem \
+	$(GO) test ./internal/analysis -run '^$$' -bench 'BenchmarkVet' -benchmem \
 		| $(GO) run ./cmd/benchjson -out BENCH_vet.json

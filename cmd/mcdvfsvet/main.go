@@ -1,11 +1,8 @@
 // Command mcdvfsvet runs the repository's domain-invariant analyzer suite
-// (internal/analysis), six checks that go vet, the race detector and the
+// (internal/analysis), five checks that go vet, the race detector and the
 // tests do not cover: determinism (including purity summaries that trace
 // entropy through helper calls), interprocedural unit safety, context
-// discipline, goroutine joins (goleak), error flow, and contract, which
-// proves //vet:requires / //vet:ensures / //vet:invariant annotations with
-// the interval interpreter — ensures on every return path, requires at
-// every static call site, invariants across mutating methods. It is the
+// discipline, goroutine joins (goleak) and error flow. It is the
 // `make lint` tier of `make verify`, after go vet.
 //
 // Usage:
@@ -15,9 +12,7 @@
 // Patterns default to ./... and follow the go tool's directory forms.
 // -waivers inventories every //lint:allow directive in scope (file:line,
 // check, reason) and marks the stale ones — waivers whose check no longer
-// fires on the waived line. -contracts inventories every well-formed
-// //vet:requires / ensures / invariant annotation in scope (file:line, kind,
-// target, expression), machine-readable with -json.
+// fires on the waived line.
 // Exit status: 0 clean, 1 violations found (or stale waivers under
 // -waivers), 2 the run itself failed.
 package main
@@ -43,7 +38,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	disable := fs.String("disable", "", "comma-separated check names to skip (see -list)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	waivers := fs.Bool("waivers", false, "list every //lint:allow waiver in scope and flag stale ones")
-	contracts := fs.Bool("contracts", false, "list every //vet: contract annotation in scope")
 	workers := fs.Int("workers", 0, "package load/check worker-pool size (0 = all cores)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mcdvfsvet [flags] [patterns ...]\n\nThe mcdvfs domain-invariant analyzer suite. Patterns default to ./...\n\n")
@@ -80,9 +74,6 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	if *waivers {
 		return runWaivers(fs.Args(), *jsonOut, *workers, stdout, stderr)
-	}
-	if *contracts {
-		return runContracts(fs.Args(), *jsonOut, *workers, stdout, stderr)
 	}
 
 	diags, err := analysis.Run(analysis.Options{
@@ -164,38 +155,6 @@ func runWaivers(patterns []string, jsonOut bool, workers int, stdout, stderr *os
 	}
 	if stale > 0 {
 		return 1
-	}
-	return 0
-}
-
-// runContracts implements -contracts: the machine-readable inventory of
-// every well-formed //vet: contract annotation in scope. Malformed
-// annotations are ordinary diagnostics of a normal run, so the inventory
-// itself never fails — it exits 0 unless the load itself breaks.
-func runContracts(patterns []string, jsonOut bool, workers int, stdout, stderr *os.File) int {
-	cs, err := analysis.ListContracts(analysis.Options{Patterns: patterns, Workers: workers})
-	if err != nil {
-		fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
-		return 2
-	}
-	if cwd, err := os.Getwd(); err == nil {
-		analysis.RelContractsTo(cs, cwd)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if cs == nil {
-			cs = []analysis.Contract{}
-		}
-		if err := enc.Encode(cs); err != nil {
-			fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, c := range cs {
-			fmt.Fprintf(stdout, "%s:%d: [%s] %s: %s\n", c.File, c.Line, c.Kind, c.Target, c.Expr)
-		}
-		fmt.Fprintf(stderr, "mcdvfsvet: %d contract annotation(s)\n", len(cs))
 	}
 	return 0
 }

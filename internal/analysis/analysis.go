@@ -10,10 +10,10 @@
 // unit-consistent (MHz vs Hz, joules vs watts — the same failure class the
 // SysScale and gem5 DRAM power-down models guard against with validated
 // cross-domain calibration). This package turns those review-folklore
-// invariants into machine-checked gates. It has six checks: determinism,
-// units, ctx, goleak, errflow and contract. Each one catches a defect that
-// go vet, the race detector and the tests let through; DESIGN.md §7 has
-// the catalogue and that audit.
+// invariants into machine-checked gates. It has five checks: determinism,
+// units, ctx, goleak and errflow. Each one catches a defect that go vet,
+// the race detector and the tests let through; DESIGN.md §7 has the
+// catalogue and the audits that decided it.
 //
 // A check is an Analyzer: a named pass over one type-checked package.
 // The driver in run.go loads packages (load.go), applies the per-check
@@ -74,9 +74,8 @@ type Package struct {
 type Pass struct {
 	Pkg *Package
 	// Prog indexes every function of every loaded module package — the
-	// substrate for interprocedural checks. It is shared, read-mostly (CFGs
-	// and def-use chains build lazily behind sync.Once), and safe to use from
-	// concurrent passes.
+	// substrate for interprocedural checks. It is shared, read-only after
+	// construction, and safe to use from concurrent passes.
 	Prog *flow.Program
 	// IncludeSrc and IncludeTests tell the check which file sets are in
 	// scope for this package: the driver resolves Applies/AnalyzeTests (a
@@ -130,7 +129,6 @@ func Suite() []*Analyzer {
 		CtxAnalyzer(),
 		GoLeakAnalyzer(),
 		ErrFlowAnalyzer(),
-		ContractAnalyzer(),
 	}
 }
 

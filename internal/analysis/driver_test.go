@@ -13,7 +13,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -23,8 +22,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // fixtures lists every fixture package and the check it exercises.
-var fixtures = []string{"determfix", "unitfix", "ctxfix", "lintfix",
-	"goleakfix", "errflowfix", "contractfix"}
+var fixtures = []string{"determfix", "unitfix", "ctxfix", "lintfix", "goleakfix", "errflowfix"}
 
 // runFixture executes the whole suite, scope-free, over one fixture.
 func runFixture(t *testing.T, name string, disable map[string]bool) string {
@@ -89,8 +87,8 @@ func TestFixturesHaveHitsAndSuppressions(t *testing.T) {
 }
 
 func TestDisableSkipsCheck(t *testing.T) {
-	got := runFixture(t, "contractfix", map[string]bool{"contract": true})
-	if strings.Contains(got, "[contract]") {
+	got := runFixture(t, "determfix", map[string]bool{"determinism": true})
+	if strings.Contains(got, "[determinism]") {
 		t.Errorf("disabled check still reported:\n%s", got)
 	}
 }
@@ -135,57 +133,11 @@ func BenchmarkVet(b *testing.B) {
 	}
 }
 
-// BenchmarkAbsint isolates the abstract-interpretation tier: only the
-// check that runs the interval fixpoint (contract) and the
-// purity-summary determinism check stay enabled, so the number
-// tracks the cost of the absint engine itself — Prepare's interprocedural
-// summary rounds plus the per-function analyses — over the whole module.
-func BenchmarkAbsint(b *testing.B) {
-	disable := map[string]bool{}
-	for _, a := range analysis.Suite() {
-		switch a.Name {
-		case "contract", "determinism":
-		default:
-			disable[a.Name] = true
-		}
-	}
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // 0 = GOMAXPROCS
-	}
-	if _, err := analysis.Run(analysis.Options{
-		Dir: filepath.Join("..", ".."), Patterns: []string{"./..."},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				diags, err := analysis.Run(analysis.Options{
-					Dir:      filepath.Join("..", ".."),
-					Patterns: []string{"./..."},
-					Disable:  disable,
-					Workers:  bc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(diags) != 0 {
-					b.Fatalf("repo not clean under benchmark: %v", diags[0])
-				}
-			}
-		})
-	}
-}
-
 // TestWorkersDeterministicJSON pins the scheduler-independence contract
 // end to end: the JSON rendering of the full diagnostic set — the same
 // bytes mcdvfsvet -json emits — is identical no matter how many workers
-// ran the passes, including the Prepare-computed interprocedural state the
-// abstract-interpretation checks read concurrently.
+// ran the passes, including the purity summaries determinism's Prepare
+// computes and its passes read concurrently.
 func TestWorkersDeterministicJSON(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -195,7 +147,7 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 		diags, err := analysis.Run(analysis.Options{
 			Patterns: []string{
 				"./testdata/src/determfix", "./testdata/src/goleakfix",
-				"./testdata/src/contractfix",
+				"./testdata/src/errflowfix",
 			},
 			ScopeAll: true,
 			Workers:  workers,
@@ -211,7 +163,7 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 		return b
 	}
 	serial := runJSON(1)
-	if !strings.Contains(string(serial), `"check":"contract"`) {
+	if !strings.Contains(string(serial), `"check":"determinism"`) {
 		t.Fatalf("serial run missing expected findings:\n%s", serial)
 	}
 	for _, w := range []int{2, 8} {
@@ -219,30 +171,6 @@ func TestWorkersDeterministicJSON(t *testing.T) {
 			t.Errorf("workers=%d output differs from serial\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				w, serial, w, got)
 		}
-	}
-}
-
-// TestContractsSameAtAnyWorkerCount requires the -contracts inventory of
-// the repository to be the same list, in the same order, whether its
-// packages load on one worker or on four.
-func TestContractsSameAtAnyWorkerCount(t *testing.T) {
-	list := func(workers int) []analysis.Contract {
-		cs, err := analysis.ListContracts(analysis.Options{
-			Dir:      filepath.Join("..", ".."),
-			Patterns: []string{"./..."},
-			Workers:  workers,
-		})
-		if err != nil {
-			t.Fatalf("ListContracts(workers=%d): %v", workers, err)
-		}
-		return cs
-	}
-	serial := list(1)
-	if len(serial) == 0 {
-		t.Fatal("the repository lists no contract annotations")
-	}
-	if parallel := list(4); !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("workers=4 inventory differs from workers=1:\n%v\n%v", parallel, serial)
 	}
 }
 

@@ -25,8 +25,7 @@ import (
 // EdgeKind classifies one outgoing CFG edge for condition-sensitive
 // analyses. Most edges are EdgeNext; the two successors of a block that ends
 // in a boolean condition (if header, for header) are EdgeTrue and EdgeFalse,
-// which is what lets an abstract domain refine "x != 0" differently down the
-// two arms.
+// so an analysis can tell the two arms of a branch apart.
 type EdgeKind uint8
 
 const (

@@ -15,7 +15,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // Package is the per-package view the Program indexes: the same shape the
@@ -36,15 +35,6 @@ type Func struct {
 	Decl *ast.FuncDecl
 	// Pkg is the declaring package.
 	Pkg *Package
-
-	cfgOnce sync.Once
-	cfg     *CFG
-}
-
-// CFG returns the function's control-flow graph, built on first use.
-func (f *Func) CFG() *CFG {
-	f.cfgOnce.Do(func() { f.cfg = New(f.Decl) })
-	return f.cfg
 }
 
 // Program indexes every function declaration across the loaded module

@@ -45,7 +45,7 @@ func TestSuffixUnit(t *testing.T) {
 // TestSuiteNamesStable pins the check names: they are the -disable and
 // //lint:allow vocabulary, so renaming one silently orphans every waiver.
 func TestSuiteNamesStable(t *testing.T) {
-	want := []string{"determinism", "units", "ctx", "goleak", "errflow", "contract"}
+	want := []string{"determinism", "units", "ctx", "goleak", "errflow"}
 	suite := Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d checks, want %d", len(suite), len(want))

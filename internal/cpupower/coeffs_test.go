@@ -1,9 +1,11 @@
 package cpupower
 
 // Equivalence suite pinning the hoisted Coeffs energy evaluation to
-// Model.Energy bit-for-bit across the OPP ladders and activity range.
+// Model.Energy bit-for-bit across the OPP ladders and activity range, and
+// the energy to be non-negative there.
 
 import (
+	"slices"
 	"testing"
 
 	"mcdvfs/internal/freq"
@@ -19,7 +21,7 @@ func TestCoeffsMatchModel(t *testing.T) {
 		if name == "little" {
 			ladder = freq.Ladder(100, 600, 100)
 		} else {
-			ladder = freq.FineSpace().CPULadder()
+			ladder = slices.Concat(freq.CoarseSpace().CPULadder(), freq.FineSpace().CPULadder())
 		}
 		for _, f := range ladder {
 			c, err := m.CoeffsAt(f)
@@ -35,6 +37,9 @@ func TestCoeffsMatchModel(t *testing.T) {
 					if got := c.EnergyJ(activity, durNS); got != want {
 						t.Errorf("%s: f=%v a=%v dur=%v: coeffs energy %v != model %v",
 							name, f, activity, durNS, got, want)
+					}
+					if !(want >= 0) {
+						t.Errorf("%s: f=%v a=%v dur=%v: energy %v is negative", name, f, activity, durNS, want)
 					}
 				}
 			}

@@ -164,8 +164,6 @@ type Coeffs struct {
 }
 
 // CoeffsAt hoists the power-model invariants for frequency f.
-//
-//vet:requires f > 0
 func (m *Model) CoeffsAt(f freq.MHz) (Coeffs, error) {
 	v, err := m.p.OPPs.VoltageAt(f)
 	if err != nil {
@@ -182,10 +180,8 @@ func (m *Model) CoeffsAt(f freq.MHz) (Coeffs, error) {
 }
 
 // EnergyJ is the hoisted Model.Energy: joules over durationNS at the
-// hoisted operating point with the given average activity.
-//
-//vet:requires activity >= 0 && activity <= 1 && durationNS >= 0
-//vet:ensures ret >= 0
+// hoisted operating point with the given average activity. For activity in
+// [0, 1] and a non-negative durationNS the result is non-negative.
 func (c Coeffs) EnergyJ(activity, durationNS float64) float64 {
 	dyn := c.PeakClockedW * activity
 	return (dyn + c.BackgroundW + c.LeakageW) * durationNS * 1e-9

@@ -1,10 +1,12 @@
 package dram
 
-// Equivalence suite pinning EnergyCoeffs to EnergyModel.Energy bit-for-bit,
-// plus the boundary behaviour of the centralized count rounding rule.
+// Equivalence suite pinning EnergyCoeffs to EnergyModel.Energy bit-for-bit
+// over every memory clock of both spaces, with the energy non-negative
+// there, plus the boundary behaviour of the centralized count rounding rule.
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mcdvfs/internal/freq"
@@ -21,7 +23,7 @@ func TestEnergyCoeffsMatchModel(t *testing.T) {
 		{Activates: 1, Reads: 0, Writes: 1, Refreshes: 7},
 		{Activates: 1 << 20, Reads: 1 << 22, Writes: 1 << 21},
 	}
-	for _, f := range freq.FineSpace().MemLadder() {
+	for _, f := range slices.Concat(freq.CoarseSpace().MemLadder(), freq.FineSpace().MemLadder()) {
 		c, err := m.CoeffsAt(f)
 		if err != nil {
 			t.Fatalf("CoeffsAt(%v): %v", f, err)
@@ -35,6 +37,9 @@ func TestEnergyCoeffsMatchModel(t *testing.T) {
 				if got := c.EnergyJ(counts, durNS); got != want {
 					t.Errorf("f=%v counts=%+v dur=%v: coeffs energy %v != model %v",
 						f, counts, durNS, got, want)
+				}
+				if !(want >= 0) {
+					t.Errorf("f=%v counts=%+v dur=%v: energy %v is negative", f, counts, durNS, want)
 				}
 			}
 		}

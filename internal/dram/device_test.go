@@ -25,6 +25,7 @@ func TestValidateCatchesBadDevices(t *testing.T) {
 	}{
 		{"zero banks", mk(func(d *Device) { d.Banks = 0 })},
 		{"zero tRCD", mk(func(d *Device) { d.TRCDns = 0 })},
+		{"line shorter than a burst", mk(func(d *Device) { d.LineBytes = d.BusBytes * d.BurstLen / 2 })},
 		{"refresh interval below tRFC", mk(func(d *Device) { d.TREFIns = d.TRFCns })},
 		{"inverted clock range", mk(func(d *Device) { d.FMax = d.FMin - 1 })},
 		{"negative activate energy", mk(func(d *Device) { d.EActPreJ = -1 })},

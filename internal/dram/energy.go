@@ -14,16 +14,12 @@ import (
 // representable — for counts at or above 2^52 the addition itself rounds to
 // nearest-even and can push an exact integer count up by one — so large
 // grids accumulated inconsistent totals. math.Round has no intermediate
-// addition and is exact for every representable non-negative count.
-//
-//vet:requires x >= 0
-//vet:ensures ret >= 0
+// addition and is exact for every representable non-negative count. Callers
+// pass a non-negative x, so the count is non-negative too.
 func RoundCount(x float64) int { return int(math.Round(x)) }
 
 // Counts tallies the command events issued over an interval, the inputs to
-// DRAMPower-style energy accounting.
-//
-//vet:invariant Activates >= 0 && Reads >= 0 && Writes >= 0 && Refreshes >= 0
+// DRAMPower-style energy accounting. Every field is non-negative.
 type Counts struct {
 	Activates int // activate+precharge pairs (row misses)
 	Reads     int // read bursts
@@ -111,8 +107,6 @@ type EnergyCoeffs struct {
 }
 
 // CoeffsAt hoists the energy-model invariants for clock f.
-//
-//vet:requires f > 0
 func (m *EnergyModel) CoeffsAt(f freq.MHz) (EnergyCoeffs, error) {
 	bg, err := m.BackgroundPowerW(f)
 	if err != nil {
@@ -127,10 +121,8 @@ func (m *EnergyModel) CoeffsAt(f freq.MHz) (EnergyCoeffs, error) {
 }
 
 // EnergyJ is the hoisted EnergyModel.Energy: joules over durationNS at the
-// hoisted clock given the event counts.
-//
-//vet:requires durationNS >= 0
-//vet:ensures ret >= 0
+// hoisted clock given the event counts. For a non-negative durationNS the
+// result is non-negative.
 func (c EnergyCoeffs) EnergyJ(counts Counts, durationNS float64) float64 {
 	e := c.BackgroundW * durationNS * 1e-9
 	e += float64(counts.Activates) * c.EActPreJ

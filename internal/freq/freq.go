@@ -23,16 +23,15 @@ func (f MHz) GHz() float64 { return float64(f) / 1e3 }
 // Hz returns the frequency in hertz.
 func (f MHz) Hz() float64 { return float64(f) * 1e6 }
 
-// CyclesPerNS returns the clock rate as cycles per nanosecond. The value
-// equals GHz numerically, but cycle-counting code should say what it means:
-// the units check treats frequencies and rates as different dimensions.
+// CyclesPerNS returns the clock rate as cycles per nanosecond. It is f·1e-3
+// where GHz is f/1e3, and the two round apart in the last bit at some
+// clocks (700 MHz among them), so the cycle arithmetic of every collected
+// grid rests on this form; the units check keeps it apart from GHz by
+// treating frequencies and rates as different dimensions.
 func (f MHz) CyclesPerNS() float64 { return float64(f) * 1e-3 }
 
 // PeriodNS returns the clock period in nanoseconds. It panics for
 // non-positive frequencies, which are always a programming error.
-//
-//vet:requires f > 0
-//vet:ensures ret > 0
 func (f MHz) PeriodNS() float64 {
 	if f <= 0 {
 		panic(fmt.Sprintf("freq: period of non-positive frequency %v", f))
@@ -56,10 +55,8 @@ type Volts float64
 func (v Volts) String() string { return fmt.Sprintf("%.3fV", float64(v)) }
 
 // Ladder returns the inclusive arithmetic sequence lo, lo+step, …, hi.
-// It panics if the arguments cannot produce a non-empty ladder, since
-// ladders are build-time configuration.
-//
-//vet:requires step > 0 && hi >= lo
+// It panics unless step > 0 and hi >= lo, since ladders are build-time
+// configuration.
 func Ladder(lo, hi, step MHz) []MHz {
 	if step <= 0 {
 		panic(fmt.Sprintf("freq: non-positive ladder step %v", step))

@@ -39,9 +39,7 @@ func NewOPPTable(points []OPP) *OPPTable {
 // LinearOPPTable builds an OPP table over the given frequency ladder with a
 // voltage that scales linearly from vMin at the lowest frequency to vMax at
 // the highest. This matches the paper's CPU domain, where voltage tracks
-// frequency up to 1.25 V at 1000 MHz.
-//
-//vet:requires vMin > 0 && vMax >= vMin
+// frequency up to 1.25 V at 1000 MHz. Callers pass 0 < vMin <= vMax.
 func LinearOPPTable(ladder []MHz, vMin, vMax Volts) *OPPTable {
 	if len(ladder) == 0 {
 		panic("freq: empty frequency ladder")
@@ -61,9 +59,7 @@ func LinearOPPTable(ladder []MHz, vMin, vMax Volts) *OPPTable {
 
 // FixedVoltageTable builds an OPP table whose voltage is the same at every
 // frequency. This matches the paper's memory domain: LPDDR3 VDD rails are
-// fixed and only the clock scales.
-//
-//vet:requires v > 0
+// fixed and only the clock scales. Callers pass a positive v.
 func FixedVoltageTable(ladder []MHz, v Volts) *OPPTable {
 	pts := make([]OPP, 0, len(ladder))
 	for _, f := range ladder {
@@ -96,8 +92,6 @@ func (t *OPPTable) Max() OPP { return t.points[len(t.points)-1] }
 // VoltageAt returns the supply voltage for frequency f. Frequencies between
 // table points are interpolated linearly; frequencies outside the table
 // range return an error, since running outside the OPP range is invalid.
-//
-//vet:requires f > 0
 func (t *OPPTable) VoltageAt(f MHz) (Volts, error) {
 	pts := t.points
 	if f < pts[0].F || f > pts[len(pts)-1].F {

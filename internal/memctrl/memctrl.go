@@ -47,13 +47,12 @@ func (l Load) Validate() error {
 }
 
 // Model is the analytic controller model for one device.
-//
-//vet:invariant utilCap > 0 && utilCap <= 0.95
 type Model struct {
 	dev dram.Device
 	// utilCap bounds data-bus utilization in the queueing term so the
-	// closed form stays finite; beyond the cap, saturation is expressed
-	// through the bandwidth bound (MinServiceTimeNS) instead.
+	// closed form stays finite; New sets it to 0.95. Beyond the cap,
+	// saturation is expressed through the bandwidth bound
+	// (MinServiceTimeNS) instead.
 	utilCap float64
 }
 
@@ -103,9 +102,8 @@ func (m *Model) BusUtilization(f freq.MHz, l Load) (float64, error) {
 }
 
 // AvgLatencyNS returns the expected per-access latency at clock f under the
-// given load, including queueing.
-//
-//vet:ensures ret >= 0
+// given load, including queueing. The result is non-negative: a validated
+// device keeps the refresh overhead below 1, and utilization is capped.
 func (m *Model) AvgLatencyNS(f freq.MHz, l Load) (float64, error) {
 	core, err := m.CoreServiceNS(f, l.RowHitRate)
 	if err != nil {
@@ -126,7 +124,7 @@ func (m *Model) AvgLatencyNS(f freq.MHz, l Load) (float64, error) {
 	// service.
 	service := m.dev.LineTransferNS(f) + l.WriteFrac*m.dev.TWRns*0.5
 	queue := util / (1 - util) * service
-	return core + queue, nil //lint:allow contract core's sign rests on dev.RefreshOverhead() < 1, a Device.Validate fact behind an interface call the interval walk cannot summarize; the hoisted Coeffs path proves the same bound via the RefreshDenom invariant
+	return core + queue, nil
 }
 
 // MinServiceTimeNS returns the bandwidth-bound lower limit on the time to
@@ -152,9 +150,9 @@ func (m *Model) MinServiceTimeNS(f freq.MHz, n float64) (float64, error) {
 // operation-for-operation — same terms, same association order — so for
 // inputs the Model methods would accept, the results are bit-identical. The
 // equivalence is pinned by TestCoeffsMatchModel. Inputs are NOT validated
-// here; callers hoist validation alongside the coefficients.
-//
-//vet:invariant RefreshDenom > 0 && RefreshDenom <= 1 && UtilCap > 0 && UtilCap <= 0.95
+// here; callers hoist validation alongside the coefficients. CoeffsAt
+// builds them from a validated device, so RefreshDenom lies in (0, 1] and
+// UtilCap in (0, 0.95].
 type Coeffs struct {
 	RowHitNS       float64 // device row-hit latency at the clock
 	RowMissNS      float64 // device row-miss (conflict) latency at the clock
@@ -165,8 +163,6 @@ type Coeffs struct {
 }
 
 // CoeffsAt hoists the latency-model invariants for clock f.
-//
-//vet:requires f > 0
 func (m *Model) CoeffsAt(f freq.MHz) (Coeffs, error) {
 	if err := m.dev.CheckClock(f); err != nil {
 		return Coeffs{}, err
@@ -182,30 +178,24 @@ func (m *Model) CoeffsAt(f freq.MHz) (Coeffs, error) {
 }
 
 // CoreServiceNS is the hoisted Model.CoreServiceNS: the load-independent
-// row-hit/row-miss latency mix inflated by refresh unavailability.
-//
-//vet:requires rowHitRate >= 0 && rowHitRate <= 1
-//vet:ensures ret >= 0
+// row-hit/row-miss latency mix inflated by refresh unavailability. For
+// rowHitRate in [0, 1] the result is non-negative.
 func (c Coeffs) CoreServiceNS(rowHitRate float64) float64 {
 	mix := rowHitRate*c.RowHitNS + (1-rowHitRate)*c.RowMissNS
 	return mix / c.RefreshDenom
 }
 
 // ServiceNS is the contended service time of the queueing term: the line
-// transfer plus the write-recovery share for the workload's write mix.
-//
-//vet:requires writeFrac >= 0 && writeFrac <= 1
-//vet:ensures ret >= 0
+// transfer plus the write-recovery share for the workload's write mix. For
+// writeFrac in [0, 1] the result is non-negative.
 func (c Coeffs) ServiceNS(writeFrac float64) float64 {
 	return c.LineTransferNS + writeFrac*c.TWRns*0.5
 }
 
 // QueueNS is the M/M/1-style waiting time at the given arrival rate, with
 // serviceNS precomputed by ServiceNS. CoreServiceNS(h) + QueueNS(r, s)
-// equals Model.AvgLatencyNS bit-for-bit.
-//
-//vet:requires accessPerNS >= 0 && serviceNS >= 0
-//vet:ensures ret >= 0
+// equals Model.AvgLatencyNS bit-for-bit. For non-negative arguments the
+// result is non-negative and finite.
 func (c Coeffs) QueueNS(accessPerNS, serviceNS float64) float64 {
 	util := accessPerNS * c.LineTransferNS
 	if util > c.UtilCap {
@@ -215,10 +205,7 @@ func (c Coeffs) QueueNS(accessPerNS, serviceNS float64) float64 {
 }
 
 // MinServiceTimeNS is the hoisted Model.MinServiceTimeNS bandwidth bound for
-// n cache-line accesses.
-//
-//vet:requires n >= 0
-//vet:ensures ret >= 0
+// n cache-line accesses. For a non-negative n the result is non-negative.
 func (c Coeffs) MinServiceTimeNS(n float64) float64 {
 	return n * c.LineTransferNS / c.RefreshDenom
 }

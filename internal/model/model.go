@@ -64,8 +64,6 @@ func (c Counters) Validate() error {
 
 // CrossComponent is the online-learned predictor. It is not safe for
 // concurrent use; each governor owns one.
-//
-//vet:invariant forget > 0.8 && forget <= 1
 type CrossComponent struct {
 	cpu  *cpupower.Model
 	mem  *dram.EnergyModel
@@ -127,12 +125,12 @@ func (m *CrossComponent) reset() {
 // predict with learned coefficients (two, to pin both α and β).
 func (m *CrossComponent) Ready() bool { return m.nObs >= 2 }
 
-// Alpha returns the current compute-cycles-per-instruction estimate.
-//
-//vet:ensures ret >= 0.05
-func (m *CrossComponent) Alpha() float64 { return m.theta[0] } //lint:allow contract the 0.05 floor is enforced by Observe's clamp on theta[0], an array slot the interval domain does not track across methods
+// Alpha returns the current compute-cycles-per-instruction estimate, which
+// Observe keeps at 0.05 or more.
+func (m *CrossComponent) Alpha() float64 { return m.theta[0] }
 
-// Beta returns the current stall-exposure estimate (≈ 1/MLP).
+// Beta returns the current stall-exposure estimate (≈ 1/MLP), which Observe
+// keeps within [0, 1.5].
 func (m *CrossComponent) Beta() float64 { return m.theta[1] }
 
 // Observe folds one completed interval into the estimate.

@@ -158,6 +158,33 @@ func TestObserveValidation(t *testing.T) {
 	}
 }
 
+// TestObserveKeepsCoefficientsPhysical feeds Observe valid counters at the
+// edges of what a PMU reports — ten million instructions in one nanosecond
+// at the top setting, with and without DRAM traffic, and in a thousand
+// seconds at the bottom one — and requires the estimate to stay physical
+// after every update: α at or above its 0.05 floor, β within [0, 1.5].
+func TestObserveKeepsCoefficientsPhysical(t *testing.T) {
+	m := newModel(t)
+	extremes := []Counters{
+		{Setting: freq.Setting{CPU: 1000, Mem: 800}, Instructions: 10_000_000, TimeNS: 1},
+		{Setting: freq.Setting{CPU: 1000, Mem: 800}, Instructions: 10_000_000, TimeNS: 1, MPKI: 50},
+		{Setting: freq.Setting{CPU: 100, Mem: 200}, Instructions: 10_000_000, TimeNS: 1e12},
+	}
+	for round := 0; round < 6; round++ {
+		for i, c := range extremes {
+			if err := m.Observe(c); err != nil {
+				t.Fatalf("round %d, counters %d: %v", round, i, err)
+			}
+			if a := m.Alpha(); !(a >= 0.05) {
+				t.Errorf("round %d, counters %d: alpha %v below its 0.05 floor", round, i, a)
+			}
+			if b := m.Beta(); !(b >= 0 && b <= 1.5) {
+				t.Errorf("round %d, counters %d: beta %v outside [0, 1.5]", round, i, b)
+			}
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	cfg := sim.NoiselessConfig()
 	if _, err := New(Config{CPUPower: cfg.CPUPower, Device: cfg.Device, Forget: 0.5}); err == nil {

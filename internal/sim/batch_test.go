@@ -196,8 +196,9 @@ func TestWarmStartSavesIterations(t *testing.T) {
 
 func TestBatchProperties(t *testing.T) {
 	// Model invariants over a real benchmark sweep: every solve converges,
-	// respects the bandwidth bound, keeps activity in (0,1], and time never
-	// increases when only memory frequency rises.
+	// respects the bandwidth bound, keeps activity in (0,1], leaves every
+	// cell's solve inputs and iterate non-negative with mlp >= 1, and time
+	// never increases when only memory frequency rises.
 	s := system(t)
 	specs := workload.MustByName("milc").MustRealize()
 	r, err := NewRunner(s, specs)
@@ -228,6 +229,10 @@ func TestBatchProperties(t *testing.T) {
 				}
 				if smp.Activity <= 0 || smp.Activity > 1 {
 					t.Errorf("sample %d at %v: activity %v outside (0,1]", i, st, smp.Activity)
+				}
+				if cs := r.cells[i]; !(cs.computeNS >= 0 && cs.accesses >= 0 && cs.mlp >= 1 && cs.coreNS >= 0 &&
+					cs.serviceNS >= 0 && cs.bwBoundNS >= 0 && cs.t >= 0) {
+					t.Errorf("sample %d at %v: cell %+v has a negative field or mlp below 1", i, st, cs)
 				}
 				if smp.TimeNS < prev[i]*(1-fixedPointTol) {
 					t.Errorf("sample %d: time fell from %v to %v when mem freq dropped to %v",

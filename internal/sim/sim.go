@@ -88,9 +88,8 @@ func NoiselessConfig() Config {
 }
 
 // System simulates one platform. It is safe for concurrent use: all state
-// is immutable after construction.
-//
-//vet:invariant cpiFactor >= 0.1 && cpiFactor <= 10 && lineBursts >= 1
+// is immutable after construction. New holds cpiFactor within [0.1, 10],
+// and a validated device moves at least one burst per line.
 type System struct {
 	cpu        *cpupower.Model
 	mem        *dram.EnergyModel
@@ -180,9 +179,8 @@ const coldStart = -1.0
 // hoisted latency, CPU-power, and DRAM-energy coefficients plus the clock
 // rate and the setting's contribution to the noise hash. Deriving it once
 // per setting-column is what makes the batch engine fast — the fixed-point
-// steps then run on a handful of float64s per cell.
-//
-//vet:invariant cyclesPerNS > 0
+// steps then run on a handful of float64s per cell. consts builds one only
+// for a setting every component model accepts, so cyclesPerNS is positive.
 type settingConsts struct {
 	st          freq.Setting
 	cyclesPerNS float64
@@ -299,9 +297,9 @@ func (s *System) ingest(spec workload.SampleSpec) sampleIn {
 // at one setting, hoisted once per cell by startCell, and the current
 // iterate t. Once the cell is solved, t is its pre-noise execution time,
 // which the batch engine keeps as the warm seed for the same sample at the
-// next setting of a chain.
-//
-//vet:invariant computeNS >= 0 && accesses >= 0 && mlp >= 1 && coreNS >= 0 && serviceNS >= 0 && bwBoundNS >= 0 && t >= 0
+// next setting of a chain. Every field is non-negative and mlp is at least
+// 1: startCell builds the cell from a validated sample, and step never
+// moves t below the bandwidth bound.
 type cellSolve struct {
 	computeNS float64 // compute time at the CPU clock
 	accesses  float64 // memory accesses
@@ -318,11 +316,9 @@ type cellSolve struct {
 // exactly the core service time); a non-negative seed begins from that
 // time, the warm start the batch engine feeds from the neighboring
 // operating point. Either start is clamped below by the bandwidth bound.
-// The requires restate validateSpec over the ingested fields: callers hold
-// a validated spec (the batch engine validates at Runner construction,
-// SimulateSample per call).
-//
-//vet:requires in.cpiNum > 0 && in.accesses >= 0 && in.mlp >= 1 && in.rowHit >= 0 && in.rowHit <= 1 && in.writeFrac >= 0 && in.writeFrac <= 1
+// Callers hold a spec that passed validateSpec (the batch engine validates
+// at Runner construction, SimulateSample per call), so cpiNum is positive,
+// accesses non-negative, mlp at least 1, and rowHit and writeFrac in [0, 1].
 func startCell(c *settingConsts, in *sampleIn, seedNS float64) cellSolve {
 	cs := cellSolve{
 		computeNS: in.cpiNum / c.cyclesPerNS,

@@ -59,6 +59,13 @@ func TestNewRejectsBadNoise(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("huge noise accepted")
 	}
+	cfg = DefaultConfig()
+	for _, k := range []float64{0.05, 11} {
+		cfg.CPIFactor = k
+		if _, err := New(cfg); err == nil {
+			t.Errorf("CPI factor %v accepted", k)
+		}
+	}
 }
 
 func cpuBoundSpec() workload.SampleSpec {
