@@ -22,21 +22,6 @@ import (
 	"go/token"
 )
 
-// EdgeKind classifies one outgoing CFG edge for condition-sensitive
-// analyses. Most edges are EdgeNext; the two successors of a block that ends
-// in a boolean condition (if header, for header) are EdgeTrue and EdgeFalse,
-// so an analysis can tell the two arms of a branch apart.
-type EdgeKind uint8
-
-const (
-	// EdgeNext is an unconditional (or unclassified) edge.
-	EdgeNext EdgeKind = iota
-	// EdgeTrue is taken when the block's Cond evaluates true.
-	EdgeTrue
-	// EdgeFalse is taken when the block's Cond evaluates false.
-	EdgeFalse
-)
-
 // Block is one basic block: nodes that execute in sequence, then a branch.
 type Block struct {
 	// Index is the block's position in CFG.Blocks, assigned in creation
@@ -50,15 +35,10 @@ type Block struct {
 	// if/for/switch conditions appear as bare ast.Expr entries in their
 	// header block.
 	Nodes []ast.Node
-	// Succs and Preds are the control-flow edges.
+	// Succs and Preds are the control-flow edges. A block that ends in a
+	// condition (if header, for header) lists its true successor first.
 	Succs []*Block
 	Preds []*Block
-	// SuccKinds classifies each Succs entry; the two slices stay parallel.
-	SuccKinds []EdgeKind
-	// Cond is the boolean expression whose outcome selects between this
-	// block's EdgeTrue and EdgeFalse successors, nil when the block ends
-	// unconditionally. It is always also the last condition node in Nodes.
-	Cond ast.Expr
 }
 
 // CFG is the control-flow graph of one function body.
@@ -146,12 +126,7 @@ func (b *builder) newBlock(kind string) *Block {
 }
 
 func (b *builder) edge(from, to *Block) {
-	b.edgeKind(from, to, EdgeNext)
-}
-
-func (b *builder) edgeKind(from, to *Block, kind EdgeKind) {
 	from.Succs = append(from.Succs, to)
-	from.SuccKinds = append(from.SuccKinds, kind)
 }
 
 // stmtList threads a statement sequence through cur, returning the live-out
@@ -202,20 +177,19 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 			cur.Nodes = append(cur.Nodes, s.Init)
 		}
 		cur.Nodes = append(cur.Nodes, s.Cond)
-		cur.Cond = s.Cond
 		then := b.newBlock("if.then")
-		b.edgeKind(cur, then, EdgeTrue)
+		b.edge(cur, then)
 		thenOut := b.stmtList(s.Body.List, then)
 		var elseOut, elseIn *Block
 		if s.Else != nil {
 			elseIn = b.newBlock("if.else")
-			b.edgeKind(cur, elseIn, EdgeFalse)
+			b.edge(cur, elseIn)
 			elseOut = b.stmt(s.Else, elseIn)
 		}
 		if s.Else == nil {
 			// No else: the false edge falls through to the join.
 			join := b.newBlock("if.done")
-			b.edgeKind(cur, join, EdgeFalse)
+			b.edge(cur, join)
 			if thenOut != nil {
 				b.edge(thenOut, join)
 			}
@@ -241,15 +215,12 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 		b.edge(cur, head)
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
-			head.Cond = s.Cond
 		}
 		body := b.newBlock("for.body")
 		done := b.newBlock("for.done")
+		b.edge(head, body)
 		if s.Cond != nil {
-			b.edgeKind(head, body, EdgeTrue)
-			b.edgeKind(head, done, EdgeFalse)
-		} else {
-			b.edge(head, body)
+			b.edge(head, done)
 		}
 		post := head
 		if s.Post != nil {
@@ -468,16 +439,14 @@ func (b *builder) finish() *CFG {
 	}
 	for _, blk := range c.Blocks {
 		// Drop edges into pruned blocks (possible via break targets of
-		// dead constructs), then fill preds. SuccKinds stays parallel.
+		// dead constructs), then fill preds.
 		live := blk.Succs[:0]
-		kinds := blk.SuccKinds[:0]
-		for i, s := range blk.Succs {
+		for _, s := range blk.Succs {
 			if reach[s] || s == b.exit {
 				live = append(live, s)
-				kinds = append(kinds, blk.SuccKinds[i])
 			}
 		}
-		blk.Succs, blk.SuccKinds = live, kinds
+		blk.Succs = live
 	}
 	for _, blk := range c.Blocks {
 		for _, s := range blk.Succs {

@@ -22,15 +22,8 @@ func (c *CFG) Dump(fset *token.FileSet) string {
 		}
 		if len(blk.Succs) > 0 {
 			b.WriteString(" ->")
-			for i, s := range blk.Succs {
-				suffix := ""
-				switch blk.SuccKinds[i] {
-				case EdgeTrue:
-					suffix = "(T)"
-				case EdgeFalse:
-					suffix = "(F)"
-				}
-				fmt.Fprintf(&b, " b%d%s", s.Index, suffix)
+			for _, s := range blk.Succs {
+				fmt.Fprintf(&b, " b%d", s.Index)
 			}
 		}
 		b.WriteByte('\n')

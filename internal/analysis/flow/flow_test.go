@@ -186,40 +186,6 @@ func TestDefUseClosureCapture(t *testing.T) {
 	}
 }
 
-// TestEdgeKinds pins the true/false classification of condition edges: an
-// if header's then edge is EdgeTrue, its join/else edge is EdgeFalse, and a
-// for header splits the same way.
-func TestEdgeKinds(t *testing.T) {
-	_, f, _ := loadFixture(t)
-	fd := fixtureFuncs(f)["Loops"]
-	cfg := New(fd)
-	checked := 0
-	for _, blk := range cfg.Blocks {
-		if blk.Cond == nil {
-			for _, k := range blk.SuccKinds {
-				if k != EdgeNext {
-					t.Errorf("%s: conditionless block has a %v edge", blk.Kind, k)
-				}
-			}
-			continue
-		}
-		if len(blk.Succs) != 2 {
-			t.Errorf("%s: cond block has %d successors, want 2", blk.Kind, len(blk.Succs))
-			continue
-		}
-		if blk.SuccKinds[0] != EdgeTrue || blk.SuccKinds[1] != EdgeFalse {
-			t.Errorf("%s: cond block edges are %v/%v, want EdgeTrue/EdgeFalse", blk.Kind, blk.SuccKinds[0], blk.SuccKinds[1])
-		}
-		if blk.Nodes[len(blk.Nodes)-1] != blk.Cond {
-			t.Errorf("%s: Cond is not the block's final node", blk.Kind)
-		}
-		checked++
-	}
-	if checked < 3 {
-		t.Errorf("Loops: expected at least 3 condition blocks, checked %d", checked)
-	}
-}
-
 // TestEveryPathHits drives the path query against hand-picked spots in the
 // fixture: the goroutine in Spawn is joined by the <-done receive on the
 // only path to exit, while Reassigned's second err definition reaches

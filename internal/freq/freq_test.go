@@ -144,15 +144,6 @@ func TestVoltageAtOutOfRange(t *testing.T) {
 	}
 }
 
-func TestFixedVoltageTable(t *testing.T) {
-	tab := FixedVoltageTable(Ladder(200, 800, 100), 1.2)
-	for i := 0; i < tab.Len(); i++ {
-		if tab.At(i).V != 1.2 {
-			t.Errorf("voltage at %v = %v, want 1.2", tab.At(i).F, tab.At(i).V)
-		}
-	}
-}
-
 func TestNearest(t *testing.T) {
 	tab := DefaultCPUOPPs()
 	cases := []struct {
@@ -164,6 +155,47 @@ func TestNearest(t *testing.T) {
 	for _, c := range cases {
 		if got := tab.Nearest(c.in).F; got != c.want {
 			t.Errorf("Nearest(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestOPPTablesRejectBadVoltages holds NewOPPTable's and LinearOPPTable's
+// voltage checks: each bad table panics, and the platform's tables build.
+func TestOPPTablesRejectBadVoltages(t *testing.T) {
+	nan, inf := Volts(math.NaN()), Volts(math.Inf(1))
+	ladder := Ladder(100, 600, 100)
+	for _, tc := range []struct {
+		name  string
+		build func() *OPPTable
+	}{
+		{"zero voltage", func() *OPPTable { return NewOPPTable([]OPP{{F: 100, V: 0}, {F: 200, V: 1}}) }},
+		{"negative voltage", func() *OPPTable { return NewOPPTable([]OPP{{F: 100, V: -0.1}, {F: 200, V: 1}}) }},
+		{"NaN voltage", func() *OPPTable { return NewOPPTable([]OPP{{F: 100, V: 0.9}, {F: 200, V: nan}}) }},
+		{"infinite voltage", func() *OPPTable { return NewOPPTable([]OPP{{F: 100, V: 0.9}, {F: 200, V: inf}}) }},
+		{"negative infinite voltage", func() *OPPTable { return NewOPPTable([]OPP{{F: 100, V: -inf}}) }},
+		{"falling voltage", func() *OPPTable { return NewOPPTable([]OPP{{F: 100, V: 1.1}, {F: 200, V: 1.0}}) }},
+		{"falling once sorted", func() *OPPTable { return NewOPPTable([]OPP{{F: 200, V: 1.0}, {F: 100, V: 1.1}}) }},
+		{"linear vMin zero", func() *OPPTable { return LinearOPPTable(ladder, 0, 1.05) }},
+		{"linear vMin negative", func() *OPPTable { return LinearOPPTable(ladder, -0.7, 1.05) }},
+		{"linear vMax below vMin", func() *OPPTable { return LinearOPPTable(ladder, 1.05, 0.7) }},
+		{"linear one point, vMax below vMin", func() *OPPTable { return LinearOPPTable(Ladder(500, 500, 100), 1.1, 0.9) }},
+		{"linear NaN vMax", func() *OPPTable { return LinearOPPTable(ladder, 0.7, nan) }},
+		{"linear infinite vMax", func() *OPPTable { return LinearOPPTable(Ladder(500, 500, 100), 0.7, inf) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("built without a panic")
+				}
+			}()
+			tc.build()
+		})
+	}
+	// The platform's own tables build. cpupower's DefaultParams takes
+	// DefaultCPUOPPs, and its tests build LittleParams' linear table.
+	for _, tab := range []*OPPTable{DefaultCPUOPPs(), FineCPUOPPs()} {
+		if tab.Min().V <= 0 || tab.Max().V < tab.Min().V {
+			t.Errorf("table %v..%v has voltages %v..%v", tab.Min().F, tab.Max().F, tab.Min().V, tab.Max().V)
 		}
 	}
 }

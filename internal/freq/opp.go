@@ -2,6 +2,7 @@ package freq
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -19,8 +20,10 @@ type OPPTable struct {
 }
 
 // NewOPPTable builds a table from the given points. Points are copied and
-// sorted by frequency. It panics on an empty table or duplicate frequencies:
-// OPP tables are static platform configuration and such inputs are bugs.
+// sorted by frequency. It panics on an empty table, duplicate frequencies,
+// a voltage that is not positive and finite, or a voltage that falls as
+// frequency rises: OPP tables are static platform configuration and such
+// inputs are bugs.
 func NewOPPTable(points []OPP) *OPPTable {
 	if len(points) == 0 {
 		panic("freq: empty OPP table")
@@ -28,9 +31,17 @@ func NewOPPTable(points []OPP) *OPPTable {
 	cp := make([]OPP, len(points))
 	copy(cp, points)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].F < cp[j].F })
-	for i := 1; i < len(cp); i++ {
-		if cp[i].F == cp[i-1].F {
-			panic(fmt.Sprintf("freq: duplicate OPP frequency %v", cp[i].F))
+	for i, p := range cp {
+		if !(p.V > 0) || math.IsInf(float64(p.V), 1) {
+			panic(fmt.Sprintf("freq: OPP voltage %v at %v is not positive and finite", p.V, p.F))
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := cp[i-1]; p.F == prev.F {
+			panic(fmt.Sprintf("freq: duplicate OPP frequency %v", p.F))
+		} else if p.V < prev.V {
+			panic(fmt.Sprintf("freq: OPP voltage falls from %v at %v to %v at %v", prev.V, prev.F, p.V, p.F))
 		}
 	}
 	return &OPPTable{points: cp}
@@ -39,10 +50,14 @@ func NewOPPTable(points []OPP) *OPPTable {
 // LinearOPPTable builds an OPP table over the given frequency ladder with a
 // voltage that scales linearly from vMin at the lowest frequency to vMax at
 // the highest. This matches the paper's CPU domain, where voltage tracks
-// frequency up to 1.25 V at 1000 MHz. Callers pass 0 < vMin <= vMax.
+// frequency up to 1.25 V at 1000 MHz. It panics unless 0 < vMin <= vMax,
+// both finite.
 func LinearOPPTable(ladder []MHz, vMin, vMax Volts) *OPPTable {
 	if len(ladder) == 0 {
 		panic("freq: empty frequency ladder")
+	}
+	if !(vMin <= vMax) || math.IsInf(float64(vMax), 1) {
+		panic(fmt.Sprintf("freq: OPP voltage range [%v, %v] is not ordered and finite", vMin, vMax))
 	}
 	lo, hi := ladder[0], ladder[len(ladder)-1]
 	span := hi - lo
@@ -52,17 +67,6 @@ func LinearOPPTable(ladder []MHz, vMin, vMax Volts) *OPPTable {
 		if span > 0 {
 			v = vMin + Volts(float64(vMax-vMin)*float64((f-lo)/span))
 		}
-		pts = append(pts, OPP{F: f, V: v})
-	}
-	return NewOPPTable(pts)
-}
-
-// FixedVoltageTable builds an OPP table whose voltage is the same at every
-// frequency. This matches the paper's memory domain: LPDDR3 VDD rails are
-// fixed and only the clock scales. Callers pass a positive v.
-func FixedVoltageTable(ladder []MHz, v Volts) *OPPTable {
-	pts := make([]OPP, 0, len(ladder))
-	for _, f := range ladder {
 		pts = append(pts, OPP{F: f, V: v})
 	}
 	return NewOPPTable(pts)

@@ -120,6 +120,40 @@ func TestLogNormFactor(t *testing.T) {
 	}
 }
 
+// TestLogNorm3MatchesSequentialDraws is LogNorm3's oracle: on a million
+// random seeds at each sigma, plus the seeds at both ends of the counter,
+// its three factors equal three successive LogNormFactor draws from
+// New(seed) bit for bit, and sigma = 0 gives exactly 1.
+func TestLogNorm3MatchesSequentialDraws(t *testing.T) {
+	seeds := New(0x10c0)
+	for _, sigma := range []float64{0, 0.001, 0.01, 0.05, 0.2} {
+		for n := 0; n < 1_000_002; n++ {
+			seed := seeds.Uint64()
+			switch n {
+			case 0:
+				seed = 0
+			case 1:
+				seed = math.MaxUint64
+			}
+			var got, want [3]float64
+			got[0], got[1], got[2] = LogNorm3(seed, sigma)
+			src := New(seed)
+			for i := range want {
+				want[i] = src.LogNormFactor(sigma)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %#x, sigma %v: LogNorm3 factor %d is %v (%#x), LogNormFactor draw %d is %v (%#x)",
+						seed, sigma, i, got[i], math.Float64bits(got[i]), i, want[i], math.Float64bits(want[i]))
+				}
+				if sigma == 0 && got[i] != 1 {
+					t.Fatalf("seed %#x: sigma 0 factor %d is %v, want exactly 1", seed, i, got[i])
+				}
+			}
+		}
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	s := New(29)
 	n := 100000

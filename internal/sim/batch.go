@@ -10,17 +10,20 @@ package sim
 // reusing its arenas across columns so a full grid performs O(1)
 // allocations per column.
 //
-// A column is solved breadth-first. startCell hoists every cell's solve
-// inputs and start iterate into the cell arena; then each pass advances
-// every cell that has not yet converged by exactly one damped step,
-// finishes the cells that just converged into their measurements, and
-// compacts the list of the rest in place. Each step is a serial chain of
-// three float divisions, so stepping one cell to convergence before
-// starting the next (as SimulateSample does) leaves the core waiting on
-// its divider; stepping independent cells in turn lets the out-of-order
-// core overlap their divisions. Every cell still performs the same float
-// operations in the same order, so the column is bit-identical to the
-// depth-first solve, and so are the per-cell iteration counts.
+// A column is solved by one kernel, solveColumn. startCell hoists every
+// cell's solve inputs and start iterate into the cell arena; then each
+// pass advances every cell that has not yet converged by exactly one damped
+// step and compacts the list of the rest in place; after the last pass,
+// finish turns every cell into its measurement in sample order. Each step
+// is a serial chain of three float divisions, so stepping one cell to
+// convergence before starting the next leaves the core waiting on its
+// divider; stepping independent cells in turn lets the out-of-order core
+// overlap their divisions, and writing the step out in the kernel's loop
+// body keeps a call off every cell's every pass. SimulateSample runs the
+// same kernel on a one-cell column, which is the depth-first solve. Every
+// cell performs the same float operations in the same order either way, so
+// a column is bit-identical to per-cell SimulateSample calls, and so are
+// the per-cell iteration counts.
 //
 // Adjacent operating points share the workload trace, so the Runner can
 // seed each cell's fixed-point iteration from the time the same sample
@@ -105,10 +108,12 @@ func (r *Runner) ResetSeed() { r.seedValid = false }
 // returned slice is the Runner's arena: it is overwritten by the next Solve
 // and must be consumed (or copied) before then.
 //
-// The column is solved breadth-first: up to fixedPointIters passes, each
-// advancing every still-unconverged cell by one damped step (see the
-// file comment). Cells left after the last pass are the column's
-// convergence failures, finished from their last iterate.
+// The column is solved breadth-first by solveColumn: up to
+// fixedPointIters passes, each advancing every still-unconverged cell by
+// one damped step (see the file comment). Every cell is then finished in
+// sample order; the cells still unconverged after the last pass are the
+// column's convergence failures, finished from their last iterate and
+// marked Converged false.
 //
 // With warm=false every cell cold-starts from the unloaded latency, making
 // the column bit-identical to per-cell SimulateSample calls. With warm=true
@@ -134,23 +139,12 @@ func (r *Runner) Solve(st freq.Setting, warm bool) ([]Sample, error) {
 		r.cells[i] = startCell(&c, &r.in[i], seedNS)
 		r.active[i] = i
 	}
-	live := len(r.active)
-	iters := uint64(0)
-	for pass := 0; pass < fixedPointIters && live > 0; pass++ {
-		iters += uint64(live)
-		n := 0
-		for _, i := range r.active[:live] {
-			if r.cells[i].step(&c.lat) {
-				r.samples[i] = r.sys.finish(&c, &r.in[i], &r.cells[i], true)
-				continue
-			}
-			r.active[n] = i
-			n++
-		}
-		live = n
+	iters, live := solveColumn(&c.lat, r.cells, r.active)
+	for i := range r.in {
+		r.samples[i] = r.sys.finish(&c, &r.in[i], &r.cells[i], true)
 	}
 	for _, i := range r.active[:live] {
-		r.samples[i] = r.sys.finish(&c, &r.in[i], &r.cells[i], false)
+		r.samples[i].Converged = false
 	}
 	r.seedValid = true
 	r.stats.Columns++

@@ -350,15 +350,15 @@ func TestBranchSpecsReachClampAndCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []float64{coldStart, coldStart}
 	specs := []workload.SampleSpec{bwClampSpec(), utilCapSpec()}
 	var cells [2]cellSolve
 	for i, spec := range specs {
 		in := s.ingest(spec)
-		cells[i] = startCell(&c, &in, seeds[i])
-		if _, ok := solveTimeNS(&cells[i], &c.lat); !ok {
-			t.Fatalf("spec %d did not converge at %v", i, st)
-		}
+		cells[i] = startCell(&c, &in, coldStart)
+	}
+	active := []int{0, 1}
+	if _, live := solveColumn(&c.lat, cells[:], active); live != 0 {
+		t.Fatalf("specs %v did not converge at %v", active[:live], st)
 	}
 	if clamp := cells[0]; clamp.t != clamp.bwBoundNS {
 		t.Errorf("bwClampSpec solved to %v, not its bandwidth bound %v", clamp.t, clamp.bwBoundNS)
@@ -370,9 +370,9 @@ func TestBranchSpecsReachClampAndCap(t *testing.T) {
 	}
 }
 
-// depthFirst solves each cell of one column depth-first, from seeds, the
-// way SimulateSample does, and returns the per-cell iteration counts and
-// the number of cells that did not converge.
+// depthFirst solves each cell of one column depth-first, from seeds, as a
+// one-cell column the way SimulateSample does, and returns the per-cell
+// iteration counts and the number of cells that did not converge.
 func depthFirst(t *testing.T, s *System, specs []workload.SampleSpec, st freq.Setting, seeds []float64) (iters []int, failures uint64) {
 	t.Helper()
 	c, err := s.consts(st)
@@ -382,10 +382,10 @@ func depthFirst(t *testing.T, s *System, specs []workload.SampleSpec, st freq.Se
 	iters = make([]int, len(specs))
 	for i, spec := range specs {
 		in := s.ingest(spec)
-		cs := startCell(&c, &in, seeds[i])
-		n, ok := solveTimeNS(&cs, &c.lat)
-		iters[i] = n
-		if !ok {
+		cell := [1]cellSolve{startCell(&c, &in, seeds[i])}
+		n, live := solveColumn(&c.lat, cell[:], []int{0})
+		iters[i] = int(n)
+		if live != 0 {
 			failures++
 		}
 	}
@@ -445,7 +445,7 @@ func TestColumnPassesMatchDepthFirst(t *testing.T) {
 			}
 		}
 		if n := got.Iterations - before.Iterations; n != sum {
-			t.Errorf("at %v: column took %d iterations, per-cell solveTimeNS sum %d", st, n, sum)
+			t.Errorf("at %v: column took %d iterations, depth-first per-cell sum %d", st, n, sum)
 		}
 		if lo == hi {
 			t.Errorf("at %v: every converged cell took %d iterations; the column never compacts mid-pass", st, lo)

@@ -30,15 +30,17 @@
 // collection ingests the realized workload once into per-sample input
 // records and solves whole setting-columns with every per-setting
 // invariant hoisted, optionally warm-starting each cell's fixed point from
-// the neighboring operating point. A column is solved breadth-first, one
-// damped step per unconverged cell per pass, so the float divisions of
-// independent cells overlap. Each cell's arithmetic lives in three
-// functions — startCell (inputs and start iterate), cellSolve.step (one
-// damped step) and finish (activity, energy, noise) — which the column
-// passes and SimulateSample, the depth-first single-cell path for
-// governors, the daemon, and experiments, both call. The pre-columnar
-// scalar implementation is retained verbatim (reference.go) as the oracle
-// for the differential test suite.
+// the neighboring operating point. One kernel, solveColumn, solves a
+// column breadth-first, one damped step per unconverged cell per pass,
+// with the step written out in its loop body, so the float divisions of
+// independent cells overlap and no cell makes a call on any pass. A cell
+// passes through startCell (inputs and start iterate), solveColumn and
+// finish (activity, energy, and the three noise factors from one
+// rng.LogNorm3 draw). Runner.Solve runs them on a whole column and
+// finishes its cells after the passes; SimulateSample, the single-cell
+// path for governors, the daemon, and experiments, runs them on a one-cell
+// column. The pre-columnar scalar implementation is retained verbatim
+// (reference.go) as the oracle for the differential test suite.
 package sim
 
 import (
@@ -235,9 +237,9 @@ func validateSpec(spec workload.SampleSpec) error {
 }
 
 // SimulateSample produces the measurement for one workload sample at one
-// setting. It is the single-cell path through the same start, step and
-// finish functions the batch engine runs, solving the cell depth-first;
-// sweeping many samples or settings is much faster through Runner.
+// setting. It solves a one-cell column, kept on the stack, through the same
+// startCell, solveColumn and finish the batch engine runs; sweeping many
+// samples or settings is much faster through Runner.
 func (s *System) SimulateSample(spec workload.SampleSpec, st freq.Setting) (Sample, error) {
 	if err := validateSpec(spec); err != nil {
 		return Sample{}, err
@@ -247,9 +249,10 @@ func (s *System) SimulateSample(spec workload.SampleSpec, st freq.Setting) (Samp
 		return Sample{}, err
 	}
 	in := s.ingest(spec)
-	cs := startCell(&c, &in, coldStart)
-	_, converged := solveTimeNS(&cs, &c.lat)
-	return s.finish(&c, &in, &cs, converged), nil
+	cells := [1]cellSolve{startCell(&c, &in, coldStart)}
+	active := [1]int{0}
+	_, live := solveColumn(&c.lat, cells[:], active[:])
+	return s.finish(&c, &in, &cells[0], live == 0), nil
 }
 
 // sampleIn is one validated sample's setting-independent inputs, derived
@@ -298,8 +301,8 @@ func (s *System) ingest(spec workload.SampleSpec) sampleIn {
 // iterate t. Once the cell is solved, t is its pre-noise execution time,
 // which the batch engine keeps as the warm seed for the same sample at the
 // next setting of a chain. Every field is non-negative and mlp is at least
-// 1: startCell builds the cell from a validated sample, and step never
-// moves t below the bandwidth bound.
+// 1: startCell builds the cell from a validated sample, and solveColumn
+// never moves t below the bandwidth bound.
 type cellSolve struct {
 	computeNS float64 // compute time at the CPU clock
 	accesses  float64 // memory accesses
@@ -338,39 +341,46 @@ func startCell(c *settingConsts, in *sampleIn, seedNS float64) cellSolve {
 	return cs
 }
 
-// step advances the cell by one damped fixed-point step on execution time
-// and reports whether the step met fixedPointTol. The body mirrors the
-// retained scalar reference (reference.go) operation for operation, so
-// identical seeds produce bit-identical iterates.
-func (cs *cellSolve) step(lat *memctrl.Coeffs) bool {
-	t := cs.t
-	accessPerNS := 0.0
-	if t > 0 {
-		accessPerNS = cs.accesses / t
-	}
-	latNS := cs.coreNS + lat.QueueNS(accessPerNS, cs.serviceNS)
-	next := cs.computeNS + cs.accesses*latNS/cs.mlp
-	if next < cs.bwBoundNS {
-		next = cs.bwBoundNS
-	}
-	// Damp to guarantee convergence of the negative-feedback loop.
-	next = (next + t) / 2
-	done := math.Abs(next-t) <= fixedPointTol*t
-	cs.t = next
-	return done
-}
-
-// solveTimeNS steps one cell until it meets fixedPointTol or exhausts
-// fixedPointIters, leaving the last iterate in cs.t. iters reports the
-// steps taken; the batch engine takes the same steps per cell, only
-// interleaved across a column.
-func solveTimeNS(cs *cellSolve, lat *memctrl.Coeffs) (iters int, converged bool) {
-	for i := 0; i < fixedPointIters; i++ {
-		if cs.step(lat) {
-			return i + 1, true
+// solveColumn is the damped fixed-point iteration on execution time, for
+// every cell that active lists. Each pass advances each listed cell by one
+// damped step and compacts active in place to the cells that did not meet
+// fixedPointTol on it, keeping their order. It stops when active is empty
+// or after fixedPointIters passes, and returns the steps taken and live,
+// the number of cells still listed: active[:live] are the unconverged
+// cells, each holding its last iterate. The step is written out in the
+// loop body (memctrl's QueueNS inlines), so no cell makes a call on any
+// pass, and it mirrors the retained scalar reference (reference.go)
+// operation for operation, so identical seeds produce bit-identical
+// iterates.
+func solveColumn(lat *memctrl.Coeffs, cells []cellSolve, active []int) (iters uint64, live int) {
+	live = len(active)
+	for pass := 0; pass < fixedPointIters && live > 0; pass++ {
+		iters += uint64(live)
+		n := 0
+		for _, i := range active[:live] {
+			cs := &cells[i]
+			t := cs.t
+			accessPerNS := 0.0
+			if t > 0 {
+				accessPerNS = cs.accesses / t
+			}
+			latNS := cs.coreNS + lat.QueueNS(accessPerNS, cs.serviceNS)
+			next := cs.computeNS + cs.accesses*latNS/cs.mlp
+			if next < cs.bwBoundNS {
+				next = cs.bwBoundNS
+			}
+			// Damp to guarantee convergence of the negative-feedback loop.
+			next = (next + t) / 2
+			cs.t = next
+			if math.Abs(next-t) <= fixedPointTol*t {
+				continue
+			}
+			active[n] = i
+			n++
 		}
+		live = n
 	}
-	return fixedPointIters, false
+	return iters, live
 }
 
 // finish turns a solved cell into its measurement: the activity share, CPU
@@ -390,10 +400,10 @@ func (s *System) finish(c *settingConsts, in *sampleIn, cs *cellSolve, converged
 	memE := c.mem.EnergyJ(in.counts, t)
 
 	if s.noise > 0 {
-		src := rng.Value(in.noiseH ^ c.noiseHash)
-		t *= src.LogNormFactor(s.noise)
-		cpuE *= src.LogNormFactor(s.noise)
-		memE *= src.LogNormFactor(s.noise)
+		ft, fcpu, fmem := rng.LogNorm3(in.noiseH^c.noiseHash, s.noise)
+		t *= ft
+		cpuE *= fcpu
+		memE *= fmem
 	}
 
 	return Sample{
