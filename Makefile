@@ -9,8 +9,8 @@
 # singleflight cache under real contention. `make lint` runs go vet first
 # (`go test` runs only part of vet, and not copylocks, which catches copied
 # mutexes and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
-# enforcing determinism, unit safety, context discipline, goroutine joins
-# and error flow (see DESIGN.md §7).
+# enforcing determinism, context discipline, goroutine joins and error
+# flow (see DESIGN.md §7).
 
 GO ?= go
 

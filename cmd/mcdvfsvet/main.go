@@ -1,9 +1,9 @@
 // Command mcdvfsvet runs the repository's domain-invariant analyzer suite
-// (internal/analysis), five checks that go vet, the race detector and the
+// (internal/analysis), four checks that go vet, the race detector and the
 // tests do not cover: determinism (including purity summaries that trace
-// entropy through helper calls), interprocedural unit safety, context
-// discipline, goroutine joins (goleak) and error flow. It is the
-// `make lint` tier of `make verify`, after go vet.
+// entropy through helper calls), context discipline, goroutine joins
+// (goleak) and error flow. It is the `make lint` tier of `make verify`,
+// after go vet.
 //
 // Usage:
 //

@@ -2,18 +2,18 @@
 // the standard library's go/ast, go/parser, and go/types (no x/tools — the
 // repository stays a zero-dependency offline build).
 //
-// The paper's methodology rests on two properties that ordinary tests cannot
+// The paper's methodology rests on properties that ordinary tests cannot
 // economically guard: every sample stream must be bit-reproducible (the
 // parallel collection engine is verified byte-identical to the serial
 // reference, which is only meaningful if no nondeterminism leaks into the
-// sim/trace/dram/core paths), and every power/latency formula must be
-// unit-consistent (MHz vs Hz, joules vs watts — the same failure class the
-// SysScale and gem5 DRAM power-down models guard against with validated
-// cross-domain calibration). This package turns those review-folklore
-// invariants into machine-checked gates. It has five checks: determinism,
-// units, ctx, goleak and errflow. Each one catches a defect that go vet,
-// the race detector and the tests let through; DESIGN.md §7 has the
-// catalogue and the audits that decided it.
+// sim/trace/dram/core paths), contexts must reach the work they cancel,
+// goroutines must be joined, and errors must not be dropped. This package
+// turns those review-folklore invariants into machine-checked gates. It
+// has four checks: determinism, ctx, goleak and errflow. Each one catches
+// a defect that go vet, the race detector and the tests let through;
+// DESIGN.md §7 has the catalogue and the audits that decided it. Unit
+// coherence (MHz vs ns, joules vs watts) is held by tests instead: the
+// grid digests and the component models' timing and energy assertions.
 //
 // A check is an Analyzer: a named pass over one type-checked package.
 // The driver in run.go loads packages (load.go), applies the per-check
@@ -125,7 +125,6 @@ type Analyzer struct {
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
-		UnitSafetyAnalyzer(),
 		CtxAnalyzer(),
 		GoLeakAnalyzer(),
 		ErrFlowAnalyzer(),
@@ -159,4 +158,30 @@ func pkgNameOf(info *types.Info, id *ast.Ident) (*types.PkgName, bool) {
 	}
 	pn, ok := obj.(*types.PkgName)
 	return pn, ok
+}
+
+// render prints a compact source form of e for diagnostics and for matching
+// a call or receiver by its spelling.
+func render(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return render(e.X) + "." + e.Sel.Name
+	case *ast.CallExpr:
+		return render(e.Fun) + "(...)"
+	case *ast.IndexExpr:
+		return render(e.X) + "[...]"
+	case *ast.ParenExpr:
+		return "(" + render(e.X) + ")"
+	case *ast.BasicLit:
+		return e.Value
+	case *ast.UnaryExpr:
+		return e.Op.String() + render(e.X)
+	case *ast.StarExpr:
+		return "*" + render(e.X)
+	case *ast.BinaryExpr:
+		return render(e.X) + " " + e.Op.String() + " " + render(e.Y)
+	}
+	return "expression"
 }

@@ -22,7 +22,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // fixtures lists every fixture package and the check it exercises.
-var fixtures = []string{"determfix", "unitfix", "ctxfix", "lintfix", "goleakfix", "errflowfix"}
+var fixtures = []string{"determfix", "ctxfix", "lintfix", "goleakfix", "errflowfix"}
 
 // runFixture executes the whole suite, scope-free, over one fixture.
 func runFixture(t *testing.T, name string, disable map[string]bool) string {
@@ -82,6 +82,24 @@ func TestFixturesHaveHitsAndSuppressions(t *testing.T) {
 		}
 		if strings.Contains(got, "Waived") {
 			t.Errorf("%s: a //lint:allow waiver failed to suppress:\n%s", name, got)
+		}
+	}
+}
+
+// TestSuiteNamesStable pins the check names: they are the -disable and
+// //lint:allow vocabulary, so renaming one silently orphans every waiver.
+func TestSuiteNamesStable(t *testing.T) {
+	want := []string{"determinism", "ctx", "goleak", "errflow"}
+	suite := analysis.Suite()
+	if len(suite) != len(want) {
+		t.Fatalf("suite has %d checks, want %d", len(suite), len(want))
+	}
+	for i, a := range suite {
+		if a.Name != want[i] {
+			t.Errorf("check %d named %q, want %q", i, a.Name, want[i])
+		}
+		if a.Doc == "" || a.Applies == nil || a.Run == nil {
+			t.Errorf("check %q is missing Doc, Applies or Run", a.Name)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // x/tools, matching the suite's zero-dependency contract), reaching
 // definitions with def-use chains over those CFGs, an every-path reachability
 // query, and a module-wide function index that resolves static call sites so
-// facts (unit summaries, join obligations) can propagate across call
+// facts (purity summaries, join obligations) can propagate across call
 // boundaries.
 //
 // The CFG is deliberately SSA-lite. Blocks hold the original ast nodes in

@@ -23,7 +23,7 @@ func TestWaiverAboveMultilineStatement(t *testing.T) {
 
 func f(a, b float64) bool {
 	var eq bool
-	//lint:allow units both operands are dimensionless
+	//lint:allow determinism both operands come from a seeded source
 	eq = a ==
 		b
 	return eq
@@ -34,16 +34,16 @@ func f(a, b float64) bool {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	known := map[string]bool{"units": true}
+	known := map[string]bool{"determinism": true}
 	sup, waivers, bad := collectSuppressions(fset, []*ast.File{f}, known)
 	if len(bad) != 0 {
 		t.Fatalf("unexpected lint diagnostics: %v", bad)
 	}
-	if len(waivers) != 1 || waivers[0].Check != "units" {
-		t.Fatalf("waivers = %v, want one units", waivers)
+	if len(waivers) != 1 || waivers[0].Check != "determinism" {
+		t.Fatalf("waivers = %v, want one determinism", waivers)
 	}
-	firstLine := Diagnostic{File: "edge.go", Line: 6, Check: "units", Message: "x"}
-	contLine := Diagnostic{File: "edge.go", Line: 7, Check: "units", Message: "x"}
+	firstLine := Diagnostic{File: "edge.go", Line: 6, Check: "determinism", Message: "x"}
+	contLine := Diagnostic{File: "edge.go", Line: 7, Check: "determinism", Message: "x"}
 	got := sup.filter([]Diagnostic{firstLine, contLine}, nil)
 	if len(got) != 1 || got[0].Line != 7 {
 		t.Errorf("filter kept %v; want only the continuation-line diagnostic (line 7)", got)
@@ -56,7 +56,7 @@ func TestTwoWaiversDifferentChecksOneLine(t *testing.T) {
 	src := `package p
 
 func f(a, b float64) error {
-	//lint:allow units both operands are dimensionless
+	//lint:allow determinism both operands come from a seeded source
 	_ = a == b //lint:allow errflow best-effort probe
 	return nil
 }
@@ -66,7 +66,7 @@ func f(a, b float64) error {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	known := map[string]bool{"units": true, "errflow": true}
+	known := map[string]bool{"determinism": true, "errflow": true}
 	sup, waivers, bad := collectSuppressions(fset, []*ast.File{f}, known)
 	if len(bad) != 0 {
 		t.Fatalf("unexpected lint diagnostics: %v", bad)
@@ -75,7 +75,7 @@ func f(a, b float64) error {
 		t.Fatalf("got %d waivers, want 2: %v", len(waivers), waivers)
 	}
 	ds := []Diagnostic{
-		{File: "edge.go", Line: 5, Check: "units", Message: "x"},
+		{File: "edge.go", Line: 5, Check: "determinism", Message: "x"},
 		{File: "edge.go", Line: 5, Check: "errflow", Message: "y"},
 		{File: "edge.go", Line: 5, Check: "ctx", Message: "z"}, // no waiver for ctx
 	}
@@ -94,8 +94,8 @@ func TestMalformedReasonVariants(t *testing.T) {
 	// near-miss prefix that is not our directive at all.
 	src := `package p
 
-//lint:allow units
-//lint:allow units
+//lint:allow determinism
+//lint:allow determinism
 //lint:allowance is a different word entirely
 const V = 1
 `
@@ -104,7 +104,7 @@ const V = 1
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	known := map[string]bool{"units": true}
+	known := map[string]bool{"determinism": true}
 	sup, waivers, bad := collectSuppressions(fset, []*ast.File{f}, known)
 	if len(waivers) != 0 {
 		t.Errorf("malformed directives produced waivers: %v", waivers)

@@ -8,16 +8,16 @@ package lintfix
 
 // A directive with no reason. want: lint hit.
 //
-//lint:allow units
+//lint:allow errflow
 
 // A directive with no check name at all. want: lint hit.
 //
 //lint:allow
 
-// A well-formed waiver with nothing left to suppress: the unit mix it
+// A well-formed waiver with nothing left to suppress: the dropped error it
 // excused was fixed without deleting the directive. want: stale lint hit.
 //
-//lint:allow units this unit mix was fixed long ago
+//lint:allow errflow this dropped error was fixed long ago
 const Fixed = 1.0
 
 // Value exists so the package has a declaration.

@@ -21,9 +21,6 @@ type RequestResult struct {
 	RowHit   bool
 }
 
-// LatencyNS returns the request's total service latency including queueing.
-func (r RequestResult) LatencyNS(req Request) float64 { return r.FinishNS - req.ArrivalNS }
-
 // EngineStats summarizes one engine run.
 type EngineStats struct {
 	Counts        Counts

@@ -53,6 +53,35 @@ func TestIdleSavingsDecreaseWithRate(t *testing.T) {
 	}
 }
 
+// TestIdleSavingsBreakEven pins IdleSavings to its closed form: under
+// Poisson arrivals at rate λ the recovered share of clocked background is
+// (1 − BackgroundFrac)·exp(−λ·(EntryNS + ExitNS)), so at the break-even
+// rate λ = 1/(EntryNS + ExitNS) it is (1 − BackgroundFrac)/e. The second
+// policy's unequal latencies make both of them count.
+func TestIdleSavingsBreakEven(t *testing.T) {
+	m := newModel(t)
+	for _, pd := range []PowerDown{DefaultPowerDown(), {BackgroundFrac: 0.5, EntryNS: 10, ExitNS: 40}} {
+		roundTrip := pd.EntryNS + pd.ExitNS
+		for _, rate := range []float64{0.001, 0.01, 1 / roundTrip, 0.05, 0.2} {
+			s, err := m.IdleSavings(pd, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := (1 - pd.BackgroundFrac) * math.Exp(-rate*roundTrip)
+			if math.Abs(s-want) > 1e-12 {
+				t.Errorf("%+v: savings at rate %v = %v, want %v", pd, rate, s, want)
+			}
+		}
+		s, err := m.IdleSavings(pd, 1/roundTrip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (1 - pd.BackgroundFrac) / math.E; math.Abs(s-want) > 1e-12 {
+			t.Errorf("%+v: break-even savings = %v, want (1 − BackgroundFrac)/e = %v", pd, s, want)
+		}
+	}
+}
+
 func TestIdleSavingsRejectBadInput(t *testing.T) {
 	m := newModel(t)
 	if _, err := m.IdleSavings(PowerDown{BackgroundFrac: 2}, 0.01); err == nil {

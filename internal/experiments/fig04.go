@@ -116,21 +116,3 @@ func (r *Fig04Result) Table(figure string) *report.Table {
 	}
 	return t
 }
-
-// TrajectoryTable renders the per-sample cluster envelopes for one case.
-func (r *Fig04Result) TrajectoryTable(caseIdx int) *report.Table {
-	c := r.Cases[caseIdx]
-	t := report.NewTable(
-		fmt.Sprintf("%s clusters at I=%s threshold %.0f%%", r.Benchmark, BudgetLabel(c.Budget), c.Threshold*100),
-		"sample", "size", "optimal", "cpu range", "mem range")
-	for _, row := range c.Rows {
-		t.AddRow(
-			fmt.Sprintf("%d", row.Sample),
-			fmt.Sprintf("%d", row.Size),
-			row.Optimal.String(),
-			fmt.Sprintf("%v-%v", row.CPUMin, row.CPUMax),
-			fmt.Sprintf("%v-%v", row.MemMin, row.MemMax),
-		)
-	}
-	return t
-}

@@ -26,8 +26,8 @@ func (f MHz) Hz() float64 { return float64(f) * 1e6 }
 // CyclesPerNS returns the clock rate as cycles per nanosecond. It is f·1e-3
 // where GHz is f/1e3, and the two round apart in the last bit at some
 // clocks (700 MHz among them), so the cycle arithmetic of every collected
-// grid rests on this form; the units check keeps it apart from GHz by
-// treating frequencies and rates as different dimensions.
+// grid rests on this form; TestBuiltinGridDigests (internal/trace) fails
+// if a grid path takes GHz instead.
 func (f MHz) CyclesPerNS() float64 { return float64(f) * 1e-3 }
 
 // PeriodNS returns the clock period in nanoseconds. It panics for

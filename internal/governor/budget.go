@@ -268,21 +268,16 @@ func (b *Budget) searchLocal(profile workload.SampleSpec) (Decision, error) {
 	if localEmin < eminEst {
 		b.emin.Observe(localEmin)
 	}
-	return b.pickWithEmin(cands, eminEst, searched)
+	return b.pick(cands, eminEst, searched)
 }
 
-// pick applies budget filtering and the cluster-keep rule with an exact
-// Emin.
-func (b *Budget) pick(cands []candidate, emin float64, searched int) (Decision, error) {
-	return b.pickWithEmin(cands, emin, searched)
-}
-
-// pickWithEmin selects the next setting from evaluated candidates:
+// pick selects the next setting from evaluated candidates, given Emin
+// (exact after a full sweep, the learned estimate after a local one):
 // admissible = within budget (relative to emin); optimal = min predicted
 // time with the paper's highest-CPU-then-memory tie-break; and if the
 // current setting is admissible and within the cluster threshold of the
 // optimal, keep it to avoid a transition.
-func (b *Budget) pickWithEmin(cands []candidate, emin float64, searched int) (Decision, error) {
+func (b *Budget) pick(cands []candidate, emin float64, searched int) (Decision, error) {
 	var admissible []candidate
 	for _, c := range cands {
 		if c.energyJ <= b.cfg.Budget*emin {

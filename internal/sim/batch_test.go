@@ -523,7 +523,8 @@ func TestSolveAndSimulateSampleDoNotAllocate(t *testing.T) {
 	// does the single-cell path. The lbm column converges everywhere; the
 	// branch column adds the cells no built-in benchmark has. At 1000/200
 	// MHz its oscillator never converges, which runs Solve's loop over
-	// unconverged cells, and bwClampSpec takes step's bandwidth clamp.
+	// unconverged cells, and bwClampSpec takes solveColumn's bandwidth
+	// clamp.
 	s := MustNew(DefaultConfig())
 	specs := workload.MustByName("lbm").MustRealize()
 	r, err := NewRunner(s, specs)

@@ -196,6 +196,14 @@ func TestSimulateRun(t *testing.T) {
 	if timeNS <= 0 || energyJ <= 0 {
 		t.Errorf("totals non-positive: %v, %v", timeNS, energyJ)
 	}
+	var wantNS, wantJ float64
+	for _, smp := range samples {
+		wantNS += smp.TimeNS
+		wantJ += smp.CPUEnergyJ + smp.MemEnergyJ
+	}
+	if timeNS != wantNS || energyJ != wantJ {
+		t.Errorf("Totals = %v ns, %v J; want the samples' sums %v ns, %v J", timeNS, energyJ, wantNS, wantJ)
+	}
 }
 
 func TestSimulateSampleErrors(t *testing.T) {
