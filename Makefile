@@ -6,9 +6,11 @@
 # benchmark run.
 # `make race` adds vet plus the full suite under the race detector, which
 # exercises the parallel collection engine and the Lab's bounded
-# singleflight cache under real contention. `make lint` runs go vet first
-# (`go test` runs only part of vet, and not copylocks, which catches copied
-# mutexes and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
+# singleflight cache under real contention. `make lint` first fails on any
+# file `gofmt -l .` lists, as CI's gofmt step does (gofmt -l exits 0, so
+# the guard turns its output into a failure), then runs go vet (`go test`
+# runs only part of vet, and not copylocks, which catches copied mutexes
+# and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
 # enforcing determinism, context discipline, goroutine joins and error
 # flow (see DESIGN.md §7).
 
@@ -28,6 +30,7 @@ verify: lint
 	cd _perfbench && $(GO) vet . && $(GO) test .
 
 lint:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mcdvfsvet ./...
 

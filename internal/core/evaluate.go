@@ -20,12 +20,6 @@ func DefaultOverhead() Overhead {
 	return Overhead{TimeNS: 500_000, EnergyJ: 30e-6}
 }
 
-// Scale returns the overhead scaled by a factor, used to model search
-// spaces of different sizes.
-func (o Overhead) Scale(f float64) Overhead {
-	return Overhead{TimeNS: o.TimeNS * f, EnergyJ: o.EnergyJ * f}
-}
-
 // ExecResult is the end-to-end outcome of running a schedule.
 type ExecResult struct {
 	TimeNS      float64

@@ -67,10 +67,6 @@ func TestDefaultOverheadMatchesPaper(t *testing.T) {
 	if oh.EnergyJ != 30e-6 {
 		t.Errorf("overhead energy = %v J, want 30µJ", oh.EnergyJ)
 	}
-	half := oh.Scale(0.5)
-	if half.TimeNS != 250_000 || half.EnergyJ != 15e-6 {
-		t.Errorf("Scale(0.5) = %+v", half)
-	}
 }
 
 func TestTradeoffDegradationBoundedByThreshold(t *testing.T) {

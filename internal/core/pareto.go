@@ -56,21 +56,3 @@ func (a *Analysis) ParetoFrontier() []ParetoPoint {
 	}
 	return out
 }
-
-// BestUnderBudget returns the frontier point with the lowest time whose
-// whole-run inefficiency is within the budget, and false if the budget
-// admits nothing (impossible for budget >= 1).
-func (a *Analysis) BestUnderBudget(budget float64) (ParetoPoint, bool) {
-	var best ParetoPoint
-	found := false
-	for _, p := range a.ParetoFrontier() {
-		if p.Inefficiency > budget {
-			continue
-		}
-		if !found || p.TimeNS < best.TimeNS {
-			best = p
-			found = true
-		}
-	}
-	return best, found
-}

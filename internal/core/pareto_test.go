@@ -89,46 +89,3 @@ func TestParetoNoMutualDomination(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBestUnderBudget(t *testing.T) {
-	a := analysisFor(t,
-		[][]float64{{200, 160, 150, 100}},
-		[][]float64{{2.0, 3.5, 3.0, 4.0}},
-	)
-	// Budget 1: only the Emin setting (0).
-	p, ok := a.BestUnderBudget(1)
-	if !ok || p.Setting != 0 {
-		t.Errorf("budget 1 -> %+v, %v; want setting 0", p, ok)
-	}
-	// Budget 1.5: settings with ineff <= 1.5: {0 (1.0), 2 (1.5)} -> 2 is faster.
-	p, ok = a.BestUnderBudget(1.5)
-	if !ok || p.Setting != 2 {
-		t.Errorf("budget 1.5 -> %+v, %v; want setting 2", p, ok)
-	}
-	// Unconstrained: the fastest (3).
-	p, ok = a.BestUnderBudget(Unconstrained)
-	if !ok || p.Setting != 3 {
-		t.Errorf("unconstrained -> %+v, %v; want setting 3", p, ok)
-	}
-}
-
-func TestBestUnderBudgetMonotone(t *testing.T) {
-	f := func(seed uint64) bool {
-		a := quickAnalysis(t, seed)
-		prevTime := math.Inf(1)
-		for _, b := range []float64{1.0, 1.2, 1.5, 2.0, 5.0} {
-			p, ok := a.BestUnderBudget(b)
-			if !ok {
-				return false // budget >= 1 always admits the Emin point
-			}
-			if p.TimeNS > prevTime+1e-9 {
-				return false
-			}
-			prevTime = p.TimeNS
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}

@@ -186,14 +186,3 @@ func (c Coeffs) EnergyJ(activity, durationNS float64) float64 {
 	dyn := c.PeakClockedW * activity
 	return (dyn + c.BackgroundW + c.LeakageW) * durationNS * 1e-9
 }
-
-// EnergyPerCycle returns the active-execution energy cost of one cycle at
-// frequency f (dynamic at full activity plus background plus leakage,
-// divided by the clock rate). Useful for quick analytic comparisons.
-func (m *Model) EnergyPerCycle(f freq.MHz) (float64, error) {
-	b, err := m.Power(f, 1)
-	if err != nil {
-		return 0, err
-	}
-	return b.TotalW() / f.Hz(), nil
-}

@@ -172,11 +172,13 @@ func TestEnergyPerCycleConvexShape(t *testing.T) {
 	m := defaultModel(t)
 	var vals []float64
 	for _, f := range freq.Ladder(100, 1000, 100) {
-		e, err := m.EnergyPerCycle(f)
+		// Active-execution energy per cycle: full-activity power over the
+		// clock rate.
+		b, err := m.Power(f, 1)
 		if err != nil {
-			t.Fatalf("EnergyPerCycle(%v): %v", f, err)
+			t.Fatalf("Power(%v, 1): %v", f, err)
 		}
-		vals = append(vals, e)
+		vals = append(vals, b.TotalW()/f.Hz())
 	}
 	// Find the argmin and require strictly decreasing before it and
 	// strictly increasing after it.

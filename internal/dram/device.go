@@ -145,12 +145,6 @@ func (d Device) LineTransferNS(f freq.MHz) float64 {
 	return float64(d.LineBursts()) * d.BurstNS(f)
 }
 
-// PeakBandwidthBps returns the theoretical peak data bandwidth at clock f
-// in bytes per second (DDR: two beats per clock).
-func (d Device) PeakBandwidthBps(f freq.MHz) float64 {
-	return 2 * f.Hz() * float64(d.BusBytes)
-}
-
 // RowHitNS returns the ns latency of a row-buffer hit at clock f: the
 // column access plus the full cache-line transfer.
 func (d Device) RowHitNS(f freq.MHz) float64 {

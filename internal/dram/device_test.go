@@ -51,19 +51,6 @@ func TestBurstScalesInverselyWithClock(t *testing.T) {
 	}
 }
 
-func TestPeakBandwidthProportionalToClock(t *testing.T) {
-	d := DefaultDevice()
-	bw800 := d.PeakBandwidthBps(800)
-	bw400 := d.PeakBandwidthBps(400)
-	if math.Abs(bw800/bw400-2) > 1e-12 {
-		t.Errorf("bandwidth not proportional to clock: %v vs %v", bw800, bw400)
-	}
-	// x32 DDR at 800 MHz = 6.4 GB/s.
-	if math.Abs(bw800-6.4e9) > 1 {
-		t.Errorf("peak bandwidth at 800MHz = %v, want 6.4e9", bw800)
-	}
-}
-
 func TestRowMissSlowerThanRowHit(t *testing.T) {
 	d := DefaultDevice()
 	for _, f := range freq.Ladder(200, 800, 100) {

@@ -130,16 +130,3 @@ func (c EnergyCoeffs) EnergyJ(counts Counts, durationNS float64) float64 {
 	e += float64(counts.Writes) * c.EWrBurstJ
 	return e
 }
-
-// AccessEnergyJ returns the incremental energy of one access: the burst
-// energy plus, for row misses, the activate/precharge pair.
-func (m *EnergyModel) AccessEnergyJ(write, rowHit bool) float64 {
-	e := m.dev.ERdBurstJ
-	if write {
-		e = m.dev.EWrBurstJ
-	}
-	if !rowHit {
-		e += m.dev.EActPreJ
-	}
-	return e
-}

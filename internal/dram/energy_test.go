@@ -88,20 +88,6 @@ func TestEnergyRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestAccessEnergy(t *testing.T) {
-	m := newModel(t)
-	d := DefaultDevice()
-	if got := m.AccessEnergyJ(false, true); got != d.ERdBurstJ {
-		t.Errorf("read hit = %v, want %v", got, d.ERdBurstJ)
-	}
-	if got := m.AccessEnergyJ(true, false); got != d.EWrBurstJ+d.EActPreJ {
-		t.Errorf("write miss = %v, want %v", got, d.EWrBurstJ+d.EActPreJ)
-	}
-	if m.AccessEnergyJ(false, false) <= m.AccessEnergyJ(false, true) {
-		t.Error("row miss should cost more than row hit")
-	}
-}
-
 func TestCountsAdd(t *testing.T) {
 	a := Counts{Activates: 1, Reads: 2, Writes: 3, Refreshes: 4}
 	a.Add(Counts{Activates: 10, Reads: 20, Writes: 30, Refreshes: 40})

@@ -23,15 +23,13 @@ type RequestResult struct {
 
 // EngineStats summarizes one engine run.
 type EngineStats struct {
-	Counts        Counts
-	Requests      int // cache-line requests serviced
-	RowHits       int
-	RowMisses     int
-	TotalNS       float64 // time from first arrival to last burst completion
-	SumLatencyNS  float64
-	MaxLatencyNS  float64
-	BusBusyNS     float64 // time the data bus carried bursts
-	RefreshStalls int
+	Counts       Counts
+	Requests     int // cache-line requests serviced
+	RowHits      int
+	RowMisses    int
+	TotalNS      float64 // time from first arrival to last burst completion
+	SumLatencyNS float64
+	MaxLatencyNS float64
 }
 
 // AvgLatencyNS returns the mean request latency.
@@ -142,7 +140,6 @@ func (e *Engine) Service(req Request) (RequestResult, error) {
 			}
 		}
 		e.stats.Counts.Refreshes++
-		e.stats.RefreshStalls++
 		e.nextRefresh += e.dev.TREFIns
 	}
 
@@ -182,7 +179,6 @@ func (e *Engine) Service(req Request) (RequestResult, error) {
 	burstNS := e.cycles(e.timing.Burst * e.dev.LineBursts())
 	finish := burstStart + burstNS
 	e.busFreeNS = finish
-	e.stats.BusBusyNS += burstNS
 
 	ready := finish
 	if req.Write {

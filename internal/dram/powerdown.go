@@ -3,8 +3,6 @@ package dram
 import (
 	"fmt"
 	"math"
-
-	"mcdvfs/internal/freq"
 )
 
 // PowerDown describes the device's low-power state machine, after the
@@ -70,25 +68,4 @@ func (m *EnergyModel) IdleSavings(pd PowerDown, accessPerNS float64) (float64, e
 		savings = 0
 	}
 	return savings, nil
-}
-
-// EnergyWithPowerDown is Energy with the clocked background reduced by the
-// power-down policy under the interval's average access rate.
-func (m *EnergyModel) EnergyWithPowerDown(f freq.MHz, counts Counts, durationNS float64, pd PowerDown) (float64, error) {
-	base, err := m.Energy(f, counts, durationNS)
-	if err != nil {
-		return 0, err
-	}
-	rate := 0.0
-	if durationNS > 0 {
-		// Counts are in bursts; accesses are line transfers.
-		rate = float64(counts.Accesses()) / float64(m.dev.LineBursts()) / durationNS
-	}
-	savingsFrac, err := m.IdleSavings(pd, rate)
-	if err != nil {
-		return 0, err
-	}
-	clocked := m.dev.PBgClockedW * float64(f/m.dev.FMax)
-	saved := clocked * savingsFrac * durationNS * 1e-9
-	return base - saved, nil
 }

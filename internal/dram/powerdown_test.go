@@ -94,50 +94,3 @@ func TestIdleSavingsRejectBadInput(t *testing.T) {
 		t.Error("NaN rate accepted")
 	}
 }
-
-func TestEnergyWithPowerDownBounds(t *testing.T) {
-	m := newModel(t)
-	pd := DefaultPowerDown()
-	counts := Counts{Reads: 200, Writes: 100, Activates: 60}
-	duration := 1e7 // 10 ms
-	base, err := m.Energy(400, counts, duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withPD, err := m.EnergyWithPowerDown(400, counts, duration, pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withPD >= base {
-		t.Errorf("power-down energy %v not below base %v", withPD, base)
-	}
-	// Savings can never exceed the whole clocked background.
-	d := m.Device()
-	clockedE := d.PBgClockedW * float64(freqRatio(400, d)) * duration * 1e-9
-	if base-withPD > clockedE+1e-15 {
-		t.Errorf("saved %v exceeds clocked background %v", base-withPD, clockedE)
-	}
-}
-
-func TestEnergyWithPowerDownBusyStream(t *testing.T) {
-	// A saturated stream leaves almost no usable gaps.
-	m := newModel(t)
-	d := m.Device()
-	pd := DefaultPowerDown()
-	duration := 1e6
-	// One access per line-transfer-time: bus fully busy.
-	accesses := duration / d.LineTransferNS(800)
-	counts := Counts{Reads: int(accesses) * d.LineBursts()}
-	base, _ := m.Energy(800, counts, duration)
-	withPD, err := m.EnergyWithPowerDown(800, counts, duration, pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveFrac := (base - withPD) / base
-	if saveFrac > 0.05 {
-		t.Errorf("saturated stream saved %.1f%% energy; should be near zero", saveFrac*100)
-	}
-}
-
-// freqRatio helps compute the clocked-background scale factor in tests.
-func freqRatio(f float64, d Device) float64 { return f / float64(d.FMax) }

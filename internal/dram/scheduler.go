@@ -2,7 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"sort"
 
 	"mcdvfs/internal/freq"
 )
@@ -119,8 +118,3 @@ func (s *ScheduledEngine) Stats() EngineStats { return s.eng.Stats() }
 
 // Pending returns the queued request count.
 func (s *ScheduledEngine) Pending() int { return len(s.queue) }
-
-// SortRequestsByArrival is a helper for building test streams.
-func SortRequestsByArrival(reqs []Request) {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalNS < reqs[j].ArrivalNS })
-}

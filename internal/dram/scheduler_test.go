@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"testing"
-
-	"mcdvfs/internal/rng"
-)
+import "testing"
 
 func TestScheduledEngineValidation(t *testing.T) {
 	dev := DefaultDevice()
@@ -157,19 +153,5 @@ func TestFRFCFSWindowBoundsReordering(t *testing.T) {
 	want, _ := plain.ServiceAll(frfcfsStream(16))
 	if got.SumLatencyNS != want.SumLatencyNS {
 		t.Errorf("window-1 FR-FCFS diverged from FCFS")
-	}
-}
-
-func TestSortRequestsByArrival(t *testing.T) {
-	src := rng.New(3)
-	var reqs []Request
-	for i := 0; i < 50; i++ {
-		reqs = append(reqs, Request{ArrivalNS: src.Float64() * 1000, Bank: src.Intn(8), Row: src.Intn(100)})
-	}
-	SortRequestsByArrival(reqs)
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].ArrivalNS < reqs[i-1].ArrivalNS {
-			t.Fatal("not sorted")
-		}
 	}
 }

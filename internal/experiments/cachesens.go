@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/cache"
 	"mcdvfs/internal/core"
 	"mcdvfs/internal/freq"
 	"mcdvfs/internal/report"
-	"mcdvfs/internal/trace"
 	"mcdvfs/internal/workload"
 )
 
@@ -63,7 +63,7 @@ func (l *Lab) CacheSensitivity(budget float64, l2Sizes []int) (*CacheSensResult,
 		if err != nil {
 			return nil, err
 		}
-		g, err := trace.Collect(l.sys, bench, l.coarse)
+		g, err := l.CollectWorkload(context.Background(), bench, "coarse")
 		if err != nil {
 			return nil, err
 		}

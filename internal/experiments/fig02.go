@@ -56,11 +56,11 @@ func (l *Lab) Fig02(bench string) (*Fig02Result, error) {
 		}
 	}
 	res.Imax = a.MaxInefficiency()
-	minID, ok := spaceID(l.coarse, l.coarse.Min())
+	minID, ok := l.coarse.ID(l.coarse.Min())
 	if !ok {
 		return nil, fmt.Errorf("experiments: min setting missing from space")
 	}
-	maxID, ok := spaceID(l.coarse, l.coarse.Max())
+	maxID, ok := l.coarse.ID(l.coarse.Max())
 	if !ok {
 		return nil, fmt.Errorf("experiments: max setting missing from space")
 	}
@@ -123,11 +123,6 @@ func (r *Fig02Result) Heatmap(space *freq.Space) string {
 		labels, rows)
 }
 
-// spaceID adapts Space.ID to the experiment code's error handling.
-func spaceID(space *freq.Space, st freq.Setting) (freq.SettingID, bool) {
-	return space.ID(st)
-}
-
 // Fig03Row is one sample's optimal settings across budgets, with the
 // workload's CPI and MPKI at the reference setting.
 type Fig03Row struct {
@@ -176,7 +171,7 @@ func (l *Lab) Fig03(bench string, budgets []float64) (*Fig03Result, error) {
 	}
 	// Reference setting for the CPI/MPKI traces: the maximum setting, as
 	// the paper's CPI plot comes from the unconstrained run.
-	refID, ok := spaceID(l.coarse, l.coarse.Max())
+	refID, ok := l.coarse.ID(l.coarse.Max())
 	if !ok {
 		return nil, fmt.Errorf("experiments: max setting missing from space")
 	}

@@ -4,26 +4,14 @@ import (
 	"fmt"
 
 	"mcdvfs/internal/core"
-	"mcdvfs/internal/freq"
 	"mcdvfs/internal/report"
 )
 
-// ClusterRow summarizes one sample's performance cluster: the frequency
-// envelope the cluster spans on each domain, matching how Figures 4 and 5
-// plot clusters as vertical extents.
-type ClusterRow struct {
-	Sample         int
-	Size           int
-	Optimal        freq.Setting
-	CPUMin, CPUMax freq.MHz
-	MemMin, MemMax freq.MHz
-}
-
-// ClusterCase is the cluster trajectory for one (budget, threshold) pair.
+// ClusterCase summarizes the performance clusters of one (budget,
+// threshold) pair.
 type ClusterCase struct {
 	Budget    float64
 	Threshold float64
-	Rows      []ClusterRow
 	MeanSize  float64
 	// Regions is the resulting stable-region count, the quantity the
 	// cluster width ultimately controls.
@@ -60,43 +48,12 @@ func (l *Lab) FigClusters(bench string, cases [][2]float64) (*Fig04Result, error
 		if err != nil {
 			return nil, err
 		}
-		cc := ClusterCase{
+		res.Cases = append(res.Cases, ClusterCase{
 			Budget:    budget,
 			Threshold: th,
 			MeanSize:  core.MeanClusterSize(clusters),
 			Regions:   len(regions),
-		}
-		for _, cl := range clusters {
-			row := ClusterRow{
-				Sample:  cl.Sample,
-				Size:    len(cl.Members),
-				Optimal: a.Grid().Setting(cl.Optimal),
-			}
-			first := true
-			for _, k := range cl.Members {
-				st := a.Grid().Setting(k)
-				if first {
-					row.CPUMin, row.CPUMax = st.CPU, st.CPU
-					row.MemMin, row.MemMax = st.Mem, st.Mem
-					first = false
-					continue
-				}
-				if st.CPU < row.CPUMin {
-					row.CPUMin = st.CPU
-				}
-				if st.CPU > row.CPUMax {
-					row.CPUMax = st.CPU
-				}
-				if st.Mem < row.MemMin {
-					row.MemMin = st.Mem
-				}
-				if st.Mem > row.MemMax {
-					row.MemMax = st.Mem
-				}
-			}
-			cc.Rows = append(cc.Rows, row)
-		}
-		res.Cases = append(res.Cases, cc)
+		})
 	}
 	return res, nil
 }

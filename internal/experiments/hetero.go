@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -43,16 +44,24 @@ type HeteroResult struct {
 // littleCPIFactor models the LITTLE core's weaker microarchitecture.
 const littleCPIFactor = 1.6
 
-// Hetero runs the comparison.
+// littleSpace is the LITTLE core's setting space: its CPU tops out at
+// 600 MHz, and it shares the big core's memory ladder.
+func littleSpace() *freq.Space {
+	return freq.NewSpace(freq.Ladder(100, 600, 100), freq.Ladder(freq.MemMinMHz, freq.MemMaxMHz, 100))
+}
+
+// Hetero runs the comparison. The LITTLE core shares the lab's platform
+// (memory device, measurement noise) and collection path; only its CPU
+// power and CPI factor differ.
 func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error) {
-	littleCfg := sim.DefaultConfig()
+	littleCfg := l.cfg
 	littleCfg.CPUPower = cpupower.LittleParams()
 	littleCfg.CPIFactor = littleCPIFactor
 	littleSys, err := sim.New(littleCfg)
 	if err != nil {
 		return nil, err
 	}
-	littleSpace := freq.NewSpace(freq.Ladder(100, 600, 100), freq.Ladder(freq.MemMinMHz, freq.MemMaxMHz, 100))
+	little := littleSpace()
 
 	res := &HeteroResult{Benchmarks: benches, Budgets: budgets, CrossoverBudget: make(map[string]float64)}
 	for _, bench := range benches {
@@ -64,7 +73,7 @@ func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error)
 		if err != nil {
 			return nil, err
 		}
-		littleGrid, err := trace.Collect(littleSys, b, littleSpace)
+		littleGrid, err := l.collectGated(context.Background(), littleSys, b, little)
 		if err != nil {
 			return nil, err
 		}

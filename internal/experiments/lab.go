@@ -28,6 +28,7 @@ import (
 // same grid trigger exactly one collection and requests for different
 // grids proceed independently.
 type Lab struct {
+	cfg    sim.Config // the platform sys was built from
 	sys    *sim.System
 	coarse *freq.Space
 	fine   *freq.Space
@@ -170,6 +171,7 @@ func NewLabWithConfig(cfg sim.Config, opts ...Option) (*Lab, error) {
 		return nil, err
 	}
 	l := &Lab{
+		cfg:     cfg,
 		sys:     sys,
 		coarse:  freq.CoarseSpace(),
 		fine:    freq.FineSpace(),
@@ -288,7 +290,7 @@ func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
 			done := l.span(k.Benchmark, k.Space)
 			defer done()
 		}
-		g, err := l.collectGated(ctx, b, space)
+		g, err := l.collectGated(ctx, l.sys, b, space)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: collecting %s %s: %w", k.Space, k.Benchmark, err)
 		}
@@ -304,9 +306,10 @@ func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
 	return e, nil
 }
 
-// collectGated runs one collection behind the admission gate with the
-// lab's worker bound and progress hook.
-func (l *Lab) collectGated(ctx context.Context, b workload.Benchmark, space *freq.Space) (*trace.Grid, error) {
+// collectGated runs one collection on sys behind the admission gate with
+// the lab's worker bound and progress hook. Every collection the lab or
+// an experiment runs goes through it.
+func (l *Lab) collectGated(ctx context.Context, sys *sim.System, b workload.Benchmark, space *freq.Space) (*trace.Grid, error) {
 	if l.gate != nil {
 		release, err := l.gate(ctx)
 		if err != nil {
@@ -314,7 +317,7 @@ func (l *Lab) collectGated(ctx context.Context, b workload.Benchmark, space *fre
 		}
 		defer release()
 	}
-	return l.collect(ctx, l.sys, b, space, trace.CollectOptions{Workers: l.workers, OnProgress: l.progress})
+	return l.collect(ctx, sys, b, space, trace.CollectOptions{Workers: l.workers, OnProgress: l.progress})
 }
 
 // CollectWorkload collects an inline workload's grid in the named space
@@ -327,7 +330,7 @@ func (l *Lab) CollectWorkload(ctx context.Context, b workload.Benchmark, space s
 	if err != nil {
 		return nil, err
 	}
-	return l.collectGated(ctx, b, l.spaces[k.Space].space)
+	return l.collectGated(ctx, l.sys, b, l.spaces[k.Space].space)
 }
 
 func (l *Lab) emit(k GridKey, kind GridEventKind) {

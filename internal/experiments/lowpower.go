@@ -10,13 +10,11 @@ import (
 // LowPowerRow is one benchmark's memory power-down opportunity.
 type LowPowerRow struct {
 	Benchmark string
-	// BusUtil is the mean memory access rate (accesses/ns) at the optimal
-	// I=1.3 schedule.
+	// AccessPerNS is the mean memory access rate (accesses/ns) over the
+	// optimal schedule at the study's budget.
 	AccessPerNS float64
-	// SavingsFrac is the fraction of clocked memory background energy a
-	// power-down policy recovers.
-	SavingsFrac float64
-	// SystemSavingsPct is the resulting whole-system energy saving.
+	// SystemSavingsPct is the whole-system energy saving the power-down
+	// policy recovers from the clocked memory background.
 	SystemSavingsPct float64
 }
 
@@ -29,10 +27,12 @@ type LowPowerResult struct {
 	Rows   []LowPowerRow
 }
 
-// LowPower runs the study at the given budget.
+// LowPower runs the study at the given budget on the lab's memory device,
+// whose background power sets what a power-down can recover.
 func (l *Lab) LowPower(benches []string, budget float64) (*LowPowerResult, error) {
 	pd := dram.DefaultPowerDown()
-	em, err := dram.NewEnergyModel(dram.DefaultDevice())
+	dev := l.cfg.Device
+	em, err := dram.NewEnergyModel(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func (l *Lab) LowPower(benches []string, budget float64) (*LowPowerResult, error
 			if err != nil {
 				return nil, err
 			}
-			clockedW := dram.DefaultDevice().PBgClockedW * float64(g.Setting(k).Mem/dram.DefaultDevice().FMax)
+			clockedW := dev.PBgClockedW * float64(g.Setting(k).Mem/dev.FMax)
 			savedJ += clockedW * frac * m.TimeNS * 1e-9
 			totalTime += m.TimeNS
 			totalEnergy += m.EnergyJ()
@@ -68,7 +68,6 @@ func (l *Lab) LowPower(benches []string, budget float64) (*LowPowerResult, error
 		res.Rows = append(res.Rows, LowPowerRow{
 			Benchmark:        bench,
 			AccessPerNS:      totalAccesses / totalTime,
-			SavingsFrac:      savedJ / totalEnergy, // vs system energy below
 			SystemSavingsPct: savedJ / totalEnergy * 100,
 		})
 	}

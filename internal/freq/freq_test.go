@@ -122,7 +122,8 @@ func TestLinearOPPTable(t *testing.T) {
 func TestVoltageMonotoneInFrequency(t *testing.T) {
 	tab := DefaultCPUOPPs()
 	prev := Volts(0)
-	for _, f := range tab.Frequencies() {
+	for i := 0; i < tab.Len(); i++ {
+		f := tab.At(i).F
 		v, err := tab.VoltageAt(f)
 		if err != nil {
 			t.Fatalf("VoltageAt(%v): %v", f, err)
@@ -144,23 +145,8 @@ func TestVoltageAtOutOfRange(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	tab := DefaultCPUOPPs()
-	cases := []struct {
-		in   MHz
-		want MHz
-	}{
-		{90, 100}, {100, 100}, {149, 100}, {151, 200}, {1200, 1000}, {850, 800},
-	}
-	for _, c := range cases {
-		if got := tab.Nearest(c.in).F; got != c.want {
-			t.Errorf("Nearest(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 // TestOPPTablesRejectBadVoltages holds NewOPPTable's and LinearOPPTable's
-// voltage checks: each bad table panics, and the platform's tables build.
+// voltage checks: each bad table panics, and the platform's table builds.
 func TestOPPTablesRejectBadVoltages(t *testing.T) {
 	nan, inf := Volts(math.NaN()), Volts(math.Inf(1))
 	ladder := Ladder(100, 600, 100)
@@ -191,12 +177,10 @@ func TestOPPTablesRejectBadVoltages(t *testing.T) {
 			tc.build()
 		})
 	}
-	// The platform's own tables build. cpupower's DefaultParams takes
+	// The platform's own table builds. cpupower's DefaultParams takes
 	// DefaultCPUOPPs, and its tests build LittleParams' linear table.
-	for _, tab := range []*OPPTable{DefaultCPUOPPs(), FineCPUOPPs()} {
-		if tab.Min().V <= 0 || tab.Max().V < tab.Min().V {
-			t.Errorf("table %v..%v has voltages %v..%v", tab.Min().F, tab.Max().F, tab.Min().V, tab.Max().V)
-		}
+	if tab := DefaultCPUOPPs(); tab.Min().V <= 0 || tab.Max().V < tab.Min().V {
+		t.Errorf("table %v..%v has voltages %v..%v", tab.Min().F, tab.Max().F, tab.Min().V, tab.Max().V)
 	}
 }
 

@@ -78,15 +78,6 @@ func (t *OPPTable) Len() int { return len(t.points) }
 // At returns the i-th operating point in ascending frequency order.
 func (t *OPPTable) At(i int) OPP { return t.points[i] }
 
-// Frequencies returns the table's frequency ladder in ascending order.
-func (t *OPPTable) Frequencies() []MHz {
-	out := make([]MHz, len(t.points))
-	for i, p := range t.points {
-		out[i] = p.F
-	}
-	return out
-}
-
 // Min returns the lowest operating point.
 func (t *OPPTable) Min() OPP { return t.points[0] }
 
@@ -125,21 +116,4 @@ func searchOPP(pts []OPP, f MHz) int {
 		}
 	}
 	return lo
-}
-
-// Nearest returns the operating point whose frequency is closest to f,
-// preferring the lower point on ties.
-func (t *OPPTable) Nearest(f MHz) OPP {
-	pts := t.points
-	i := searchOPP(pts, f)
-	if i == 0 {
-		return pts[0]
-	}
-	if i == len(pts) {
-		return pts[len(pts)-1]
-	}
-	if pts[i].F-f < f-pts[i-1].F {
-		return pts[i]
-	}
-	return pts[i-1]
 }

@@ -121,9 +121,3 @@ const (
 func DefaultCPUOPPs() *OPPTable {
 	return LinearOPPTable(Ladder(CPUMinMHz, CPUMaxMHz, 100), CPUVMin, CPUVMax)
 }
-
-// FineCPUOPPs returns the fine-step CPU OPP table with the same linear
-// voltage law as DefaultCPUOPPs.
-func FineCPUOPPs() *OPPTable {
-	return LinearOPPTable(Ladder(CPUMinMHz, CPUMaxMHz, 30), CPUVMin, CPUVMax)
-}

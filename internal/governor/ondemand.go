@@ -82,62 +82,3 @@ func (o *OnDemand) Decide(prev *Observation, prevProfile *workload.SampleSpec) (
 
 	return Decision{Setting: freq.Setting{CPU: cpuLadder[o.cpuIdx], Mem: memLadder[o.memIdx]}}, nil
 }
-
-// Conservative is the Linux-conservative-style variant of OnDemand: it
-// steps one ladder rung at a time in both directions instead of jumping to
-// maximum, trading responsiveness for fewer dramatic swings.
-type Conservative struct {
-	space          *freq.Space
-	up, down       float64
-	memUp, memDown float64
-	cpuIdx, memIdx int
-}
-
-// NewConservative builds the governor with the same thresholds as
-// NewOnDemand.
-func NewConservative(space *freq.Space) (*Conservative, error) {
-	if space == nil {
-		return nil, fmt.Errorf("governor: nil space")
-	}
-	return &Conservative{
-		space: space,
-		up:    0.80, down: 0.30,
-		memUp: 0.60, memDown: 0.20,
-	}, nil
-}
-
-// Name implements Governor.
-func (c *Conservative) Name() string { return "conservative" }
-
-// Decide implements Governor.
-func (c *Conservative) Decide(prev *Observation, _ *workload.SampleSpec) (Decision, error) {
-	cpuLadder := c.space.CPULadder()
-	memLadder := c.space.MemLadder()
-	if prev == nil {
-		c.cpuIdx = len(cpuLadder) / 2
-		c.memIdx = len(memLadder) / 2
-		return Decision{Setting: freq.Setting{CPU: cpuLadder[c.cpuIdx], Mem: memLadder[c.memIdx]}}, nil
-	}
-	activity := 1.0
-	if prev.CPI > 0 {
-		activity = 1 / prev.CPI
-	}
-	if activity > 1 {
-		activity = 1
-	}
-	switch {
-	case activity >= c.up && c.cpuIdx < len(cpuLadder)-1:
-		c.cpuIdx++
-	case activity <= c.down && c.cpuIdx > 0:
-		c.cpuIdx--
-	}
-	const heavyMPKI = 20.0
-	memLoad := prev.MPKI / heavyMPKI
-	switch {
-	case memLoad >= c.memUp && c.memIdx < len(memLadder)-1:
-		c.memIdx++
-	case memLoad <= c.memDown && c.memIdx > 0:
-		c.memIdx--
-	}
-	return Decision{Setting: freq.Setting{CPU: cpuLadder[c.cpuIdx], Mem: memLadder[c.memIdx]}}, nil
-}

@@ -72,75 +72,6 @@ func TestOnDemandNeverLeavesLadder(t *testing.T) {
 	}
 }
 
-func TestConservativeValidation(t *testing.T) {
-	if _, err := NewConservative(nil); err == nil {
-		t.Error("nil space accepted")
-	}
-}
-
-func TestConservativeStepsOneRungAtATime(t *testing.T) {
-	sp := freq.CoarseSpace()
-	cons, err := NewConservative(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot, _ := cons.Decide(nil, nil)
-	// A busy core steps up exactly one rung per interval, unlike
-	// ondemand's jump to max.
-	d1, _ := cons.Decide(&Observation{CPI: 1.0, MPKI: 1}, nil)
-	if d1.Setting.CPU != boot.Setting.CPU+100 {
-		t.Errorf("first step %v from %v, want one rung", d1.Setting.CPU, boot.Setting.CPU)
-	}
-	d2, _ := cons.Decide(&Observation{CPI: 1.0, MPKI: 1}, nil)
-	if d2.Setting.CPU != d1.Setting.CPU+100 {
-		t.Errorf("second step %v, want one more rung", d2.Setting.CPU)
-	}
-	// And clamps at the top.
-	var d Decision
-	for i := 0; i < 20; i++ {
-		d, _ = cons.Decide(&Observation{CPI: 1.0, MPKI: 25}, nil)
-	}
-	if d.Setting != sp.Max() {
-		t.Errorf("sustained load setting %v, want max", d.Setting)
-	}
-}
-
-func TestConservativeSmootherThanOnDemand(t *testing.T) {
-	// On a phase-heavy workload, conservative must transition through
-	// smaller frequency deltas than ondemand's max-jumps.
-	sys := testSystem(t)
-	specs := testSpecs(t, "gobmk", 0)
-	od, _ := NewOnDemand(freq.CoarseSpace())
-	cons, _ := NewConservative(freq.CoarseSpace())
-	rOD, err := Run(sys, specs, od, DefaultOverhead())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rC, err := Run(sys, specs, cons, DefaultOverhead())
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxDelta := func(r Result) float64 {
-		worst := 0.0
-		for i := 1; i < len(r.Schedule); i++ {
-			d := float64(r.Schedule[i].CPU - r.Schedule[i-1].CPU)
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	if maxDelta(rC) > 100 {
-		t.Errorf("conservative jumped %v MHz in one step", maxDelta(rC))
-	}
-	if maxDelta(rOD) <= 100 {
-		t.Errorf("ondemand never jumped; fixture too tame (max delta %v)", maxDelta(rOD))
-	}
-}
-
 func TestOnDemandIgnoresEnergyBudget(t *testing.T) {
 	// The point of the baseline: a busy workload pins ondemand at max —
 	// inefficiency lands wherever it lands (compare the budget governor,

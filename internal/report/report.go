@@ -1,5 +1,5 @@
-// Package report renders experiment results as aligned text tables, CSV,
-// and simple ASCII charts, so every figure of the paper can be regenerated
+// Package report renders experiment results as aligned text tables and
+// simple ASCII charts, so every figure of the paper can be regenerated
 // as terminal output.
 package report
 
@@ -30,23 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.Columns))
 	copy(row, cells)
 	t.Rows = append(t.Rows, row)
-}
-
-// AddRowf formats each cell with its own format/value pair convenience:
-// values are rendered with %v.
-func (t *Table) AddRowf(values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%.3f", x)
-		case string:
-			cells[i] = x
-		default:
-			cells[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.AddRow(cells...)
 }
 
 // Render writes the table as aligned text.
@@ -94,33 +77,6 @@ func (t *Table) String() string {
 	// strings.Builder writes never fail.
 	_ = t.Render(&b)
 	return b.String()
-}
-
-// RenderCSV writes the table as CSV (comma-separated, quotes only when a
-// cell contains a comma or quote).
-func (t *Table) RenderCSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(esc(cell))
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // HeatCell maps a value in [lo, hi] to one of five unicode shade blocks,

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -45,29 +44,6 @@ func TestAddRowPanicsOnTooManyCells(t *testing.T) {
 		}
 	}()
 	tb.AddRow("1", "2")
-}
-
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "s", "f", "i")
-	tb.AddRowf("x", 1.23456, 42)
-	row := tb.Rows[0]
-	if row[0] != "x" || row[1] != "1.235" || row[2] != "42" {
-		t.Errorf("row = %v", row)
-	}
-}
-
-func TestRenderCSV(t *testing.T) {
-	tb := NewTable("ignored", "a", "b")
-	tb.AddRow("plain", `has,comma`)
-	tb.AddRow(`has"quote`, "x")
-	var buf bytes.Buffer
-	if err := tb.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",x\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
-	}
 }
 
 func TestSparkline(t *testing.T) {

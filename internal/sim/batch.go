@@ -63,9 +63,6 @@ type Runner struct {
 
 // RunnerStats counts solver work across a Runner's lifetime.
 type RunnerStats struct {
-	// Columns and Cells count Solve calls and the samples they solved.
-	Columns uint64
-	Cells   uint64
 	// Iterations is the total number of fixed-point iterations performed —
 	// the measure of what warm starts cost or save.
 	Iterations uint64
@@ -147,8 +144,6 @@ func (r *Runner) Solve(st freq.Setting, warm bool) ([]Sample, error) {
 		r.samples[i].Converged = false
 	}
 	r.seedValid = true
-	r.stats.Columns++
-	r.stats.Cells += uint64(len(r.in))
 	r.stats.Iterations += iters
 	r.stats.ConvergenceFailures += uint64(live)
 	return r.samples, nil

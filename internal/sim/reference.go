@@ -145,7 +145,8 @@ func noiseSource(spec workload.SampleSpec, st freq.Setting) *rng.Source {
 }
 
 // ReferenceRun is ReferenceSimulate over a whole realized workload at one
-// setting, cold-starting every sample — the scalar oracle for SimulateRun.
+// setting, cold-starting every sample — the scalar oracle that
+// BenchmarkCollectReference times against the batch engine.
 func (s *System) ReferenceRun(specs []workload.SampleSpec, st freq.Setting) ([]Sample, error) {
 	out := make([]Sample, len(specs))
 	for i, spec := range specs {

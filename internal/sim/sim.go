@@ -433,28 +433,3 @@ func settingNoiseHash(st freq.Setting) uint64 {
 	return math.Float64bits(float64(st.CPU))*0xd6e8feb86659fd93 ^
 		math.Float64bits(float64(st.Mem))*0xa5a5a5a5a5a5a5a5
 }
-
-// SimulateRun simulates every sample of a realized workload at a fixed
-// setting and returns the per-sample measurements. It runs through the
-// batch engine; callers needing many settings should hold a Runner and
-// sweep it directly.
-func (s *System) SimulateRun(specs []workload.SampleSpec, st freq.Setting) ([]Sample, error) {
-	r, err := NewRunner(s, specs)
-	if err != nil {
-		return nil, err
-	}
-	col, err := r.Solve(st, false)
-	if err != nil {
-		return nil, err
-	}
-	return append([]Sample(nil), col...), nil
-}
-
-// Totals aggregates a sample slice.
-func Totals(samples []Sample) (timeNS, energyJ float64) {
-	for _, s := range samples {
-		timeNS += s.TimeNS
-		energyJ += s.EnergyJ()
-	}
-	return timeNS, energyJ
-}

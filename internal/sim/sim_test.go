@@ -182,30 +182,6 @@ func TestStallsInflateCPIAtHighCPUFreq(t *testing.T) {
 	}
 }
 
-func TestSimulateRun(t *testing.T) {
-	s := system(t)
-	specs := workload.MustByName("gobmk").MustRealize()[:10]
-	samples, err := s.SimulateRun(specs, freq.Setting{CPU: 800, Mem: 600})
-	if err != nil {
-		t.Fatalf("SimulateRun: %v", err)
-	}
-	if len(samples) != 10 {
-		t.Fatalf("got %d samples", len(samples))
-	}
-	timeNS, energyJ := Totals(samples)
-	if timeNS <= 0 || energyJ <= 0 {
-		t.Errorf("totals non-positive: %v, %v", timeNS, energyJ)
-	}
-	var wantNS, wantJ float64
-	for _, smp := range samples {
-		wantNS += smp.TimeNS
-		wantJ += smp.CPUEnergyJ + smp.MemEnergyJ
-	}
-	if timeNS != wantNS || energyJ != wantJ {
-		t.Errorf("Totals = %v ns, %v J; want the samples' sums %v ns, %v J", timeNS, energyJ, wantNS, wantJ)
-	}
-}
-
 func TestSimulateSampleErrors(t *testing.T) {
 	s := system(t)
 	if _, err := s.SimulateSample(workload.SampleSpec{}, freq.Setting{CPU: 500, Mem: 400}); err == nil {

@@ -91,43 +91,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// GeoMean returns the geometric mean of positive values. It returns an
-// error if any value is non-positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: empty input")
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: non-positive value %v in geometric mean", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// Histogram counts xs into nbins equal-width bins over [min, max]. Values
-// at max land in the last bin.
-func Histogram(xs []float64, min, max float64, nbins int) ([]int, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: non-positive bin count %d", nbins)
-	}
-	if max <= min {
-		return nil, fmt.Errorf("stats: empty range [%v, %v]", min, max)
-	}
-	bins := make([]int, nbins)
-	width := (max - min) / float64(nbins)
-	for _, x := range xs {
-		if x < min || x > max {
-			return nil, fmt.Errorf("stats: value %v outside [%v, %v]", x, min, max)
-		}
-		b := int((x - min) / width)
-		if b == nbins {
-			b--
-		}
-		bins[b]++
-	}
-	return bins, nil
-}

@@ -95,44 +95,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("zero accepted")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins, err := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 0, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// [0,1): {0, 0.5}; [1,2]: {1, 1.5, 2}.
-	if bins[0] != 2 || bins[1] != 3 {
-		t.Errorf("bins = %v, want [2 3]", bins)
-	}
-	if _, err := Histogram([]float64{5}, 0, 2, 2); err == nil {
-		t.Error("out-of-range value accepted")
-	}
-	if _, err := Histogram(nil, 0, 2, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := Histogram(nil, 2, 2, 1); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-// Property: the five-number summary is ordered min <= q1 <= med <= q3 <= max
-// and the mean lies within [min, max].
 func TestSummaryOrderingProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
