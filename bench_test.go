@@ -42,12 +42,19 @@ func sharedLab(b *testing.B) *Lab {
 		}
 		// Pre-collect every grid the figures need so per-iteration
 		// numbers measure analysis, not collection.
+		collect := func(bench, space string) error {
+			k, err := benchLab.Key(bench, space)
+			if err == nil {
+				_, err = benchLab.GridFor(context.Background(), k)
+			}
+			return err
+		}
 		for _, name := range HeadlineBenchmarks() {
-			if _, benchLabErr = benchLab.Grid(name); benchLabErr != nil {
+			if benchLabErr = collect(name, "coarse"); benchLabErr != nil {
 				return
 			}
 		}
-		_, benchLabErr = benchLab.FineGrid("gobmk")
+		benchLabErr = collect("gobmk", "fine")
 	})
 	if benchLabErr != nil {
 		b.Fatalf("lab: %v", benchLabErr)
@@ -63,7 +70,7 @@ func benchFigure(b *testing.B, id string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(lab, io.Discard); err != nil {
+		if err := e.Run(context.Background(), lab, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +197,11 @@ func BenchmarkAblationQueueing(b *testing.B) {
 // trajectory. Metrics report transitions under each rule.
 func BenchmarkAblationTieBreak(b *testing.B) {
 	lab := sharedLab(b)
-	a, err := lab.Analysis("gobmk")
+	k, err := lab.Key("gobmk", "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := lab.AnalysisFor(context.Background(), k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,7 +255,7 @@ func BenchmarkAblationSearchStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	specs := workload.MustByName("gobmk").MustRealize()
-	model, err := governor.NewSimModel()
+	model, err := governor.NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

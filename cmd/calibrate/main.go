@@ -7,27 +7,31 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	"mcdvfs"
+	"mcdvfs/internal/cliutil"
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := cliutil.Context(0)
+	defer stop()
+	if err := run(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	space := mcdvfs.CoarseSpace()
 	minID, _ := space.ID(space.Min())
 	maxID, _ := space.ID(space.Max())
 	fmt.Printf("%-11s %6s %7s %7s %9s %12s %8s %8s %8s\n",
 		"benchmark", "Imax", "I(slow)", "I(fast)", "Emin@", "optT/Binstr", "reg(1%)", "reg(3%)", "reg(5%)")
 	for _, name := range mcdvfs.HeadlineBenchmarks() {
-		g, err := mcdvfs.Collect(name, space)
+		g, err := mcdvfs.CollectContext(ctx, name, space, mcdvfs.CollectOptions{})
 		if err != nil {
 			return err
 		}

@@ -63,13 +63,12 @@ func run(ctx context.Context, bench, govName string, budget, threshold float64, 
 			return fmt.Errorf("unknown search %q (use max or prev)", search)
 		}
 		gov, err = mcdvfs.NewBudgetGovernor(mcdvfs.BudgetGovernorConfig{
-			Budget:         budget,
-			Threshold:      threshold,
-			Space:          space,
-			Model:          model,
-			Search:         start,
-			UseStability:   stability,
-			DriftTolerance: 0.25,
+			Budget:       budget,
+			Threshold:    threshold,
+			Space:        space,
+			Model:        model,
+			Search:       start,
+			UseStability: stability,
 		})
 		if err != nil {
 			return err

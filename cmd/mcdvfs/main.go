@@ -12,15 +12,18 @@
 //
 // Each experiment prints aligned text tables reproducing the corresponding
 // figure of the paper. Grids are collected once per run and shared by
-// every experiment in it.
+// every experiment in it. SIGINT or SIGTERM stops a run at its next
+// collection.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"mcdvfs"
+	"mcdvfs/internal/cliutil"
 )
 
 func main() {
@@ -32,13 +35,15 @@ func main() {
 	if *workers != 0 {
 		opts = append(opts, mcdvfs.WithWorkers(*workers))
 	}
-	if err := run(flag.Args(), opts); err != nil {
+	ctx, stop := cliutil.Context(0)
+	defer stop()
+	if err := run(ctx, flag.Args(), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "mcdvfs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, labOpts []mcdvfs.LabOption) error {
+func run(ctx context.Context, args []string, labOpts []mcdvfs.LabOption) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing command")
@@ -85,7 +90,7 @@ func run(args []string, labOpts []mcdvfs.LabOption) error {
 			if err != nil {
 				return err
 			}
-			if err := e.Run(lab, os.Stdout); err != nil {
+			if err := e.Run(ctx, lab, os.Stdout); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
 			fmt.Println()
@@ -98,7 +103,7 @@ func run(args []string, labOpts []mcdvfs.LabOption) error {
 		}
 		for _, e := range mcdvfs.Experiments() {
 			fmt.Printf("### %s — %s\n\n", e.ID, e.Description)
-			if err := e.Run(lab, os.Stdout); err != nil {
+			if err := e.Run(ctx, lab, os.Stdout); err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
 			fmt.Println()

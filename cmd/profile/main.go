@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"mcdvfs"
+	"mcdvfs/internal/cliutil"
 	"mcdvfs/internal/governor"
 	"mcdvfs/internal/profile"
 	"mcdvfs/internal/sim"
@@ -27,10 +28,12 @@ func main() {
 		usage()
 		os.Exit(1)
 	}
+	ctx, stop := cliutil.Context(0)
+	defer stop()
 	var err error
 	switch os.Args[1] {
 	case "build":
-		err = cmdBuild(os.Args[2:])
+		err = cmdBuild(ctx, os.Args[2:])
 	case "show":
 		err = cmdShow(os.Args[2:])
 	case "replay":
@@ -52,7 +55,7 @@ func usage() {
   profile replay -i profile.json -bench <name>`)
 }
 
-func cmdBuild(args []string) error {
+func cmdBuild(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	bench := fs.String("bench", "", "benchmark name")
 	budget := fs.Float64("budget", 1.3, "inefficiency budget")
@@ -65,7 +68,7 @@ func cmdBuild(args []string) error {
 	if *bench == "" {
 		return fmt.Errorf("missing -bench")
 	}
-	grid, err := mcdvfs.CollectContext(context.Background(), *bench, mcdvfs.CoarseSpace(),
+	grid, err := mcdvfs.CollectContext(ctx, *bench, mcdvfs.CoarseSpace(),
 		mcdvfs.CollectOptions{Workers: *workers})
 	if err != nil {
 		return err

@@ -33,13 +33,12 @@ func main() {
 
 	mkBudget := func(search mcdvfs.SearchStart, stability bool) mcdvfs.Governor {
 		gov, err := mcdvfs.NewBudgetGovernor(mcdvfs.BudgetGovernorConfig{
-			Budget:         budget,
-			Threshold:      threshold,
-			Space:          space,
-			Model:          model,
-			Search:         search,
-			UseStability:   stability,
-			DriftTolerance: 0.25,
+			Budget:       budget,
+			Threshold:    threshold,
+			Space:        space,
+			Model:        model,
+			Search:       search,
+			UseStability: stability,
 		})
 		if err != nil {
 			log.Fatal(err)

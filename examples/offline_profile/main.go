@@ -46,7 +46,7 @@ func main() {
 
 	// 3. Runtime: replay the profile against the application, with a
 	// budget-governor fallback in case the workload drifts.
-	model, err := governor.NewSimModel()
+	model, err := governor.NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := lab.Fig12(bench, budget, threshold)
+	res, err := lab.Fig12(context.Background(), bench, budget, threshold)
 	if err != nil {
 		log.Fatal(err)
 	}

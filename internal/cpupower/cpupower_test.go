@@ -173,12 +173,12 @@ func TestEnergyPerCycleConvexShape(t *testing.T) {
 	var vals []float64
 	for _, f := range freq.Ladder(100, 1000, 100) {
 		// Active-execution energy per cycle: full-activity power over the
-		// clock rate.
+		// clock rate in hertz.
 		b, err := m.Power(f, 1)
 		if err != nil {
 			t.Fatalf("Power(%v, 1): %v", f, err)
 		}
-		vals = append(vals, b.TotalW()/f.Hz())
+		vals = append(vals, b.TotalW()/(float64(f)*1e6))
 	}
 	// Find the argmin and require strictly decreasing before it and
 	// strictly increasing after it.

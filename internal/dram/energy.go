@@ -35,9 +35,6 @@ func (c *Counts) Add(other Counts) {
 	c.Refreshes += other.Refreshes
 }
 
-// Accesses returns the total data bursts.
-func (c Counts) Accesses() int { return c.Reads + c.Writes }
-
 // EnergyModel computes DRAM energy from event counts and elapsed time,
 // following the structure of the DRAMPower tool the paper integrates into
 // gem5: per-event energies plus background power integrated over time.

@@ -95,9 +95,6 @@ func TestCountsAdd(t *testing.T) {
 	if a != want {
 		t.Errorf("Add = %+v, want %+v", a, want)
 	}
-	if a.Accesses() != 55 {
-		t.Errorf("Accesses = %d, want 55", a.Accesses())
-	}
 }
 
 func TestNewEnergyModelRejectsInvalidDevice(t *testing.T) {

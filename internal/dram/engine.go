@@ -101,9 +101,6 @@ func NewEngine(dev Device, clock freq.MHz) (*Engine, error) {
 	return e, nil
 }
 
-// Clock returns the engine's clock frequency.
-func (e *Engine) Clock() freq.MHz { return e.clock }
-
 // cycles converts a cycle count to nanoseconds at the engine clock.
 func (e *Engine) cycles(n int) float64 { return float64(n) * e.clock.PeriodNS() }
 

@@ -115,6 +115,3 @@ func (s *ScheduledEngine) pickNext() int {
 
 // Stats exposes the underlying engine statistics.
 func (s *ScheduledEngine) Stats() EngineStats { return s.eng.Stats() }
-
-// Pending returns the queued request count.
-func (s *ScheduledEngine) Pending() int { return len(s.queue) }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -31,7 +32,7 @@ type BaselinesResult struct {
 // Baselines runs the comparison. The rate limiter's per-interval allowance
 // is set to the budget governor's average interval energy — the most
 // favorable calibration it could hope for — and still loses.
-func (l *Lab) Baselines(bench string, budget float64) (*BaselinesResult, error) {
+func (l *Lab) Baselines(ctx context.Context, bench string, budget float64) (*BaselinesResult, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -40,12 +41,12 @@ func (l *Lab) Baselines(bench string, budget float64) (*BaselinesResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	g, err := l.Grid(bench)
+	g, err := l.GridFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}
 	_, eminRun := g.EminSetting()
-	model, err := governor.NewSimModel()
+	model, err := governor.NewSimModel(l.cfg)
 	if err != nil {
 		return nil, err
 	}

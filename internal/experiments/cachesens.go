@@ -54,8 +54,9 @@ func cacheSensPhases() []workload.LocalityPhase {
 	}
 }
 
-// CacheSensitivity runs the study across L2 sizes.
-func (l *Lab) CacheSensitivity(budget float64, l2Sizes []int) (*CacheSensResult, error) {
+// CacheSensitivity runs the study across L2 sizes, collecting each derived
+// benchmark's grid under ctx.
+func (l *Lab) CacheSensitivity(ctx context.Context, budget float64, l2Sizes []int) (*CacheSensResult, error) {
 	res := &CacheSensResult{Benchmark: "soplex-like", Budget: budget}
 	for _, size := range l2Sizes {
 		h := cache.Default().WithL2Size(size)
@@ -63,7 +64,7 @@ func (l *Lab) CacheSensitivity(budget float64, l2Sizes []int) (*CacheSensResult,
 		if err != nil {
 			return nil, err
 		}
-		g, err := l.CollectWorkload(context.Background(), bench, "coarse")
+		g, err := l.CollectWorkload(ctx, bench, "coarse")
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -26,24 +30,31 @@ func testLab(t *testing.T) *Lab {
 	return lab
 }
 
+// runOutput runs r on l and returns what it wrote.
+func runOutput(l *Lab, r Runner) ([]byte, error) {
+	var buf bytes.Buffer
+	err := r.Run(context.Background(), l, &buf)
+	return buf.Bytes(), err
+}
+
 func TestLabGridCaching(t *testing.T) {
 	l := testLab(t)
-	g1, err := l.Grid("gobmk")
+	g1, err := l.GridFor(context.Background(), l.key("gobmk", "coarse"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := l.Grid("gobmk")
+	g2, err := l.GridFor(context.Background(), l.key("gobmk", "coarse"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g1 != g2 {
 		t.Error("grid not cached")
 	}
-	a1, err := l.Analysis("gobmk")
+	a1, err := l.AnalysisFor(context.Background(), l.key("gobmk", "coarse"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := l.Analysis("gobmk")
+	a2, err := l.AnalysisFor(context.Background(), l.key("gobmk", "coarse"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +65,11 @@ func TestLabGridCaching(t *testing.T) {
 
 func TestLabRejectsUnknownBenchmark(t *testing.T) {
 	l := testLab(t)
-	if _, err := l.Grid("nonesuch"); err == nil {
+	if _, err := l.GridFor(context.Background(), l.key("nonesuch", "coarse")); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := l.Analysis("nonesuch"); err == nil {
-		t.Error("unknown benchmark accepted by Analysis")
+	if _, err := l.AnalysisFor(context.Background(), l.key("nonesuch", "coarse")); err == nil {
+		t.Error("unknown benchmark accepted by AnalysisFor")
 	}
 }
 
@@ -87,6 +98,33 @@ func TestRunnerRegistry(t *testing.T) {
 	}
 	if _, err := RunnerByID("nonesuch"); err == nil {
 		t.Error("unknown runner ID accepted")
+	}
+}
+
+// TestRunnersStopOnCancelledContext runs every registry runner on a fresh
+// lab under a cancelled context: each one that collects must return the
+// context's error and leave no grid resident. fastdvfs collects nothing,
+// so it runs to completion.
+func TestRunnersStopOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range Runners() {
+		l, err := NewLab()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.Run(ctx, l, io.Discard)
+		switch {
+		case r.ID == "fastdvfs":
+			if err != nil {
+				t.Errorf("%s: %v, want it to run without collecting", r.ID, err)
+			}
+		case !errors.Is(err, context.Canceled):
+			t.Errorf("%s: err %v, want context.Canceled", r.ID, err)
+		}
+		if n := l.ResidentGrids(); n != 0 {
+			t.Errorf("%s: %d grids resident after a cancelled run, want 0", r.ID, n)
+		}
 	}
 }
 

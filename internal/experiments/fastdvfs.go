@@ -43,7 +43,7 @@ func (l *Lab) FastDVFS(bench string, budget float64, thresholds []float64) (*Fas
 	if err != nil {
 		return nil, err
 	}
-	model, err := governor.NewSimModel()
+	model, err := governor.NewSimModel(l.cfg)
 	if err != nil {
 		return nil, err
 	}

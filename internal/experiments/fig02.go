@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -37,8 +38,8 @@ func Fig02Benchmarks() []string { return []string{"bzip2", "gobmk", "milc"} }
 
 // Fig02 computes the inefficiency-vs-speedup characterization for one
 // benchmark.
-func (l *Lab) Fig02(bench string) (*Fig02Result, error) {
-	a, err := l.Analysis(bench)
+func (l *Lab) Fig02(ctx context.Context, bench string) (*Fig02Result, error) {
+	a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +157,8 @@ func BudgetLabel(b float64) string {
 }
 
 // Fig03 computes the optimal trajectory for a benchmark across budgets.
-func (l *Lab) Fig03(bench string, budgets []float64) (*Fig03Result, error) {
-	a, err := l.Analysis(bench)
+func (l *Lab) Fig03(ctx context.Context, bench string, budgets []float64) (*Fig03Result, error) {
+	a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -32,8 +33,8 @@ func Fig04Cases() [][2]float64 {
 
 // FigClusters computes the cluster characterization for one benchmark over
 // the given (budget, threshold) cases.
-func (l *Lab) FigClusters(bench string, cases [][2]float64) (*Fig04Result, error) {
-	a, err := l.Analysis(bench)
+func (l *Lab) FigClusters(ctx context.Context, bench string, cases [][2]float64) (*Fig04Result, error) {
+	a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -19,8 +20,8 @@ type Fig06Result struct {
 }
 
 // Fig06 computes the stable-region schedule for a benchmark.
-func (l *Lab) Fig06(bench string, budget, threshold float64) (*Fig06Result, error) {
-	a, err := l.Analysis(bench)
+func (l *Lab) Fig06(ctx context.Context, bench string, budget, threshold float64) (*Fig06Result, error) {
+	a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}
@@ -74,10 +75,10 @@ type Fig07Result struct {
 // Fig07 computes the stable-region comparison. The paper plots gcc and lbm
 // at I=1.3 with thresholds 3% and 5%, noting that higher budgets run
 // unconstrained throughout; budgets 1.0 and inf are included to show that.
-func (l *Lab) Fig07(benches []string, budgets []float64, thresholds []float64) (*Fig07Result, error) {
+func (l *Lab) Fig07(ctx context.Context, benches []string, budgets []float64, thresholds []float64) (*Fig07Result, error) {
 	res := &Fig07Result{}
 	for _, bench := range benches {
-		a, err := l.Analysis(bench)
+		a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -37,10 +38,10 @@ func Fig08Budgets() []float64 { return []float64{1.0, 1.3, 1.6} }
 func Fig08Thresholds() []float64 { return []float64{OptimalTracking, 0.01, 0.03, 0.05} }
 
 // Fig08 computes the transition-rate matrix.
-func (l *Lab) Fig08(benches []string, budgets, thresholds []float64) (*Fig08Result, error) {
+func (l *Lab) Fig08(ctx context.Context, benches []string, budgets, thresholds []float64) (*Fig08Result, error) {
 	res := &Fig08Result{Benchmarks: benches, Budgets: budgets, Thresholds: thresholds}
 	for _, bench := range benches {
-		a, err := l.Analysis(bench)
+		a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}
@@ -127,10 +128,10 @@ type Fig09Result struct {
 
 // Fig09 computes region-length distributions for the cross product of the
 // given benchmarks, budgets, and thresholds.
-func (l *Lab) Fig09(benches []string, budgets, thresholds []float64) (*Fig09Result, error) {
+func (l *Lab) Fig09(ctx context.Context, benches []string, budgets, thresholds []float64) (*Fig09Result, error) {
 	res := &Fig09Result{}
 	for _, bench := range benches {
-		a, err := l.Analysis(bench)
+		a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -29,13 +30,13 @@ type Fig10Result struct {
 func Fig10Budgets() []float64 { return []float64{1.0, 1.1, 1.2, 1.3, 1.6} }
 
 // Fig10 computes the budget-performance sweep.
-func (l *Lab) Fig10(benches []string, budgets []float64) (*Fig10Result, error) {
+func (l *Lab) Fig10(ctx context.Context, benches []string, budgets []float64) (*Fig10Result, error) {
 	if len(budgets) == 0 || budgets[0] != 1.0 {
 		return nil, fmt.Errorf("experiments: Fig10 budgets must start at 1.0 for normalization")
 	}
 	res := &Fig10Result{Benchmarks: benches, Budgets: budgets}
 	for _, bench := range benches {
-		a, err := l.Analysis(bench)
+		a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}
@@ -109,10 +110,10 @@ type Fig11Result struct {
 func Fig11Thresholds() []float64 { return []float64{0.01, 0.03, 0.05} }
 
 // Fig11 computes the trade-off comparison.
-func (l *Lab) Fig11(benches []string, budget float64, thresholds []float64, oh core.Overhead) (*Fig11Result, error) {
+func (l *Lab) Fig11(ctx context.Context, benches []string, budget float64, thresholds []float64, oh core.Overhead) (*Fig11Result, error) {
 	res := &Fig11Result{Budget: budget, Thresholds: thresholds, Benchmarks: benches}
 	for _, bench := range benches {
-		a, err := l.Analysis(bench)
+		a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}

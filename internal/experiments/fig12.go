@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -35,12 +36,12 @@ type Fig12Result struct {
 }
 
 // Fig12 computes the step-size sensitivity study.
-func (l *Lab) Fig12(bench string, budget, threshold float64) (*Fig12Result, error) {
-	coarse, err := l.Analysis(bench)
+func (l *Lab) Fig12(ctx context.Context, bench string, budget, threshold float64) (*Fig12Result, error) {
+	coarse, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}
-	fine, err := l.FineAnalysis(bench)
+	fine, err := l.AnalysisFor(ctx, l.key(bench, "fine"))
 	if err != nil {
 		return nil, err
 	}

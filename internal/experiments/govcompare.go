@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -33,7 +34,7 @@ type GovCompareResult struct {
 }
 
 // GovCompare runs the governor suite on one benchmark.
-func (l *Lab) GovCompare(bench string, budget, threshold float64) (*GovCompareResult, error) {
+func (l *Lab) GovCompare(ctx context.Context, bench string, budget, threshold float64) (*GovCompareResult, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -43,25 +44,24 @@ func (l *Lab) GovCompare(bench string, budget, threshold float64) (*GovCompareRe
 		return nil, err
 	}
 	// Whole-run Emin reference: cheapest pinned setting from the grid.
-	g, err := l.Grid(bench)
+	g, err := l.GridFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}
 	_, eminRun := g.EminSetting()
 
-	model, err := governor.NewSimModel()
+	model, err := governor.NewSimModel(l.cfg)
 	if err != nil {
 		return nil, err
 	}
 	mk := func(search governor.SearchStart, stability bool) (*governor.Budget, error) {
 		return governor.NewBudget(governor.BudgetConfig{
-			Budget:         budget,
-			Threshold:      threshold,
-			Space:          l.coarse,
-			Model:          model,
-			Search:         search,
-			UseStability:   stability,
-			DriftTolerance: 0.25,
+			Budget:       budget,
+			Threshold:    threshold,
+			Space:        l.coarse,
+			Model:        model,
+			Search:       search,
+			UseStability: stability,
 		})
 	}
 	fromMax, err := mk(governor.FromMax, false)

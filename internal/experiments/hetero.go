@@ -51,9 +51,9 @@ func littleSpace() *freq.Space {
 }
 
 // Hetero runs the comparison. The LITTLE core shares the lab's platform
-// (memory device, measurement noise) and collection path; only its CPU
-// power and CPI factor differ.
-func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error) {
+// (memory device, measurement noise) and collection path, and its grids
+// are collected under ctx; only its CPU power and CPI factor differ.
+func (l *Lab) Hetero(ctx context.Context, benches []string, budgets []float64) (*HeteroResult, error) {
 	littleCfg := l.cfg
 	littleCfg.CPUPower = cpupower.LittleParams()
 	littleCfg.CPIFactor = littleCPIFactor
@@ -65,7 +65,7 @@ func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error)
 
 	res := &HeteroResult{Benchmarks: benches, Budgets: budgets, CrossoverBudget: make(map[string]float64)}
 	for _, bench := range benches {
-		bigGrid, err := l.Grid(bench)
+		bigGrid, err := l.GridFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +73,7 @@ func (l *Lab) Hetero(benches []string, budgets []float64) (*HeteroResult, error)
 		if err != nil {
 			return nil, err
 		}
-		littleGrid, err := l.collectGated(context.Background(), littleSys, b, little)
+		littleGrid, err := l.collectGated(ctx, littleSys, b, little)
 		if err != nil {
 			return nil, err
 		}

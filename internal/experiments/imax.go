@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/freq"
@@ -33,7 +34,7 @@ type ImaxResult struct {
 }
 
 // ImaxSurvey characterizes every registered benchmark.
-func (l *Lab) ImaxSurvey() (*ImaxResult, error) {
+func (l *Lab) ImaxSurvey(ctx context.Context) (*ImaxResult, error) {
 	res := &ImaxResult{}
 	minID, ok := l.coarse.ID(l.coarse.Min())
 	if !ok {
@@ -48,7 +49,7 @@ func (l *Lab) ImaxSurvey() (*ImaxResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := l.Analysis(name)
+		a, err := l.AnalysisFor(ctx, l.key(name, "coarse"))
 		if err != nil {
 			return nil, err
 		}

@@ -194,9 +194,6 @@ func NewLabWithConfig(cfg sim.Config, opts ...Option) (*Lab, error) {
 	return l, nil
 }
 
-// System returns the lab's simulator.
-func (l *Lab) System() *sim.System { return l.sys }
-
 // CoarseSpace returns the 70-setting space.
 func (l *Lab) CoarseSpace() *freq.Space { return l.coarse }
 
@@ -229,26 +226,6 @@ func (l *Lab) spaceOf(k GridKey) (*freq.Space, error) {
 		return nil, fmt.Errorf("experiments: grid key %s does not belong to this lab", k)
 	}
 	return s.space, nil
-}
-
-// Grid returns the coarse grid for a benchmark, collecting it on first use.
-func (l *Lab) Grid(bench string) (*trace.Grid, error) {
-	return l.GridContext(context.Background(), bench)
-}
-
-// GridContext is Grid with cancellation (see GridFor).
-func (l *Lab) GridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.GridFor(ctx, l.key(bench, "coarse"))
-}
-
-// FineGrid returns the fine-step grid for a benchmark.
-func (l *Lab) FineGrid(bench string) (*trace.Grid, error) {
-	return l.FineGridContext(context.Background(), bench)
-}
-
-// FineGridContext is FineGrid with cancellation (see GridFor).
-func (l *Lab) FineGridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.GridFor(ctx, l.key(bench, "fine"))
 }
 
 // GridFor returns the grid k names, collecting it on first use. A caller
@@ -355,25 +332,3 @@ func (l *Lab) ResidentGrids() int { return l.grids.Len() }
 // InflightGrids lists the resident grids whose flight is still running,
 // most recently used first.
 func (l *Lab) InflightGrids() []GridKey { return l.grids.Inflight() }
-
-// Analysis returns the cached coarse-grid analysis for a benchmark.
-func (l *Lab) Analysis(bench string) (*core.Analysis, error) {
-	return l.AnalysisContext(context.Background(), bench)
-}
-
-// AnalysisContext is Analysis with cancellation of the underlying
-// collection.
-func (l *Lab) AnalysisContext(ctx context.Context, bench string) (*core.Analysis, error) {
-	return l.AnalysisFor(ctx, l.key(bench, "coarse"))
-}
-
-// FineAnalysis returns the cached fine-grid analysis for a benchmark.
-func (l *Lab) FineAnalysis(bench string) (*core.Analysis, error) {
-	return l.FineAnalysisContext(context.Background(), bench)
-}
-
-// FineAnalysisContext is FineAnalysis with cancellation of the underlying
-// collection.
-func (l *Lab) FineAnalysisContext(ctx context.Context, bench string) (*core.Analysis, error) {
-	return l.AnalysisFor(ctx, l.key(bench, "fine"))
-}

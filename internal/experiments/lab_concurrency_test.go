@@ -76,7 +76,7 @@ func TestLabSingleflightUnderContention(t *testing.T) {
 			wg.Add(1)
 			go func(i, j int, name string) {
 				defer wg.Done()
-				g, err := l.Grid(name)
+				g, err := l.GridFor(context.Background(), l.key(name, "coarse"))
 				if err != nil {
 					errs <- err
 					return
@@ -92,7 +92,7 @@ func TestLabSingleflightUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			g, err := l.FineGrid("gobmk")
+			g, err := l.GridFor(context.Background(), l.key("gobmk", "fine"))
 			if err != nil {
 				errs <- err
 				return
@@ -132,7 +132,7 @@ func TestLabLosingWaiterCancellation(t *testing.T) {
 	// Owner: uncancellable flight.
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := l.GridContext(context.Background(), "gobmk")
+		_, err := l.GridFor(context.Background(), l.key("gobmk", "coarse"))
 		ownerDone <- err
 	}()
 	// Give the owner the flight, then join as a cancellable waiter.
@@ -140,7 +140,7 @@ func TestLabLosingWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := l.GridContext(ctx, "gobmk")
+		_, err := l.GridFor(ctx, l.key("gobmk", "coarse"))
 		waiterDone <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -162,8 +162,8 @@ func TestLabLosingWaiterCancellation(t *testing.T) {
 
 	// The abandoned waiter must not have hurt the cache: the grid is in,
 	// and a fresh request is a pure hit.
-	if _, err := l.Grid("gobmk"); err != nil {
-		t.Fatalf("post-cancellation Grid: %v", err)
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
+		t.Fatalf("post-cancellation GridFor: %v", err)
 	}
 	if n := flightCount(counts, "gobmk/coarse"); n != 1 {
 		t.Errorf("%d collections after waiter cancellation, want exactly 1", n)
@@ -177,7 +177,7 @@ func TestLabOwnerCancellationLeavesNoPartialGrid(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		// The fine sweep is long enough that cancellation lands mid-flight.
-		_, err := l.FineGridContext(ctx, "milc")
+		_, err := l.GridFor(ctx, l.key("milc", "fine"))
 		done <- err
 	}()
 	time.Sleep(3 * time.Millisecond)
@@ -196,9 +196,9 @@ func TestLabOwnerCancellationLeavesNoPartialGrid(t *testing.T) {
 
 	// No partial grid may linger: the next request collects from scratch
 	// and succeeds.
-	g, err := l.FineGrid("milc")
+	g, err := l.GridFor(context.Background(), l.key("milc", "fine"))
 	if err != nil {
-		t.Fatalf("FineGrid after cancelled flight: %v", err)
+		t.Fatalf("fine GridFor after cancelled flight: %v", err)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("recollected grid invalid: %v", err)
@@ -226,22 +226,22 @@ func TestLabFailedFlightKeepsNewerGrid(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := l.Grid("gobmk")
+		_, err := l.GridFor(context.Background(), l.key("gobmk", "coarse"))
 		first <- err
 	}()
 	<-waiting
 	if !l.Forget("gobmk") {
 		t.Fatal("Forget found no entry for the waiting flight")
 	}
-	if _, err := l.Grid("gobmk"); err != nil {
-		t.Fatalf("second Grid: %v", err)
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
+		t.Fatalf("second GridFor: %v", err)
 	}
 	close(release)
 	if err := <-first; err == nil {
 		t.Fatal("first flight succeeded, want the gate's error")
 	}
 
-	if _, err := l.Grid("gobmk"); err != nil {
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	if n := flightCount(counts, "gobmk/coarse"); n != 1 {
@@ -267,7 +267,7 @@ func TestLabForgetMidFlightDropsAnalysis(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := l.Analysis("gobmk")
+		_, err := l.AnalysisFor(context.Background(), l.key("gobmk", "coarse"))
 		first <- err
 	}()
 	<-started
@@ -276,10 +276,10 @@ func TestLabForgetMidFlightDropsAnalysis(t *testing.T) {
 	}
 	close(release)
 	if err := <-first; err != nil {
-		t.Fatalf("first Analysis: %v", err)
+		t.Fatalf("first AnalysisFor: %v", err)
 	}
 
-	if _, err := l.Analysis("gobmk"); err != nil {
+	if _, err := l.AnalysisFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	if n := flightCount(counts, "gobmk/coarse"); n != 2 {

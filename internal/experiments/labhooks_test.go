@@ -41,7 +41,7 @@ func TestGridObserverCountsOutcomes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := l.Grid("gobmk"); err != nil {
+			if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -56,7 +56,7 @@ func TestGridObserverCountsOutcomes(t *testing.T) {
 	}
 
 	// A later request over the completed entry is also a hit.
-	if _, err := l.Grid("gobmk"); err != nil {
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	if n := tally.hits.Load(); n != waiters {
@@ -71,8 +71,8 @@ func TestCollectGateSaturationFailsFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Grid("gobmk"); !errors.Is(err, sentinel) {
-		t.Fatalf("Grid err = %v, want the gate sentinel", err)
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); !errors.Is(err, sentinel) {
+		t.Fatalf("GridFor err = %v, want the gate sentinel", err)
 	}
 	// A failed flight must not be cached: once the gate admits, the grid
 	// collects cleanly.
@@ -81,14 +81,14 @@ func TestCollectGateSaturationFailsFlight(t *testing.T) {
 		admitted.Add(1)
 		return func() {}, nil
 	}
-	if _, err := l.Grid("gobmk"); err != nil {
-		t.Fatalf("Grid after gate opened: %v", err)
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
+		t.Fatalf("GridFor after gate opened: %v", err)
 	}
 	if n := admitted.Load(); n != 1 {
 		t.Errorf("gate admissions = %d, want 1", n)
 	}
 	// Warm entry: no further admission needed.
-	if _, err := l.Grid("gobmk"); err != nil {
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	if n := admitted.Load(); n != 1 {
@@ -98,10 +98,10 @@ func TestCollectGateSaturationFailsFlight(t *testing.T) {
 
 func TestForgetForcesRecollection(t *testing.T) {
 	l, counts := countingLab(t, 0)
-	if _, err := l.Grid("gobmk"); err != nil {
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Analysis("gobmk"); err != nil {
+	if _, err := l.AnalysisFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	if !l.Forget("gobmk") {
@@ -110,7 +110,7 @@ func TestForgetForcesRecollection(t *testing.T) {
 	if l.Forget("gobmk") {
 		t.Error("second Forget reported a cached entry")
 	}
-	if _, err := l.Grid("gobmk"); err != nil {
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	if n := flightCount(counts, "gobmk/coarse"); n != 2 {
@@ -130,7 +130,7 @@ func TestCollectProgressCoversEveryColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Grid("gobmk"); err != nil {
+	if _, err := l.GridFor(context.Background(), l.key("gobmk", "coarse")); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(freq.CoarseSpace().Len())

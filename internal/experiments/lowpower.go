@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/dram"
@@ -29,7 +30,7 @@ type LowPowerResult struct {
 
 // LowPower runs the study at the given budget on the lab's memory device,
 // whose background power sets what a power-down can recover.
-func (l *Lab) LowPower(benches []string, budget float64) (*LowPowerResult, error) {
+func (l *Lab) LowPower(ctx context.Context, benches []string, budget float64) (*LowPowerResult, error) {
 	pd := dram.DefaultPowerDown()
 	dev := l.cfg.Device
 	em, err := dram.NewEnergyModel(dev)
@@ -38,7 +39,7 @@ func (l *Lab) LowPower(benches []string, budget float64) (*LowPowerResult, error
 	}
 	res := &LowPowerResult{Budget: budget, Policy: pd}
 	for _, bench := range benches {
-		a, err := l.Analysis(bench)
+		a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}

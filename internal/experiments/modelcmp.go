@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/governor"
 	"mcdvfs/internal/model"
 	"mcdvfs/internal/report"
-	"mcdvfs/internal/sim"
 	"mcdvfs/internal/workload"
 )
 
@@ -31,7 +31,7 @@ type ModelCmpResult struct {
 }
 
 // ModelCompare runs the comparison on the given benchmarks.
-func (l *Lab) ModelCompare(benches []string, budget, threshold float64) (*ModelCmpResult, error) {
+func (l *Lab) ModelCompare(ctx context.Context, benches []string, budget, threshold float64) (*ModelCmpResult, error) {
 	res := &ModelCmpResult{Budget: budget, Threshold: threshold}
 	for _, bench := range benches {
 		b, err := workload.ByName(bench)
@@ -42,18 +42,17 @@ func (l *Lab) ModelCompare(benches []string, budget, threshold float64) (*ModelC
 		if err != nil {
 			return nil, err
 		}
-		g, err := l.Grid(bench)
+		g, err := l.GridFor(ctx, l.key(bench, "coarse"))
 		if err != nil {
 			return nil, err
 		}
 		_, eminRun := g.EminSetting()
 
-		oracle, err := governor.NewSimModel()
+		oracle, err := governor.NewSimModel(l.cfg)
 		if err != nil {
 			return nil, err
 		}
-		platform := sim.NoiselessConfig()
-		learned, err := model.New(model.Config{CPUPower: platform.CPUPower, Device: platform.Device})
+		learned, err := model.New(model.Config{CPUPower: l.cfg.CPUPower, Device: l.cfg.Device})
 		if err != nil {
 			return nil, err
 		}

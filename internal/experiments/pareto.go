@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/core"
@@ -20,8 +21,8 @@ type ParetoResult struct {
 }
 
 // Pareto computes the frontier for one benchmark.
-func (l *Lab) Pareto(bench string) (*ParetoResult, error) {
-	a, err := l.Analysis(bench)
+func (l *Lab) Pareto(ctx context.Context, bench string) (*ParetoResult, error) {
+	a, err := l.AnalysisFor(ctx, l.key(bench, "coarse"))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -8,11 +9,13 @@ import (
 	"mcdvfs/internal/workload"
 )
 
-// Runner regenerates one paper figure, writing its tables to w.
+// Runner regenerates one paper figure, writing its tables to w. Run
+// collects the grids it needs under ctx, so a cancelled ctx ends it with
+// ctx's error at its next collection.
 type Runner struct {
 	ID          string
 	Description string
-	Run         func(l *Lab, w io.Writer) error
+	Run         func(ctx context.Context, l *Lab, w io.Writer) error
 }
 
 // Runners returns the experiment registry in figure order.
@@ -21,9 +24,9 @@ func Runners() []Runner {
 		{
 			ID:          "fig2",
 			Description: "Inefficiency vs speedup for bzip2, gobmk, milc (70 settings)",
-			Run: func(l *Lab, w io.Writer) error {
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
 				for _, bench := range Fig02Benchmarks() {
-					r, err := l.Fig02(bench)
+					r, err := l.Fig02(ctx, bench)
 					if err != nil {
 						return err
 					}
@@ -42,8 +45,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig3",
 			Description: "Optimal performance point per sample for gobmk across inefficiency budgets",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig03("gobmk", Fig03Budgets())
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig03(ctx, "gobmk", Fig03Budgets())
 				if err != nil {
 					return err
 				}
@@ -58,8 +61,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig4",
 			Description: "Performance clusters for gobmk (I in {1.0, 1.3} x threshold in {1%, 5%})",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.FigClusters("gobmk", Fig04Cases())
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.FigClusters(ctx, "gobmk", Fig04Cases())
 				if err != nil {
 					return err
 				}
@@ -69,8 +72,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig5",
 			Description: "Performance clusters for milc (I in {1.0, 1.3} x threshold in {1%, 5%})",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.FigClusters("milc", Fig04Cases())
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.FigClusters(ctx, "milc", Fig04Cases())
 				if err != nil {
 					return err
 				}
@@ -80,8 +83,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig6",
 			Description: "Stable regions and transitions for lbm (I=1.3, threshold 5%)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig06("lbm", 1.3, 0.05)
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig06(ctx, "lbm", 1.3, 0.05)
 				if err != nil {
 					return err
 				}
@@ -91,8 +94,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig7",
 			Description: "Stable regions of gcc and lbm across thresholds and budgets",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig07([]string{"gcc", "lbm"},
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig07(ctx, []string{"gcc", "lbm"},
 					[]float64{1.0, 1.3, core.Unconstrained}, []float64{0.03, 0.05})
 				if err != nil {
 					return err
@@ -103,8 +106,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig8",
 			Description: "Transitions per billion instructions across benchmarks, budgets, thresholds",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig08(workload.HeadlineNames(), Fig08Budgets(), Fig08Thresholds())
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig08(ctx, workload.HeadlineNames(), Fig08Budgets(), Fig08Thresholds())
 				if err != nil {
 					return err
 				}
@@ -120,10 +123,10 @@ func Runners() []Runner {
 		{
 			ID:          "fig9",
 			Description: "Distribution of stable-region lengths (gobmk, bzip2 across budgets; all at I=1.3)",
-			Run: func(l *Lab, w io.Writer) error {
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
 				budgets := []float64{1.0, 1.2, 1.3, 1.6}
 				ths := []float64{0.01, 0.03, 0.05}
-				ga, err := l.Fig09([]string{"gobmk"}, budgets, ths)
+				ga, err := l.Fig09(ctx, []string{"gobmk"}, budgets, ths)
 				if err != nil {
 					return err
 				}
@@ -131,7 +134,7 @@ func Runners() []Runner {
 					return err
 				}
 				fmt.Fprintln(w)
-				gb, err := l.Fig09([]string{"bzip2"}, budgets, ths)
+				gb, err := l.Fig09(ctx, []string{"bzip2"}, budgets, ths)
 				if err != nil {
 					return err
 				}
@@ -139,7 +142,7 @@ func Runners() []Runner {
 					return err
 				}
 				fmt.Fprintln(w)
-				gc, err := l.Fig09(workload.HeadlineNames(), []float64{1.3}, ths)
+				gc, err := l.Fig09(ctx, workload.HeadlineNames(), []float64{1.3}, ths)
 				if err != nil {
 					return err
 				}
@@ -149,8 +152,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig10",
 			Description: "Execution time vs inefficiency budget, normalized to I=1.0",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig10(workload.HeadlineNames(), Fig10Budgets())
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig10(ctx, workload.HeadlineNames(), Fig10Budgets())
 				if err != nil {
 					return err
 				}
@@ -160,8 +163,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig11",
 			Description: "Energy-performance trade-offs at I=1.3 with and without tuning overhead",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig11(workload.HeadlineNames(), 1.3, Fig11Thresholds(), core.DefaultOverhead())
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig11(ctx, workload.HeadlineNames(), 1.3, Fig11Thresholds(), core.DefaultOverhead())
 				if err != nil {
 					return err
 				}
@@ -171,8 +174,8 @@ func Runners() []Runner {
 		{
 			ID:          "fig12",
 			Description: "Cluster sensitivity to frequency step size (70 vs 496 settings, gobmk)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Fig12("gobmk", 1.3, 0.01)
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Fig12(ctx, "gobmk", 1.3, 0.01)
 				if err != nil {
 					return err
 				}
@@ -182,8 +185,8 @@ func Runners() []Runner {
 		{
 			ID:          "governors",
 			Description: "Online governor comparison on gobmk (extension of Section VII)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.GovCompare("gobmk", 1.3, 0.03)
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.GovCompare(ctx, "gobmk", 1.3, 0.03)
 				if err != nil {
 					return err
 				}
@@ -193,8 +196,8 @@ func Runners() []Runner {
 		{
 			ID:          "baselines",
 			Description: "Inefficiency budget vs rate-limiting and EDP baselines (paper Section II)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Baselines("gobmk", 1.3)
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Baselines(ctx, "gobmk", 1.3)
 				if err != nil {
 					return err
 				}
@@ -204,8 +207,8 @@ func Runners() []Runner {
 		{
 			ID:          "cachesens",
 			Description: "L2 size sensitivity of the energy-performance space (cache substrate study)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.CacheSensitivity(1.3, []int{512 << 10, 1 << 20, 2 << 20, 4 << 20})
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.CacheSensitivity(ctx, 1.3, []int{512 << 10, 1 << 20, 2 << 20, 4 << 20})
 				if err != nil {
 					return err
 				}
@@ -215,8 +218,8 @@ func Runners() []Runner {
 		{
 			ID:          "lowpower",
 			Description: "Memory power-down savings on budgeted schedules (MemScale-style, paper ref [11])",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.LowPower(workload.HeadlineNames(), 1.3)
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.LowPower(ctx, workload.HeadlineNames(), 1.3)
 				if err != nil {
 					return err
 				}
@@ -226,8 +229,8 @@ func Runners() []Runner {
 		{
 			ID:          "imax",
 			Description: "Inefficiency bounds (Imax) across the full benchmark suite (paper Section II-A)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.ImaxSurvey()
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.ImaxSurvey(ctx)
 				if err != nil {
 					return err
 				}
@@ -237,8 +240,8 @@ func Runners() []Runner {
 		{
 			ID:          "hetero",
 			Description: "big.LITTLE core choice under shared inefficiency budgets (intro's next trade-off)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.Hetero([]string{"bzip2", "gobmk", "lbm"},
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.Hetero(ctx, []string{"bzip2", "gobmk", "lbm"},
 					[]float64{1.0, 1.1, 1.2, 1.3, 1.6, 2.0})
 				if err != nil {
 					return err
@@ -249,9 +252,9 @@ func Runners() []Runner {
 		{
 			ID:          "pareto",
 			Description: "Whole-run energy-performance Pareto frontiers (the set smart algorithms search)",
-			Run: func(l *Lab, w io.Writer) error {
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
 				for _, bench := range []string{"bzip2", "gobmk", "lbm"} {
-					r, err := l.Pareto(bench)
+					r, err := l.Pareto(ctx, bench)
 					if err != nil {
 						return err
 					}
@@ -266,7 +269,7 @@ func Runners() []Runner {
 		{
 			ID:          "fastdvfs",
 			Description: "Commercial vs nanosecond-scale transition hardware (paper's Kim et al. reference)",
-			Run: func(l *Lab, w io.Writer) error {
+			Run: func(_ context.Context, l *Lab, w io.Writer) error {
 				r, err := l.FastDVFS("gobmk", 1.3, []float64{0.01, 0.03, 0.05})
 				if err != nil {
 					return err
@@ -277,8 +280,8 @@ func Runners() []Runner {
 		{
 			ID:          "modelcmp",
 			Description: "Oracle vs online-learned predictive model driving the budget governor (paper future work)",
-			Run: func(l *Lab, w io.Writer) error {
-				r, err := l.ModelCompare([]string{"gobmk", "lbm", "bzip2"}, 1.3, 0.03)
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.ModelCompare(ctx, []string{"gobmk", "lbm", "bzip2"}, 1.3, 0.03)
 				if err != nil {
 					return err
 				}

@@ -6,6 +6,7 @@ package experiments
 // match the authors' testbed — the shapes are.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 func TestFig02Shapes(t *testing.T) {
 	l := testLab(t)
 	for _, bench := range Fig02Benchmarks() {
-		r, err := l.Fig02(bench)
+		r, err := l.Fig02(context.Background(), bench)
 		if err != nil {
 			t.Fatalf("Fig02(%s): %v", bench, err)
 		}
@@ -44,7 +45,7 @@ func TestFig02HigherInefficiencyNotAlwaysFaster(t *testing.T) {
 	// best. Generalized: some setting has higher inefficiency than the
 	// fastest setting yet much lower speedup.
 	l := testLab(t)
-	r, err := l.Fig02("gobmk")
+	r, err := l.Fig02(context.Background(), "gobmk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestFig02Bzip2MemoryInsensitive(t *testing.T) {
 	// Paper: bzip2's performance at 200 MHz memory is within 3% of
 	// 800 MHz while the CPU runs at 1000 MHz.
 	l := testLab(t)
-	a, err := l.Analysis("bzip2")
+	a, err := l.AnalysisFor(context.Background(), l.key("bzip2", "coarse"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFig02Bzip2MemoryInsensitive(t *testing.T) {
 
 func TestFig03Shapes(t *testing.T) {
 	l := testLab(t)
-	r, err := l.Fig03("gobmk", Fig03Budgets())
+	r, err := l.Fig03(context.Background(), "gobmk", Fig03Budgets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFig03Shapes(t *testing.T) {
 func TestFig04ClusterShapes(t *testing.T) {
 	l := testLab(t)
 	for _, bench := range []string{"gobmk", "milc"} {
-		r, err := l.FigClusters(bench, Fig04Cases())
+		r, err := l.FigClusters(context.Background(), bench, Fig04Cases())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestFig04ClusterShapes(t *testing.T) {
 
 func TestFig06LbmRegionShape(t *testing.T) {
 	l := testLab(t)
-	r, err := l.Fig06("lbm", 1.3, 0.05)
+	r, err := l.Fig06(context.Background(), "lbm", 1.3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestFig06LbmRegionShape(t *testing.T) {
 
 func TestFig08TransitionShapes(t *testing.T) {
 	l := testLab(t)
-	r, err := l.Fig08(workload.HeadlineNames(), Fig08Budgets(), Fig08Thresholds())
+	r, err := l.Fig08(context.Background(), workload.HeadlineNames(), Fig08Budgets(), Fig08Thresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestFig09RegionLengthShapes(t *testing.T) {
 	l := testLab(t)
 	budgets := []float64{1.0, 1.2, 1.3, 1.6}
 	ths := []float64{0.01, 0.03, 0.05}
-	r, err := l.Fig09([]string{"gobmk", "bzip2"}, budgets, ths)
+	r, err := l.Fig09(context.Background(), []string{"gobmk", "bzip2"}, budgets, ths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestFig09RegionLengthShapes(t *testing.T) {
 
 func TestFig10TimeNonIncreasingInBudget(t *testing.T) {
 	l := testLab(t)
-	r, err := l.Fig10(workload.HeadlineNames(), Fig10Budgets())
+	r, err := l.Fig10(context.Background(), workload.HeadlineNames(), Fig10Budgets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestFig10TimeNonIncreasingInBudget(t *testing.T) {
 
 func TestFig11TradeoffShapes(t *testing.T) {
 	l := testLab(t)
-	r, err := l.Fig11(workload.HeadlineNames(), 1.3, Fig11Thresholds(), core.DefaultOverhead())
+	r, err := l.Fig11(context.Background(), workload.HeadlineNames(), 1.3, Fig11Thresholds(), core.DefaultOverhead())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestFig11TradeoffShapes(t *testing.T) {
 
 func TestFig12StepSensitivityShapes(t *testing.T) {
 	l := testLab(t)
-	r, err := l.Fig12("gobmk", 1.3, 0.01)
+	r, err := l.Fig12(context.Background(), "gobmk", 1.3, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestFig12StepSensitivityShapes(t *testing.T) {
 
 func TestGovCompareShapes(t *testing.T) {
 	l := testLab(t)
-	r, err := l.GovCompare("gobmk", 1.3, 0.03)
+	r, err := l.GovCompare(context.Background(), "gobmk", 1.3, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestHeteroCrossover(t *testing.T) {
 	// for every benchmark.
 	l := testLab(t)
 	budgets := []float64{1.0, 1.1, 1.2, 1.3, 1.6, 2.0}
-	r, err := l.Hetero([]string{"bzip2", "gobmk"}, budgets)
+	r, err := l.Hetero(context.Background(), []string{"bzip2", "gobmk"}, budgets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,11 +434,14 @@ func TestHeteroCrossover(t *testing.T) {
 }
 
 func TestLowPowerShapes(t *testing.T) {
-	// Power-down savings must be a small positive system fraction, and a
-	// bandwidth-saturated workload must save less per unit background
-	// than an idle-memory one in savings-fraction terms.
+	// Power-down savings must be a small positive share of system energy,
+	// in (0, 15]% for both workloads, and lbm must present more memory
+	// traffic than bzip2. The two savings are not compared: at I=1.3
+	// lbm's (3.42%) exceeds bzip2's (2.72%). That the recovered share of
+	// background falls as the access rate rises is held in internal/dram
+	// by TestIdleSavingsBreakEven.
 	l := testLab(t)
-	r, err := l.LowPower([]string{"bzip2", "lbm"}, 1.3)
+	r, err := l.LowPower(context.Background(), []string{"bzip2", "lbm"}, 1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +463,7 @@ func TestLowPowerShapes(t *testing.T) {
 
 func TestImaxSurveyShapes(t *testing.T) {
 	l := testLab(t)
-	r, err := l.ImaxSurvey()
+	r, err := l.ImaxSurvey(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +490,7 @@ func TestBaselinesShapes(t *testing.T) {
 	// allowance) is slower AND over budget; EDP lands at a fixed
 	// inefficiency it cannot be steered away from.
 	l := testLab(t)
-	r, err := l.Baselines("gobmk", 1.3)
+	r, err := l.Baselines(context.Background(), "gobmk", 1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +523,7 @@ func TestBaselinesShapes(t *testing.T) {
 func TestParetoShapes(t *testing.T) {
 	l := testLab(t)
 	for _, bench := range []string{"bzip2", "gobmk"} {
-		r, err := l.Pareto(bench)
+		r, err := l.Pareto(context.Background(), bench)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +582,7 @@ func TestModelCompareShapes(t *testing.T) {
 	// The online-learned cross-component model must be a usable stand-in
 	// for the oracle: budget respected, performance within 10%.
 	l := testLab(t)
-	r, err := l.ModelCompare([]string{"gobmk", "lbm"}, 1.3, 0.03)
+	r, err := l.ModelCompare(context.Background(), []string{"gobmk", "lbm"}, 1.3, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ type MHz float64
 // GHz returns the frequency in gigahertz.
 func (f MHz) GHz() float64 { return float64(f) / 1e3 }
 
-// Hz returns the frequency in hertz.
-func (f MHz) Hz() float64 { return float64(f) * 1e6 }
-
 // CyclesPerNS returns the clock rate as cycles per nanosecond. It is f·1e-3
 // where GHz is f/1e3, and the two round apart in the last bit at some
 // clocks (700 MHz among them), so the cycle arithmetic of every collected

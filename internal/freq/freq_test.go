@@ -66,9 +66,6 @@ func TestMHzConversions(t *testing.T) {
 	if got := f.GHz(); got != 0.5 {
 		t.Errorf("GHz = %v, want 0.5", got)
 	}
-	if got := f.Hz(); got != 5e8 {
-		t.Errorf("Hz = %v, want 5e8", got)
-	}
 	if got := f.PeriodNS(); got != 2 {
 		t.Errorf("PeriodNS = %v, want 2", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcdvfs/internal/freq"
+	"mcdvfs/internal/sim"
 )
 
 func TestRateLimiterValidation(t *testing.T) {
@@ -77,7 +78,7 @@ func TestRateLimiterWastesEnergyVsBudgetGovernor(t *testing.T) {
 }
 
 func TestEDPValidation(t *testing.T) {
-	model, _ := NewSimModel()
+	model, _ := NewSimModel(sim.DefaultConfig())
 	if _, err := NewEDP(nil, model, 1); err == nil {
 		t.Error("nil space accepted")
 	}
@@ -98,7 +99,7 @@ func TestEDPHasNoBudgetKnob(t *testing.T) {
 	// regardless of any desired budget, while the budget governor moves.
 	sys := testSystem(t)
 	specs := testSpecs(t, "gobmk", 0)
-	model, err := NewSimModel()
+	model, err := NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestEDPHasNoBudgetKnob(t *testing.T) {
 func TestED2PFavorsPerformanceOverEDP(t *testing.T) {
 	sys := testSystem(t)
 	specs := testSpecs(t, "milc", 60)
-	model, err := NewSimModel()
+	model, err := NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,21 @@ type BudgetConfig struct {
 	Search SearchStart
 	// UseStability enables the region-length predictor: after learning
 	// typical stable-region lengths the governor skips whole searches
-	// inside predicted-stable intervals (Section VII).
+	// inside predicted-stable intervals (Section VII), unless the
+	// workload's counters drift past driftTolerance.
 	UseStability bool
-	// DriftTolerance aborts a stability skip when the workload's counters
-	// move more than this relative amount from the profile the current
-	// setting was chosen on (e.g. 0.2 = 20%). Zero disables drift checks.
-	DriftTolerance float64
-	// RecalibrateEvery forces a FromPrevious governor to run one full
-	// sweep every N local searches, refreshing the exact Emin the budget
-	// filter depends on. Zero selects the default (8).
-	RecalibrateEvery int
 }
+
+const (
+	// driftTolerance aborts a stability skip when the workload's CPI or
+	// MPKI moves more than this relative amount from the profile the
+	// current setting was chosen on.
+	driftTolerance = 0.25
+	// recalibrateEvery forces a FromPrevious governor to run one full
+	// sweep every this many local searches, refreshing the exact Emin the
+	// budget filter depends on.
+	recalibrateEvery = 8
+)
 
 // Budget is the paper-inspired online governor. See BudgetConfig.
 type Budget struct {
@@ -82,15 +86,6 @@ func NewBudget(cfg BudgetConfig) (*Budget, error) {
 	}
 	if cfg.Space == nil || cfg.Model == nil {
 		return nil, fmt.Errorf("governor: missing space or model")
-	}
-	if cfg.DriftTolerance < 0 {
-		return nil, fmt.Errorf("governor: negative drift tolerance")
-	}
-	if cfg.RecalibrateEvery < 0 {
-		return nil, fmt.Errorf("governor: negative recalibration interval")
-	}
-	if cfg.RecalibrateEvery == 0 {
-		cfg.RecalibrateEvery = 8
 	}
 	stab, err := predict.NewStabilityPredictor(8)
 	if err != nil {
@@ -157,17 +152,14 @@ func (b *Budget) Decide(prev *Observation, prevProfile *workload.SampleSpec) (De
 // drifted reports whether the profile moved beyond the drift tolerance
 // since the current setting was chosen.
 func (b *Budget) drifted(p workload.SampleSpec) bool {
-	if b.cfg.DriftTolerance == 0 {
-		return false
-	}
 	rel := func(a, c float64) float64 {
 		if c == 0 {
 			return math.Abs(a)
 		}
 		return math.Abs(a-c) / c
 	}
-	return rel(p.BaseCPI, b.chosenOn.BaseCPI) > b.cfg.DriftTolerance ||
-		rel(p.MPKI, b.chosenOn.MPKI) > b.cfg.DriftTolerance
+	return rel(p.BaseCPI, b.chosenOn.BaseCPI) > driftTolerance ||
+		rel(p.MPKI, b.chosenOn.MPKI) > driftTolerance
 }
 
 // candidate is one evaluated setting during a search.
@@ -214,7 +206,7 @@ func (b *Budget) searchFull(profile workload.SampleSpec) (Decision, error) {
 // periodically falls back to a full sweep to recalibrate Emin.
 func (b *Budget) searchLocal(profile workload.SampleSpec) (Decision, error) {
 	eminEst, ok := b.emin.Predict()
-	if !ok || !b.haveSet || b.sinceFullSweep >= b.cfg.RecalibrateEvery {
+	if !ok || !b.haveSet || b.sinceFullSweep >= recalibrateEvery {
 		b.sinceFullSweep = 0
 		return b.searchFull(profile)
 	}

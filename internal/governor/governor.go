@@ -50,9 +50,11 @@ type SimModel struct {
 	sys *sim.System
 }
 
-// NewSimModel builds the perfect-model predictor.
-func NewSimModel() (*SimModel, error) {
-	sys, err := sim.New(sim.NoiselessConfig())
+// NewSimModel builds the perfect-model predictor of the platform cfg
+// describes, without its measurement noise.
+func NewSimModel(cfg sim.Config) (*SimModel, error) {
+	cfg.MeasurementNoise = 0
+	sys, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}

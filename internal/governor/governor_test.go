@@ -31,18 +31,17 @@ func testSpecs(t *testing.T, name string, n int) []workload.SampleSpec {
 
 func budgetGov(t *testing.T, budget, threshold float64, search SearchStart, stability bool) *Budget {
 	t.Helper()
-	model, err := NewSimModel()
+	model, err := NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, err := NewBudget(BudgetConfig{
-		Budget:         budget,
-		Threshold:      threshold,
-		Space:          freq.CoarseSpace(),
-		Model:          model,
-		Search:         search,
-		UseStability:   stability,
-		DriftTolerance: 0.25,
+		Budget:       budget,
+		Threshold:    threshold,
+		Space:        freq.CoarseSpace(),
+		Model:        model,
+		Search:       search,
+		UseStability: stability,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestStabilitySkipReducesSearches(t *testing.T) {
 }
 
 func TestBudgetConfigValidation(t *testing.T) {
-	model, _ := NewSimModel()
+	model, _ := NewSimModel(sim.DefaultConfig())
 	base := BudgetConfig{Budget: 1.3, Threshold: 0.03, Space: freq.CoarseSpace(), Model: model}
 	bad := []func(BudgetConfig) BudgetConfig{
 		func(c BudgetConfig) BudgetConfig { c.Budget = 0.9; return c },
@@ -211,7 +210,6 @@ func TestBudgetConfigValidation(t *testing.T) {
 		func(c BudgetConfig) BudgetConfig { c.Threshold = -0.1; return c },
 		func(c BudgetConfig) BudgetConfig { c.Space = nil; return c },
 		func(c BudgetConfig) BudgetConfig { c.Model = nil; return c },
-		func(c BudgetConfig) BudgetConfig { c.DriftTolerance = -1; return c },
 	}
 	for i, mut := range bad {
 		if _, err := NewBudget(mut(base)); err == nil {

@@ -72,19 +72,19 @@ type CrossComponent struct {
 	// Recursive least squares state for θ = (α, β) with the regressors
 	// x = (N/fc, A·L)/N: we fit time-per-instruction to stay scale-free.
 	// P is the 2x2 inverse covariance; theta the estimate.
-	theta  [2]float64
-	p      [2][2]float64
-	nObs   int
-	forget float64
+	theta [2]float64
+	p     [2][2]float64
+	nObs  int
 }
+
+// forget is the RLS forgetting factor: below 1, so the estimate tracks
+// phase changes.
+const forget = 0.95
 
 // Config assembles a predictor from the platform's known component models.
 type Config struct {
 	CPUPower cpupower.Params
 	Device   dram.Device
-	// Forget is the RLS forgetting factor in (0.8, 1]; values below 1 let
-	// the estimate track phase changes. Zero selects the default 0.95.
-	Forget float64
 }
 
 // New builds a predictor.
@@ -101,14 +101,7 @@ func New(cfg Config) (*CrossComponent, error) {
 	if err != nil {
 		return nil, err
 	}
-	forget := cfg.Forget
-	if forget == 0 {
-		forget = 0.95
-	}
-	if forget <= 0.8 || forget > 1 {
-		return nil, fmt.Errorf("model: forgetting factor %v outside (0.8, 1]", forget)
-	}
-	m := &CrossComponent{cpu: cpu, mem: mem, ctrl: ctrl, forget: forget}
+	m := &CrossComponent{cpu: cpu, mem: mem, ctrl: ctrl}
 	m.reset()
 	return m, nil
 }
@@ -157,7 +150,7 @@ func (m *CrossComponent) Observe(c Counters) error {
 		m.p[0][0]*x[0] + m.p[0][1]*x[1],
 		m.p[1][0]*x[0] + m.p[1][1]*x[1],
 	}
-	denom := m.forget + x[0]*px[0] + x[1]*px[1]
+	denom := forget + x[0]*px[0] + x[1]*px[1]
 	gain := [2]float64{px[0] / denom, px[1] / denom}
 	residual := y - (x[0]*m.theta[0] + x[1]*m.theta[1])
 	m.theta[0] += gain[0] * residual
@@ -175,7 +168,7 @@ func (m *CrossComponent) Observe(c Counters) error {
 	// P = (P - gain·pxᵀ)/forget
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			m.p[i][j] = (m.p[i][j] - gain[i]*px[j]) / m.forget
+			m.p[i][j] = (m.p[i][j] - gain[i]*px[j]) / forget
 		}
 	}
 	m.nObs++

@@ -187,12 +187,6 @@ func TestObserveKeepsCoefficientsPhysical(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	cfg := sim.NoiselessConfig()
-	if _, err := New(Config{CPUPower: cfg.CPUPower, Device: cfg.Device, Forget: 0.5}); err == nil {
-		t.Error("tiny forgetting factor accepted")
-	}
-	if _, err := New(Config{CPUPower: cfg.CPUPower, Device: cfg.Device, Forget: 1.1}); err == nil {
-		t.Error("forgetting factor > 1 accepted")
-	}
 	bad := cfg.Device
 	bad.Banks = 0
 	if _, err := New(Config{CPUPower: cfg.CPUPower, Device: bad}); err == nil {

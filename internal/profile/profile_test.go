@@ -165,7 +165,7 @@ func TestProfileGovernorBeatsSearchOnOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := governor.NewSimModel()
+	model, err := governor.NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestNewGovernorValidation(t *testing.T) {
 
 func mustModel(t *testing.T) governor.Model {
 	t.Helper()
-	m, err := governor.NewSimModel()
+	m, err := governor.NewSimModel(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,8 +235,8 @@ func NewBudgetGovernor(cfg BudgetGovernorConfig) (Governor, error) {
 }
 
 // NewGovernorModel returns the perfect-model candidate predictor backed by
-// the noiseless simulator.
-func NewGovernorModel() (GovernorModel, error) { return governor.NewSimModel() }
+// the noiseless default platform.
+func NewGovernorModel() (GovernorModel, error) { return governor.NewSimModel(sim.DefaultConfig()) }
 
 // DefaultGovernorOverhead reproduces the paper's 500 µs / 30 µJ full-tune
 // cost split into per-setting and per-transition components.
@@ -255,31 +255,14 @@ func RunGovernor(sys *System, benchmark string, gov Governor, oh GovernorOverhea
 	return governor.Run(sys, specs, gov, oh)
 }
 
-// Experiment describes one runnable paper figure.
-type Experiment struct {
-	ID          string
-	Description string
-	runner      experiments.Runner
-}
-
-// Run regenerates the experiment, writing its tables to w.
-func (e Experiment) Run(l *Lab, w io.Writer) error { return e.runner.Run(l, w) }
+// Experiment is one runnable paper figure: Run(ctx, lab, w) regenerates
+// it on lab, writing its tables to w, and returns ctx's error if ctx ends
+// while it collects a grid.
+type Experiment = experiments.Runner
 
 // Experiments lists every figure runner (fig2..fig12 plus the governor
 // comparison) in paper order.
-func Experiments() []Experiment {
-	var out []Experiment
-	for _, r := range experiments.Runners() {
-		out = append(out, Experiment{ID: r.ID, Description: r.Description, runner: r})
-	}
-	return out
-}
+func Experiments() []Experiment { return experiments.Runners() }
 
 // ExperimentByID returns one experiment runner.
-func ExperimentByID(id string) (Experiment, error) {
-	r, err := experiments.RunnerByID(id)
-	if err != nil {
-		return Experiment{}, err
-	}
-	return Experiment{ID: r.ID, Description: r.Description, runner: r}, nil
-}
+func ExperimentByID(id string) (Experiment, error) { return experiments.RunnerByID(id) }

@@ -79,7 +79,7 @@ func TestFacadeRunExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.Run(lab, &buf); err != nil {
+	if err := e.Run(context.Background(), lab, &buf); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	out := buf.String()
@@ -141,9 +141,13 @@ func TestFacadeLabOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := lab.GridContext(context.Background(), "bzip2")
+	k, err := lab.Key("bzip2", "")
 	if err != nil {
-		t.Fatalf("GridContext: %v", err)
+		t.Fatal(err)
+	}
+	g, err := lab.GridFor(context.Background(), k)
+	if err != nil {
+		t.Fatalf("GridFor: %v", err)
 	}
 	if g.Benchmark != "bzip2" {
 		t.Errorf("grid benchmark %q", g.Benchmark)
