@@ -45,7 +45,8 @@ loadtest:
 
 # Cluster smoke tier: the full internal/cluster suite — 3-node harness,
 # 64-client cluster-wide coalescing, local fallback past a shedding,
-# unreachable or wedged owner, two-phase drain — under the race detector
+# unreachable, wedged, late or truncating owner, relay from an owner that
+# answers within ProxyTimeout, two-phase drain — under the race detector
 # (see DESIGN.md §9).
 loadtest-cluster:
 	$(GO) test -race ./internal/cluster -count=1

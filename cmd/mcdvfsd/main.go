@@ -9,8 +9,8 @@
 //
 // Multi-node mode shards the grid keyspace over a consistent-hash ring
 // (DESIGN.md §9). Every node gets the same static -peers list and names
-// itself with -advertise. A request whose key owner sheds, stalls or is
-// unreachable is answered by the node that received it:
+// itself with -advertise. A request whose key owner sheds, stalls, is
+// unreachable or is draining is answered by the node that received it:
 //
 //	mcdvfsd -addr :8080 -advertise http://node-a:8080 \
 //	        -peers http://node-a:8080,http://node-b:8080,http://node-c:8080
@@ -18,7 +18,7 @@
 // SIGINT/SIGTERM drains gracefully: /healthz flips to 503, listeners
 // close, and in-flight requests get -drain to finish. In cluster mode the
 // drain is two-phase: the node first refuses newly proxied ring writes
-// (with a draining hint, so routers fail over to the next node) for
+// (with a draining hint, so the proxying node answers them itself) for
 // -drain-hint, then closes the listener.
 package main
 

@@ -174,17 +174,3 @@ func (c *Cache[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
-
-// Inflight returns the keys of resident entries whose flight is still
-// running, most recently used first.
-func (c *Cache[K, V]) Inflight() []K {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var keys []K
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry[K, V]); !e.finished() {
-			keys = append(keys, e.key)
-		}
-	}
-	return keys
-}

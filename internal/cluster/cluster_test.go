@@ -2,10 +2,11 @@ package cluster
 
 // In-process cluster suite over the TestHarness. The contention-sensitive
 // cases are deterministic the same way the serve suite's are: admission
-// pools are filled by hand (Server.AcquireCollectSlot), flights are
-// observed through the published in-flight list rather than sleeps, and
-// outcomes are asserted through the same /metrics counters production
-// monitoring reads.
+// pools are filled by hand (Server.AcquireCollectSlot), a queued flight is
+// observed through the owner's mcdvfsd_collections_queued gauge rather
+// than sleeps, faulty peers are handlers swapped in through the harness's
+// swapHandler, and outcomes are asserted through the same /metrics
+// counters production monitoring reads.
 
 import (
 	"bytes"
@@ -19,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"mcdvfs/internal/experiments"
 	"mcdvfs/internal/serve"
 	"mcdvfs/internal/trace"
 	"mcdvfs/internal/workload"
@@ -92,16 +92,6 @@ func sumMetric(t *testing.T, h *TestHarness, name string) int64 {
 		total += metric(t, h.URL(i), name)
 	}
 	return total
-}
-
-// coarseKey is bench's coarse grid key as node n's Lab names it.
-func coarseKey(t *testing.T, n *Node, bench string) experiments.GridKey {
-	t.Helper()
-	k, err := n.Server().Lab().Key(bench, "coarse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
 }
 
 // benchesOwnedBy returns registry benchmarks whose coarse key the given
@@ -334,93 +324,10 @@ func TestNodeBoundIsMaxBenchmarks(t *testing.T) {
 	}
 }
 
-// TestProxyWaitsOnOwnerInflight pins the peer-aware singleflight edge: a
-// proxy whose forward times out while the owner's collection is still
-// running must wait for that flight and re-ask — never re-collect.
-func TestProxyWaitsOnOwnerInflight(t *testing.T) {
-	h, err := NewTestHarness(HarnessConfig{
-		Nodes: 3,
-		Serve: serve.Config{PoolSize: 1},
-		// The tiny proxy timeout forces the forward to expire while the
-		// owner's slot is held — the flight itself is blocked on the pool,
-		// so any finite timeout fires deterministically. It still has to
-		// leave room for the retry to stream the finished grid back, which
-		// under the race detector takes real time.
-		Mutate: func(i int, cfg *Config) {
-			cfg.ProxyTimeout = time.Second
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	const bench = "milc"
-	ownerIdx := h.NodeFor(bench, "coarse")
-	ownerNode := h.Node(ownerIdx)
-	proxyIdx := (ownerIdx + 1) % 3
-	key := coarseKey(t, ownerNode, bench).String()
-
-	// Hold the owner's only slot, then start a flight that queues on it.
-	release, err := ownerNode.Server().AcquireCollectSlot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	flightDone := make(chan int, 1)
-	go func() {
-		resp, _ := post(t, h.URL(ownerIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
-		flightDone <- resp.StatusCode
-	}()
-	if !waitFor(t, 5*time.Second, func() bool {
-		for _, k := range ownerNode.inflightKeys() {
-			if k == key {
-				return true
-			}
-		}
-		return false
-	}) {
-		release()
-		t.Fatal("owner never published the flight")
-	}
-
-	// The proxied request joins the stalled flight, times out at 150ms,
-	// sees the published key, and waits. Release the slot once the wait is
-	// observable; the retry must then hit the owner's warm cache.
-	proxyDone := make(chan struct{})
-	var resp *http.Response
-	var respBody []byte
-	go func() {
-		defer close(proxyDone)
-		resp, respBody = post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
-	}()
-	if !waitFor(t, 5*time.Second, func() bool {
-		return h.Node(proxyIdx).met.inflightWaits.Load() == 1
-	}) {
-		release()
-		t.Fatal("proxy never entered the in-flight wait")
-	}
-	release()
-
-	select {
-	case <-proxyDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("proxied request never completed")
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied status %d, want 200 after in-flight wait: %s", resp.StatusCode, respBody)
-	}
-	if code := <-flightDone; code != http.StatusOK {
-		t.Fatalf("direct flight status %d", code)
-	}
-	if got := sumMetric(t, h, "mcdvfsd_grid_collections_total"); got != 1 {
-		t.Errorf("collections = %d, want 1 — the waiting proxy must not re-collect", got)
-	}
-}
-
 // TestDrainRefusalAndFailover is the graceful-drain acceptance case: a
 // draining node keeps serving its in-flight proxied collection but
-// refuses new proxied ring writes, and the refusing hint makes the router
-// fail over to the next replica.
+// refuses new proxied ring writes, and the refusing hint makes the node
+// that received the write answer it from its own Lab.
 func TestDrainRefusalAndFailover(t *testing.T) {
 	h, err := NewTestHarness(HarnessConfig{
 		Nodes: 3,
@@ -457,17 +364,11 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 		resp, _ := post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: inflightBench}, nil)
 		inflightDone <- resp
 	}()
-	key := coarseKey(t, ownerNode, inflightBench).String()
 	if !waitFor(t, 5*time.Second, func() bool {
-		for _, k := range ownerNode.inflightKeys() {
-			if k == key {
-				return true
-			}
-		}
-		return false
+		return metric(t, h.URL(ownerIdx), "mcdvfsd_collections_queued") == 1
 	}) {
 		release()
-		t.Fatal("proxied flight never started on the owner")
+		t.Fatal("proxied flight never queued on the owner")
 	}
 
 	ownerNode.BeginDrain()
@@ -475,20 +376,20 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 		t.Fatal("BeginDrain did not mark the node draining")
 	}
 
-	// A proxied write arriving now must be refused with the hint and fail
-	// over to a replica, which serves it (collecting locally if needed).
+	// A proxied write arriving now must be refused with the hint, and the
+	// receiver answers it from its own Lab.
 	resp, data := post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: lateBench}, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("failover status %d: %s", resp.StatusCode, data)
+		t.Fatalf("late write status %d: %s", resp.StatusCode, data)
 	}
-	if got := resp.Header.Get(HeaderNode); got == nodeID(ownerIdx) {
-		t.Errorf("failover served by the draining owner")
+	if got := resp.Header.Get(HeaderNode); got != nodeID(proxyIdx) {
+		t.Errorf("late write served by %q, want the receiver %q", got, nodeID(proxyIdx))
 	}
 	if got := metric(t, h.URL(ownerIdx), "mcdvfsd_cluster_drain_refusals_total"); got != 1 {
 		t.Errorf("drain_refusals_total = %d, want 1", got)
 	}
-	if got := metric(t, h.URL(proxyIdx), "mcdvfsd_cluster_drain_failovers_total"); got != 1 {
-		t.Errorf("drain_failovers_total = %d, want 1", got)
+	if got := metric(t, h.URL(proxyIdx), "mcdvfsd_cluster_local_fallbacks_total"); got != 1 {
+		t.Errorf("local_fallbacks_total = %d, want 1", got)
 	}
 
 	// The collection already in flight on the draining owner still
@@ -556,20 +457,52 @@ func TestClusterLoadMultiTarget(t *testing.T) {
 	}
 }
 
+// swap puts handler in front of node i's listener in place of the node,
+// through the harness's swapHandler.
+func swap(h *TestHarness, i int, handler http.HandlerFunc) {
+	var hh http.Handler = handler
+	h.servers[i].Config.Handler.(*swapHandler).h.Store(&hh)
+}
+
 // wedge replaces node i's handler with one that accepts every request and
 // answers none until the request ends or release is called: a peer that
 // is up but stuck. Call release before h.Close, which waits for open
 // requests.
 func wedge(h *TestHarness, i int) (release func()) {
 	stuck := make(chan struct{})
-	var blocked http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	swap(h, i, func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 		case <-stuck:
 		}
 	})
-	h.servers[i].Config.Handler.(*swapHandler).h.Store(&blocked)
 	return func() { close(stuck) }
+}
+
+// delay replaces node i's handler with one that answers through the node
+// after d: a peer that is slow but alive. A late answer goes to a
+// connection its caller has already closed.
+func delay(h *TestHarness, i int, d time.Duration) {
+	node := h.Node(i).Handler()
+	swap(h, i, func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(d)
+		node.ServeHTTP(w, r)
+	})
+}
+
+// truncate replaces node i's handler with one that answers 200 with a
+// body stopping short of its Content-Length, then closes the connection.
+func truncate(h *TestHarness, i int) {
+	swap(h, i, func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		defer conn.Close()
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"benchmark\":")
+		buf.Flush()
+	})
 }
 
 // doWithin sends one request under a client deadline and reads the whole
@@ -604,17 +537,37 @@ func doWithin(t *testing.T, d time.Duration, method, url string, v any) (*http.R
 	return resp, data, time.Since(start)
 }
 
-// TestOwnerFailureFallsBackLocally: when a key's owner sheds, is
-// unreachable, or accepts requests and never answers, and lists no flight
-// for the key, the node that received the request answers it from its
-// own Lab, behind its own admission gate: /v1/grid and /v1/optimal alike,
-// with one local collection between them, long before the client's own
-// deadline. A receiver that is saturated too sheds with its own hint.
+// TestOwnerFailureFallsBackLocally is the peer fault tier. Each row
+// injects one owner fault and states its outcome: either the owner's
+// answer is relayed, or the node that received the request answers from
+// its own Lab, behind its own admission gate, for /v1/grid and
+// /v1/optimal alike with one local collection between them. Either way
+// each request finishes within the row's bound and moves the receiver's
+// proxy-error and local-fallback counters by the row's counts. A receiver
+// that answers locally and is saturated too sheds with its own hint.
 func TestOwnerFailureFallsBackLocally(t *testing.T) {
-	const bench = "milc"
+	const (
+		bench        = "milc"
+		proxyTimeout = 2 * time.Second
+	)
+	requests := []struct {
+		path string
+		body any
+	}{
+		{"/v1/grid", serve.GridRequest{Benchmark: bench}},
+		{"/v1/optimal", serve.OptimalRequest{Benchmark: bench, Budget: 1.3}},
+	}
 	cases := []struct {
 		name string
 		fail func(t *testing.T, h *TestHarness, owner int) (restore func())
+		// relayed: the owner answers through the receiver; otherwise the
+		// receiver answers from its own Lab.
+		relayed bool
+		// within bounds each request's round trip.
+		within time.Duration
+		// proxyErrors and fallbacks are the receiver's counter steps per
+		// request.
+		proxyErrors, fallbacks int64
 	}{
 		{"shedding", func(t *testing.T, h *TestHarness, owner int) func() {
 			release, err := h.Node(owner).Server().AcquireCollectSlot(context.Background())
@@ -622,19 +575,43 @@ func TestOwnerFailureFallsBackLocally(t *testing.T) {
 				t.Fatal(err)
 			}
 			return release
-		}},
+		}, false, 10 * time.Second, 0, 1},
 		{"unreachable", func(t *testing.T, h *TestHarness, owner int) func() {
 			h.servers[owner].Close()
 			return func() {}
-		}},
-		{"wedged", func(t *testing.T, h *TestHarness, owner int) func() { return wedge(h, owner) }},
+		}, false, 10 * time.Second, 1, 1},
+		// One ProxyTimeout, then a local answer.
+		{"wedged", func(t *testing.T, h *TestHarness, owner int) func() {
+			return wedge(h, owner)
+		}, false, 3 * time.Second, 1, 1},
+		// The owner holds both answers already, so only the delay stands
+		// between the forward and its relay.
+		{"half-timeout", func(t *testing.T, h *TestHarness, owner int) func() {
+			for _, req := range requests {
+				if resp, data := post(t, h.URL(owner), req.path, req.body, nil); resp.StatusCode != http.StatusOK {
+					t.Fatalf("warming the owner: %s status %d: %s", req.path, resp.StatusCode, data)
+				}
+			}
+			delay(h, owner, proxyTimeout/2)
+			return func() {}
+		}, true, proxyTimeout, 0, 0},
+		{"late", func(t *testing.T, h *TestHarness, owner int) func() {
+			delay(h, owner, proxyTimeout+time.Second)
+			return func() {}
+		}, false, proxyTimeout * 3 / 2, 1, 1},
+		// Relaying while reading would have sent the client a truncated
+		// 200; the whole-body read fails instead, and the receiver answers.
+		{"truncating", func(t *testing.T, h *TestHarness, owner int) func() {
+			truncate(h, owner)
+			return func() {}
+		}, false, proxyTimeout, 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h, err := NewTestHarness(HarnessConfig{
 				Nodes:  3,
 				Serve:  serve.Config{PoolSize: 1, QueueDepth: -1, RetryAfter: 7 * time.Second},
-				Mutate: func(i int, cfg *Config) { cfg.ProxyTimeout = 2 * time.Second },
+				Mutate: func(i int, cfg *Config) { cfg.ProxyTimeout = proxyTimeout },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -654,35 +631,39 @@ func TestOwnerFailureFallsBackLocally(t *testing.T) {
 			}
 			restore := tc.fail(t, h, ownerIdx)
 			defer restore()
+			servedBy, collections := nodeID(recvIdx), int64(1)
+			if tc.relayed {
+				servedBy, collections = nodeID(ownerIdx), 0
+			}
 
-			for _, req := range []struct {
-				path string
-				body any
-			}{
-				{"/v1/grid", serve.GridRequest{Benchmark: bench}},
-				{"/v1/optimal", serve.OptimalRequest{Benchmark: bench, Budget: 1.3}},
-			} {
+			for _, req := range requests {
 				resp, data, took := doWithin(t, 20*time.Second, http.MethodPost, h.URL(recvIdx)+req.path, req.body)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("%s: status %d after %v: %s", req.path, resp.StatusCode, took, data)
 				}
-				if took > 10*time.Second {
-					t.Errorf("%s: local answer took %v, want within 10s", req.path, took)
+				if took > tc.within {
+					t.Errorf("%s: answer took %v, want within %v", req.path, took, tc.within)
 				}
-				if got := resp.Header.Get(HeaderNode); got != nodeID(recvIdx) {
-					t.Errorf("%s: served by %q, want the receiver %q", req.path, got, nodeID(recvIdx))
+				if got := resp.Header.Get(HeaderNode); got != servedBy {
+					t.Errorf("%s: served by %q, want %q", req.path, got, servedBy)
 				}
 				for name := range resp.Header {
 					if strings.HasPrefix(name, "X-Mcdvfs-") && name != http.CanonicalHeaderKey(HeaderNode) {
-						t.Errorf("%s: %s header on a fresh local answer", req.path, name)
+						t.Errorf("%s: %s header on a fresh answer", req.path, name)
 					}
 				}
 			}
-			if got := metric(t, h.URL(recvIdx), "mcdvfsd_grid_collections_total"); got != 1 {
-				t.Errorf("receiver collections = %d, want 1", got)
+			for name, want := range map[string]int64{
+				"mcdvfsd_grid_collections_total":        collections,
+				"mcdvfsd_cluster_proxy_errors_total":    2 * tc.proxyErrors,
+				"mcdvfsd_cluster_local_fallbacks_total": 2 * tc.fallbacks,
+			} {
+				if got := metric(t, h.URL(recvIdx), name); got != want {
+					t.Errorf("receiver %s = %d, want %d", name, got, want)
+				}
 			}
-			if got := metric(t, h.URL(recvIdx), "mcdvfsd_cluster_local_fallbacks_total"); got != 2 {
-				t.Errorf("local_fallbacks_total = %d, want 2", got)
+			if tc.relayed {
+				return
 			}
 
 			release, err := h.Node(recvIdx).Server().AcquireCollectSlot(context.Background())

@@ -26,29 +26,21 @@ type clusterMetrics struct {
 	proxied         atomic.Int64 // requests this node forwarded to a key's owner
 	forwardedServed atomic.Int64 // forwarded requests this node served as owner (or loop-guard target)
 	proxyErrors     atomic.Int64 // forwards that failed at the transport layer or timed out
-	inflightWaits   atomic.Int64 // times a proxy waited on an owner-published in-flight key
-	localFallbacks  atomic.Int64 // proxied requests answered from this node's own Lab after the owner failed
+	localFallbacks  atomic.Int64 // proxied requests answered from this node's own Lab after the owner failed or declined
 	drainRefusals   atomic.Int64 // proxied ring writes refused because this node is draining
-	drainFailovers  atomic.Int64 // proxied requests this node re-routed past a draining owner
 }
 
-// write renders the exposition lines. Gauges come from the node.
-func (m *clusterMetrics) write(w io.Writer, inflightKeys, ringNodes int) {
+// write renders the exposition lines. The ring size comes from the node.
+func (m *clusterMetrics) write(w io.Writer, ringNodes int) {
 	counter := func(name string, v int64) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
-	}
-	gauge := func(name string, v int64) {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
 	}
 	counter("mcdvfsd_cluster_proxied_total", m.proxied.Load())
 	counter("mcdvfsd_cluster_forwarded_served_total", m.forwardedServed.Load())
 	counter("mcdvfsd_cluster_proxy_errors_total", m.proxyErrors.Load())
-	counter("mcdvfsd_cluster_inflight_waits_total", m.inflightWaits.Load())
 	counter("mcdvfsd_cluster_local_fallbacks_total", m.localFallbacks.Load())
 	counter("mcdvfsd_cluster_drain_refusals_total", m.drainRefusals.Load())
-	counter("mcdvfsd_cluster_drain_failovers_total", m.drainFailovers.Load())
-	gauge("mcdvfsd_cluster_inflight_keys", int64(inflightKeys))
-	gauge("mcdvfsd_cluster_nodes", int64(ringNodes))
+	fmt.Fprintf(w, "# TYPE mcdvfsd_cluster_nodes gauge\nmcdvfsd_cluster_nodes %d\n", ringNodes)
 }
 
 // ClusterMetricsResponse is the JSON body of GET /v1/cluster/metrics.

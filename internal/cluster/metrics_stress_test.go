@@ -24,10 +24,8 @@ func metricsCounterOps(m *clusterMetrics) map[string]func() {
 		"mcdvfsd_cluster_proxied_total":          func() { m.proxied.Add(1) },
 		"mcdvfsd_cluster_forwarded_served_total": func() { m.forwardedServed.Add(1) },
 		"mcdvfsd_cluster_proxy_errors_total":     func() { m.proxyErrors.Add(1) },
-		"mcdvfsd_cluster_inflight_waits_total":   func() { m.inflightWaits.Add(1) },
 		"mcdvfsd_cluster_local_fallbacks_total":  func() { m.localFallbacks.Add(1) },
 		"mcdvfsd_cluster_drain_refusals_total":   func() { m.drainRefusals.Add(1) },
-		"mcdvfsd_cluster_drain_failovers_total":  func() { m.drainFailovers.Add(1) },
 	}
 }
 
@@ -52,7 +50,7 @@ func TestClusterMetricsConcurrentRender(t *testing.T) {
 			}
 			// Render into Discard: the point is racing Load()s against
 			// the writers, not the bytes.
-			m.write(io.Discard, 1, 3)
+			m.write(io.Discard, 3)
 		}
 	}()
 
@@ -73,7 +71,7 @@ func TestClusterMetricsConcurrentRender(t *testing.T) {
 	renders.Wait()
 
 	var buf bytes.Buffer
-	m.write(&buf, 7, 3)
+	m.write(&buf, 3)
 	got, err := serve.ParseMetrics(&buf)
 	if err != nil {
 		t.Fatalf("ParseMetrics: %v", err)
@@ -83,8 +81,8 @@ func TestClusterMetricsConcurrentRender(t *testing.T) {
 			t.Errorf("%s = %d after the join, want %d", name, got[name], writers*bumps)
 		}
 	}
-	if got["mcdvfsd_cluster_inflight_keys"] != 7 || got["mcdvfsd_cluster_nodes"] != 3 {
-		t.Errorf("gauges = %d/%d, want 7/3", got["mcdvfsd_cluster_inflight_keys"], got["mcdvfsd_cluster_nodes"])
+	if got["mcdvfsd_cluster_nodes"] != 3 {
+		t.Errorf("mcdvfsd_cluster_nodes = %d, want 3", got["mcdvfsd_cluster_nodes"])
 	}
 }
 
@@ -118,7 +116,7 @@ func TestClusterMetricsMonotonicUnderWriters(t *testing.T) {
 	last := make(map[string]int64)
 	for s := 0; s < samples; s++ {
 		var buf bytes.Buffer
-		m.write(&buf, 0, 0)
+		m.write(&buf, 0)
 		got, err := serve.ParseMetrics(&buf)
 		if err != nil {
 			t.Fatalf("ParseMetrics (sample %d): %v", s, err)
@@ -137,7 +135,7 @@ func TestClusterMetricsMonotonicUnderWriters(t *testing.T) {
 	wg.Wait()
 
 	var buf bytes.Buffer
-	m.write(&buf, 0, 0)
+	m.write(&buf, 0)
 	got, err := serve.ParseMetrics(&buf)
 	if err != nil {
 		t.Fatalf("ParseMetrics (final): %v", err)

@@ -12,21 +12,18 @@ package cluster
 //     again. Under ring agreement it landed on the owner; under
 //     disagreement (mid-rollout mixed peer lists) it is served where it
 //     landed rather than bouncing.
-//   - Peer-aware singleflight: proxies forward to the owner, whose Lab
-//     singleflight coalesces every caller cluster-wide. If the forward
-//     sheds or times out while the owner's Lab lists the key in flight,
-//     the proxy waits for that flight and re-asks — it never starts a
-//     second collection for a key someone is already collecting.
-//   - Local fallback: when the owner sheds (429), stalls or is
-//     unreachable and lists no flight for the key, the receiving node
-//     answers from its own Lab, behind its own admission gate — the
-//     path the drain failover takes when it reaches itself. A grid is a
-//     pure function of its key, so the answer is the one the owner would
-//     have given.
-//   - Drain: a draining node refuses newly proxied ring writes with 503
-//     + X-MCDVFS-Draining so routers fail over to the next node in the
-//     key's ring order, while flights already in progress finish under
-//     the normal connection drain.
+//   - Cluster-wide singleflight: proxies forward to the owner, whose Lab
+//     singleflight coalesces every caller of a key while the owner
+//     answers.
+//   - Local fallback, the one recovery: when the owner is unreachable,
+//     outlives ProxyTimeout, sheds (429) or refuses as draining, the
+//     receiving node answers from its own Lab, behind its own admission
+//     gate. A grid is a pure function of its key, so the answer is the
+//     one the owner would have given.
+//   - Drain: a draining node refuses newly proxied ring writes with 503 +
+//     X-MCDVFS-Draining, so the proxying node answers them itself, while
+//     flights already in progress finish under the normal connection
+//     drain.
 
 import (
 	"bytes"
@@ -35,13 +32,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"mcdvfs/internal/experiments"
 	"mcdvfs/internal/serve"
 )
 
@@ -50,8 +44,8 @@ const (
 	// HeaderForwarded carries the proxying node's ID; its presence is the
 	// loop guard.
 	HeaderForwarded = "X-MCDVFS-Forwarded"
-	// HeaderDraining marks a refusal from a draining node; routers treat
-	// it as "fail over now".
+	// HeaderDraining marks a refusal from a draining node; the proxying
+	// node answers the request itself.
 	HeaderDraining = "X-MCDVFS-Draining"
 	// HeaderNode names the node that actually served a routed response.
 	HeaderNode = "X-MCDVFS-Node"
@@ -64,15 +58,14 @@ type Config struct {
 	Self string
 	// Peers maps every ring member's ID to its base URL, self included.
 	Peers map[string]string
-	// ProxyTimeout bounds every request to a peer: a forward, one
-	// in-flight poll, a metrics scrape. On a forward's expiry the proxy
-	// consults the owner's in-flight list, then answers locally. Default
-	// 15s.
+	// ProxyTimeout bounds every request to a peer: a forward or a
+	// metrics scrape. On a forward's expiry the proxy answers locally.
+	// Default 15s.
 	ProxyTimeout time.Duration
 	// DrainHint is phase one of the two-phase drain: how long the node
 	// keeps answering (refusing ring writes with the draining hint) after
-	// shutdown begins, so peers observe the hint and fail over before the
-	// listener closes. Default 250ms.
+	// shutdown begins, so peers observe the hint and answer locally before
+	// the listener closes. Default 250ms.
 	DrainHint time.Duration
 	// Serve configures the embedded daemon.
 	Serve serve.Config
@@ -87,10 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// inflightPoll is the interval at which a waiting proxy re-reads the
-// owner's in-flight list.
-const inflightPoll = 25 * time.Millisecond
 
 // Node is one cluster member.
 type Node struct {
@@ -157,7 +146,6 @@ func (n *Node) routes() {
 	n.mux.HandleFunc("POST /v1/grid", n.route)
 	n.mux.HandleFunc("POST /v1/optimal", n.route)
 	n.mux.HandleFunc("GET /v1/cluster/ring", n.handleRing)
-	n.mux.HandleFunc("GET /v1/cluster/inflight", n.handleInflight)
 	n.mux.HandleFunc("GET /v1/cluster/metrics", n.handleClusterMetrics)
 	n.mux.HandleFunc("GET /metrics", n.handleMetrics)
 	n.mux.Handle("/", n.srv.Handler())
@@ -192,9 +180,9 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	forwarded := r.Header.Get(HeaderForwarded)
 	if forwarded != "" && n.draining.Load() {
 		// Phase one of the drain: this node is leaving the ring, so newly
-		// proxied writes are refused with the hint; the proxying router
-		// fails over to the next node. Requests from this node's own
-		// clients still drain normally.
+		// proxied writes are refused with the hint and the proxying node
+		// answers them itself. Requests from this node's own clients still
+		// drain normally.
 		n.met.drainRefusals.Add(1)
 		w.Header().Set(HeaderDraining, "1")
 		serve.WriteError(w, http.StatusServiceUnavailable, "node draining; fail over")
@@ -219,61 +207,38 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r)
 		return
 	}
-	n.proxy(w, r, body, key, owner)
+	n.proxy(w, r, body, owner)
 }
 
-// proxy forwards a routable request to its owner and supervises the
-// outcome: relay on success, wait-and-retry when the owner publishes the
-// key in flight, fail over past a draining owner, and answer locally when
-// the owner sheds, stalls or is unreachable.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, key experiments.GridKey, owner string) {
+// proxy forwards a routable request to its owner and relays the answer.
+// Its one recovery is the local answer: when the forward fails, outlives
+// ProxyTimeout, or the owner declines it, this node answers from its own
+// Lab, behind its own admission gate, which sheds with this node's own
+// hint if it is saturated too. A client that has already gone gets 504.
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, owner string) {
 	ctx := r.Context()
-	contentType := r.Header.Get("Content-Type")
 	n.met.proxied.Add(1)
-	resp, err := n.forward(ctx, owner, r.URL.Path, contentType, body)
+	resp, err := n.forward(ctx, owner, r.URL.Path, r.Header.Get("Content-Type"), body)
 	if err != nil {
 		n.met.proxyErrors.Add(1)
 	}
 	switch {
 	case err != nil && ctx.Err() != nil:
 		serve.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("forward to %s: %v", owner, err))
-	case err != nil || resp.status == http.StatusTooManyRequests:
-		// The owner stalled, is unreachable, or shed. If it publishes the
-		// key in flight, the collection is coming: wait for it, then re-ask
-		// (the retry lands on the owner's warm cache) instead of
-		// re-collecting — peer-aware singleflight. No flight in sight:
-		// answer from this node's own Lab, behind its own admission gate,
-		// which sheds with this node's own hint if it is saturated too.
-		if n.awaitOwnerFlight(ctx, owner, key) {
-			if retry, rerr := n.forward(ctx, owner, r.URL.Path, contentType, body); rerr == nil && retry.status < 300 {
-				n.relay(w, retry)
-				return
-			}
-		}
+	case err == nil && !declined(resp):
+		n.relay(w, resp)
+	default:
 		n.met.localFallbacks.Add(1)
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		n.serveLocal(w, r)
-	case resp.status == http.StatusServiceUnavailable && resp.header.Get(HeaderDraining) != "":
-		// The owner is leaving the ring: act as if it were gone and hand
-		// the key to the next replica in preference order, forwarded so the
-		// target serves it without re-proxying.
-		n.met.drainFailovers.Add(1)
-		for _, id := range n.ring.Replicas(key.String(), n.ring.Len())[1:] {
-			if id == n.self {
-				r.Body = io.NopCloser(bytes.NewReader(body))
-				n.met.forwardedServed.Add(1)
-				n.serveLocal(w, r)
-				return
-			}
-			if fo, ferr := n.forward(ctx, id, r.URL.Path, contentType, body); ferr == nil && fo.status < 500 {
-				n.relay(w, fo)
-				return
-			}
-		}
-		n.relay(w, resp)
-	default:
-		n.relay(w, resp)
 	}
+}
+
+// declined reports whether the owner refused to answer: it shed the
+// request (429) or is draining (503 with the draining hint).
+func declined(resp *peerResponse) bool {
+	return resp.status == http.StatusTooManyRequests ||
+		resp.status == http.StatusServiceUnavailable && resp.header.Get(HeaderDraining) != ""
 }
 
 // peerResponse is one fully read peer response.
@@ -286,8 +251,10 @@ type peerResponse struct {
 // peer is the one request path to another ring member: a POST of body
 // (a GET when body is nil) carrying hdr, bounded by ProxyTimeout, with the
 // full response read. A peer that accepts the connection but never
-// answers therefore fails after ProxyTimeout, whichever protocol step
-// asked.
+// answers therefore fails after ProxyTimeout, whether a forward or a
+// metrics scrape asked. Reading the whole body before relaying keeps a
+// body cut short recoverable: the read fails and the proxy answers
+// locally instead of relaying a truncated 200.
 func (n *Node) peer(ctx context.Context, id, path string, body []byte, hdr http.Header) (*peerResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
 	defer cancel()
@@ -329,84 +296,16 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 	return n.peer(ctx, id, path, body, hdr)
 }
 
-// relay writes a peer response through to the client.
+// relay writes a peer response through to the client. Shed and draining
+// refusals are never relayed, so neither are their hints.
 func (n *Node) relay(w http.ResponseWriter, resp *peerResponse) {
-	for _, h := range []string{"Content-Type", "Retry-After", HeaderNode, HeaderDraining} {
+	for _, h := range []string{"Content-Type", HeaderNode} {
 		if v := resp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body) // best effort: the peer response is already final
-}
-
-// awaitOwnerFlight implements the proxy side of peer-aware singleflight:
-// if the owner currently lists key in flight, poll until the flight ends
-// (the result is then in the owner's cache) and report true — the caller
-// should re-ask the owner. Reports false when no flight is visible, the
-// owner is unreachable, or the caller's context ends.
-func (n *Node) awaitOwnerFlight(ctx context.Context, owner string, key experiments.GridKey) bool {
-	listed, err := n.ownerInflight(ctx, owner, key)
-	if err != nil || !listed {
-		return false
-	}
-	n.met.inflightWaits.Add(1)
-	t := time.NewTicker(inflightPoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-t.C:
-		}
-		listed, err = n.ownerInflight(ctx, owner, key)
-		if err != nil {
-			return false
-		}
-		if !listed {
-			return true
-		}
-	}
-}
-
-// InflightResponse is the JSON body of GET /v1/cluster/inflight.
-type InflightResponse struct {
-	Node string   `json:"node"`
-	Keys []string `json:"keys"`
-}
-
-// ownerInflight reads a peer's published in-flight keys and reports
-// whether key is among them.
-func (n *Node) ownerInflight(ctx context.Context, owner string, key experiments.GridKey) (bool, error) {
-	resp, err := n.peer(ctx, owner, "/v1/cluster/inflight", nil, nil)
-	if err != nil {
-		return false, err
-	}
-	if resp.status != http.StatusOK {
-		return false, fmt.Errorf("cluster: %s inflight returned %d", owner, resp.status)
-	}
-	var out InflightResponse
-	if err := json.Unmarshal(resp.body, &out); err != nil {
-		return false, err
-	}
-	return slices.Contains(out.Keys, key.String()), nil
-}
-
-// inflightKeys lists the grids whose flight is running in this node's Lab
-// as sorted routing keys.
-func (n *Node) inflightKeys() []string {
-	grids := n.srv.Lab().InflightGrids()
-	keys := make([]string, 0, len(grids))
-	for _, k := range grids {
-		keys = append(keys, k.String())
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// handleInflight publishes this node's in-flight keys.
-func (n *Node) handleInflight(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, InflightResponse{Node: n.self, Keys: n.inflightKeys()})
 }
 
 // RingResponse is the JSON body of GET /v1/cluster/ring.
@@ -431,11 +330,11 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 // counters appended — one scrape shows both layers.
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n.srv.Handler().ServeHTTP(w, r)
-	n.met.write(w, len(n.srv.Lab().InflightGrids()), n.ring.Len())
+	n.met.write(w, n.ring.Len())
 }
 
 // BeginDrain starts phase one of the drain: newly proxied ring writes are
-// refused with the draining hint (so peers fail over) and the embedded
+// refused with the draining hint (so peers answer them) and the embedded
 // daemon's health check flips to 503. In-flight work, including proxied
 // collections already past the router, continues.
 func (n *Node) BeginDrain() {
@@ -450,7 +349,7 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // Run serves the node on addr until ctx is cancelled, then drains in two
 // phases: first the node deregisters from the ring's write path — it
 // keeps answering for DrainHint, refusing newly proxied writes with the
-// draining hint so routers fail over — then the listener closes and
+// draining hint so peers answer them — then the listener closes and
 // in-flight requests get up to drain to finish. A nil error is a clean
 // drain.
 func (n *Node) Run(ctx context.Context, addr string, drain time.Duration) error {

@@ -1,10 +1,9 @@
 // Package cluster turns mcdvfsd into a multi-node service: a consistent-
 // hash ring shards the grid keyspace (benchmark, space, platform-config
-// hash) across peers, a thin router in every node serves owned keys
-// locally and proxies the rest to their owner, peer-aware singleflight
-// coalesces a collection in flight anywhere in the cluster, and a node
-// whose owner sheds, stalls or is unreachable answers from its own Lab.
-// See DESIGN.md §9.
+// hash) across peers, and a thin router in every node serves owned keys
+// locally and proxies the rest to their owner, whose singleflight
+// coalesces every caller of a key. A node whose owner sheds, stalls, is
+// unreachable or is draining answers from its own Lab. See DESIGN.md §9.
 package cluster
 
 import (
@@ -109,42 +108,13 @@ func (r *Ring) Contains(id string) bool {
 	return i < len(r.ids) && r.ids[i] == id
 }
 
-// locate returns the index of the first ring point at or clockwise of
-// key's hash, wrapping past the top of the hash space.
-func (r *Ring) locate(key string) int {
+// Owner returns the node that owns key: the first virtual point clockwise
+// of the key's hash, wrapping past the top of the hash space.
+func (r *Ring) Owner(key string) string {
 	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return i
-}
-
-// Owner returns the node that owns key: the first virtual point clockwise
-// of the key's hash.
-func (r *Ring) Owner(key string) string {
-	return r.points[r.locate(key)].id
-}
-
-// Replicas returns key's replica set, owner first, then the next n-1
-// distinct nodes walking clockwise. Fewer than n nodes returns them all.
-// The order is the drain-failover preference order: when the owner is
-// draining, routers try the other nodes in this sequence.
-func (r *Ring) Replicas(key string, n int) []string {
-	if n > len(r.ids) {
-		n = len(r.ids)
-	}
-	if n <= 0 {
-		n = 1
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i, start := 0, r.locate(key); len(out) < n && i < len(r.points); i++ {
-		id := r.points[(start+i)%len(r.points)].id
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
+	return r.points[i].id
 }

@@ -140,36 +140,3 @@ func TestRingKeyMovementOnLeave(t *testing.T) {
 		}
 	}
 }
-
-// TestRingReplicas checks the replica walk: owner first, all distinct,
-// clamped to the cluster, and stable under repetition.
-func TestRingReplicas(t *testing.T) {
-	r, err := NewRing([]string{"node0", "node1", "node2"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		reps := r.Replicas(key, 2)
-		if len(reps) != 2 {
-			t.Fatalf("Replicas(%q, 2) = %v, want 2 nodes", key, reps)
-		}
-		if reps[0] != r.Owner(key) {
-			t.Fatalf("Replicas(%q)[0] = %q, want owner %q", key, reps[0], r.Owner(key))
-		}
-		if reps[0] == reps[1] {
-			t.Fatalf("Replicas(%q) = %v, want distinct nodes", key, reps)
-		}
-		all := r.Replicas(key, 99)
-		if len(all) != 3 {
-			t.Fatalf("Replicas(%q, 99) = %v, want the whole cluster", key, all)
-		}
-		seen := map[string]bool{}
-		for _, id := range all {
-			if seen[id] {
-				t.Fatalf("Replicas(%q, 99) = %v repeats %q", key, all, id)
-			}
-			seen[id] = true
-		}
-	}
-}

@@ -58,6 +58,9 @@ func (l *Lab) Baselines(ctx context.Context, bench string, budget float64) (*Bas
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	rBudget, err := governor.Run(l.sys, specs, budgetGov, governor.DefaultOverhead())
 	if err != nil {
 		return nil, err
@@ -88,6 +91,9 @@ func (l *Lab) Baselines(ctx context.Context, bench string, budget float64) (*Bas
 	}
 	add(rBudget)
 	for _, gv := range []governor.Governor{rateLimiter, edp, ed2p} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		r, err := governor.Run(l.sys, specs, gv, governor.DefaultOverhead())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s: %w", gv.Name(), err)

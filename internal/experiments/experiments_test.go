@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mcdvfs/internal/core"
+	"mcdvfs/internal/workload"
 )
 
 // sharedLab caches collected grids across all tests in this package;
@@ -101,29 +102,35 @@ func TestRunnerRegistry(t *testing.T) {
 	}
 }
 
-// TestRunnersStopOnCancelledContext runs every registry runner on a fresh
-// lab under a cancelled context: each one that collects must return the
-// context's error and leave no grid resident. fastdvfs collects nothing,
-// so it runs to completion.
+// TestRunnersStopOnCancelledContext runs every registry runner under a
+// cancelled context, on a fresh lab and on one whose grids are all
+// resident: each must return the context's error, whether its next step
+// is a collection, a resident grid or a governor run, and the fresh lab
+// must keep no grid.
 func TestRunnersStopOnCancelledContext(t *testing.T) {
+	warm := testLab(t)
+	for _, bench := range workload.Names() {
+		for _, space := range []string{"coarse", "fine"} {
+			if _, err := warm.GridFor(context.Background(), warm.key(bench, space)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, r := range Runners() {
-		l, err := NewLab()
+		fresh, err := NewLab()
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = r.Run(ctx, l, io.Discard)
-		switch {
-		case r.ID == "fastdvfs":
-			if err != nil {
-				t.Errorf("%s: %v, want it to run without collecting", r.ID, err)
-			}
-		case !errors.Is(err, context.Canceled):
-			t.Errorf("%s: err %v, want context.Canceled", r.ID, err)
+		if err := r.Run(ctx, fresh, io.Discard); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a fresh lab: err %v, want context.Canceled", r.ID, err)
 		}
-		if n := l.ResidentGrids(); n != 0 {
+		if n := fresh.ResidentGrids(); n != 0 {
 			t.Errorf("%s: %d grids resident after a cancelled run, want 0", r.ID, n)
+		}
+		if err := r.Run(ctx, warm, io.Discard); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with every grid resident: err %v, want context.Canceled", r.ID, err)
 		}
 	}
 }

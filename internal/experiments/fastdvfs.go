@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcdvfs/internal/dvfsm"
@@ -33,8 +34,9 @@ type FastDVFSResult struct {
 	Cells     []FastDVFSCell
 }
 
-// FastDVFS runs the comparison.
-func (l *Lab) FastDVFS(bench string, budget float64, thresholds []float64) (*FastDVFSResult, error) {
+// FastDVFS runs the comparison. It collects no grid; a cancelled ctx
+// stops it before its next governor run.
+func (l *Lab) FastDVFS(ctx context.Context, bench string, budget float64, thresholds []float64) (*FastDVFSResult, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -62,6 +64,9 @@ func (l *Lab) FastDVFS(bench string, budget float64, thresholds []float64) (*Fas
 				Model: model, Search: governor.FromMax,
 			})
 			if err != nil {
+				return nil, err
+			}
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			r, err := governor.RunWith(l.sys, specs, gov, governor.DefaultOverhead(), hw.seq)

@@ -90,6 +90,9 @@ func (l *Lab) GovCompare(ctx context.Context, bench string, budget, threshold fl
 	}
 	res := &GovCompareResult{Benchmark: bench, Budget: budget, Threshold: threshold}
 	for _, gv := range govs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		r, err := governor.Run(l.sys, specs, gv, governor.DefaultOverhead())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: governor %s: %w", gv.Name(), err)

@@ -74,8 +74,7 @@ type GridKey struct {
 	Hash      string
 }
 
-// String renders the key as bench|space|hash: the cluster's routing key
-// and its published in-flight list entry.
+// String renders the key as bench|space|hash: the cluster's routing key.
 func (k GridKey) String() string { return k.Benchmark + "|" + k.Space + "|" + k.Hash }
 
 // keyedSpace is one published setting space with its platform fingerprint.
@@ -228,7 +227,8 @@ func (l *Lab) spaceOf(k GridKey) (*freq.Space, error) {
 	return s.space, nil
 }
 
-// GridFor returns the grid k names, collecting it on first use. A caller
+// GridFor returns the grid k names, collecting it on first use. An
+// already-ended ctx returns its error, resident grid or not. A caller
 // that joins an in-flight collection and is cancelled returns promptly
 // with ctx's error while the collection itself completes for the
 // remaining waiters; if the collecting caller is cancelled, the flight is
@@ -252,8 +252,13 @@ func (l *Lab) AnalysisFor(ctx context.Context, k GridKey) (*core.Analysis, error
 }
 
 // entry returns the resident entry for k, running at most one flight per
-// entry: admission gate, then collection.
+// entry: admission gate, then collection. It checks ctx before the cache
+// lookup, so a cancelled run stops at its next grid read, not only at its
+// next collection.
 func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	b, err := workload.ByName(k.Benchmark)
 	if err != nil {
 		return nil, err
@@ -328,7 +333,3 @@ func (l *Lab) Forget(bench string) bool {
 // ResidentGrids returns how many grids the cache holds, running flights
 // included.
 func (l *Lab) ResidentGrids() int { return l.grids.Len() }
-
-// InflightGrids lists the resident grids whose flight is still running,
-// most recently used first.
-func (l *Lab) InflightGrids() []GridKey { return l.grids.Inflight() }

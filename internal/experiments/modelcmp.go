@@ -73,6 +73,9 @@ func (l *Lab) ModelCompare(ctx context.Context, benches []string, budget, thresh
 			if err != nil {
 				return nil, err
 			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			r, err := governor.Run(l.sys, specs, gov, governor.DefaultOverhead())
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", bench, m.name, err)

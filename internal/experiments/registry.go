@@ -9,9 +9,10 @@ import (
 	"mcdvfs/internal/workload"
 )
 
-// Runner regenerates one paper figure, writing its tables to w. Run
-// collects the grids it needs under ctx, so a cancelled ctx ends it with
-// ctx's error at its next collection.
+// Runner regenerates one paper figure, writing its tables to w. Run reads
+// the grids it needs under ctx and checks it before each governor run, so
+// a cancelled ctx ends it with ctx's error at its next grid read,
+// collection or governor run.
 type Runner struct {
 	ID          string
 	Description string
@@ -269,8 +270,8 @@ func Runners() []Runner {
 		{
 			ID:          "fastdvfs",
 			Description: "Commercial vs nanosecond-scale transition hardware (paper's Kim et al. reference)",
-			Run: func(_ context.Context, l *Lab, w io.Writer) error {
-				r, err := l.FastDVFS("gobmk", 1.3, []float64{0.01, 0.03, 0.05})
+			Run: func(ctx context.Context, l *Lab, w io.Writer) error {
+				r, err := l.FastDVFS(ctx, "gobmk", 1.3, []float64{0.01, 0.03, 0.05})
 				if err != nil {
 					return err
 				}

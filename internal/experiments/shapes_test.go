@@ -546,7 +546,7 @@ func TestFastDVFSShapes(t *testing.T) {
 	// Nanosecond-scale regulators must make per-transition overhead
 	// negligible compared with commercial PLLs, at identical schedules.
 	l := testLab(t)
-	r, err := l.FastDVFS("gobmk", 1.3, []float64{0.01, 0.05})
+	r, err := l.FastDVFS(context.Background(), "gobmk", 1.3, []float64{0.01, 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,8 +203,7 @@ func (s *Server) beginDrain() {
 func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Lab exposes the daemon's Lab to layered subsystems: the cluster router
-// takes its routing keys from Lab.Key and publishes the Lab's in-flight
-// grids.
+// takes its routing keys from Lab.Key.
 func (s *Server) Lab() *experiments.Lab { return s.lab }
 
 // AcquireCollectSlot takes one slot of the collection admission pool,
