@@ -12,7 +12,9 @@
 # runs only part of vet, and not copylocks, which catches copied mutexes
 # and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
 # enforcing determinism, context discipline, goroutine joins and error
-# flow (see DESIGN.md §7).
+# flow (see DESIGN.md §7). mcdvfsvet loads packages by running
+# `go list -deps -export` with the go on PATH, which must be the
+# toolchain that builds it (DESIGN.md §7.1).
 
 GO ?= go
 
@@ -91,8 +93,9 @@ bench-serve:
 		-benchtime $(BENCHTIME) -benchmem \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
-# Analyzer benchmark record: the full mcdvfsvet suite (BenchmarkVet),
-# serial vs parallel, captured as BENCH_vet.json for regression tracking.
+# Analyzer benchmark record: one whole mcdvfsvet run over ./...
+# (BenchmarkVet), its go list call included, captured as BENCH_vet.json
+# for regression tracking.
 bench-vet:
 	$(GO) test ./internal/analysis -run '^$$' -bench 'BenchmarkVet' -benchmem \
 		| $(GO) run ./cmd/benchjson -out BENCH_vet.json

@@ -8,7 +8,7 @@
 //
 // With -out it echoes the run on stdin to stdout (it stays visible in
 // terminals and CI logs) and writes the parsed record. A result line
-// "BenchmarkVet/serial-8  5  212345678 ns/op ..." becomes {"name", "pkg",
+// "BenchmarkVet-8  5  212345678 ns/op ..." becomes {"name", "pkg",
 // "procs", "iterations", "ns_per_op", ...}: the package is that of the
 // "pkg:" header above it, and the "-N" suffix is GOMAXPROCS. A "meta"
 // block records the collecting environment (go version, GOOS / GOARCH,

@@ -9,7 +9,9 @@
 //
 //	mcdvfsvet [flags] [patterns ...]
 //
-// Patterns default to ./... and follow the go tool's directory forms.
+// Patterns default to ./... and are go package patterns: mcdvfsvet loads
+// them with `go list -deps -export`, so the go on PATH must be the
+// toolchain mcdvfsvet was built with (as under `go run`).
 // -waivers inventories every //lint:allow directive in scope (file:line,
 // check, reason) and marks the stale ones — waivers whose check no longer
 // fires on the waived line.
@@ -21,8 +23,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"mcdvfs/internal/analysis"
 )
@@ -31,14 +33,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcdvfsvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text")
-	disable := fs.String("disable", "", "comma-separated check names to skip (see -list)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	waivers := fs.Bool("waivers", false, "list every //lint:allow waiver in scope and flag stale ones")
-	workers := fs.Int("workers", 0, "package load/check worker-pool size (0 = all cores)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mcdvfsvet [flags] [patterns ...]\n\nThe mcdvfs domain-invariant analyzer suite. Patterns default to ./...\n\n")
 		fs.PrintDefaults()
@@ -55,32 +55,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	disabled := make(map[string]bool)
-	for _, name := range strings.Split(*disable, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			disabled[name] = true
-		}
-	}
-	known := map[string]bool{analysis.LintCheckName: true}
-	for _, a := range analysis.Suite() {
-		known[a.Name] = true
-	}
-	for name := range disabled {
-		if !known[name] {
-			fmt.Fprintf(stderr, "mcdvfsvet: unknown check %q in -disable (try -list)\n", name)
-			return 2
-		}
-	}
-
+	opts := analysis.Options{Patterns: fs.Args()}
 	if *waivers {
-		return runWaivers(fs.Args(), *jsonOut, *workers, stdout, stderr)
+		return runWaivers(opts, *jsonOut, stdout, stderr)
 	}
 
-	diags, err := analysis.Run(analysis.Options{
-		Patterns: fs.Args(),
-		Disable:  disabled,
-		Workers:  *workers,
-	})
+	diags, err := analysis.Run(opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
 		return 2
@@ -117,8 +97,8 @@ func run(args []string, stdout, stderr *os.File) int {
 // directives in scope, stale ones marked. A stale waiver exits 1 — it is a
 // suppression with nothing left to suppress, which either hides a future
 // regression or documents a fix that deserves deleting its waiver.
-func runWaivers(patterns []string, jsonOut bool, workers int, stdout, stderr *os.File) int {
-	ws, err := analysis.ListWaivers(analysis.Options{Patterns: patterns, Workers: workers})
+func runWaivers(opts analysis.Options, jsonOut bool, stdout, stderr io.Writer) int {
+	ws, err := analysis.ListWaivers(opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "mcdvfsvet: %v\n", err)
 		return 2

@@ -1,6 +1,7 @@
 // Package analysis is mcdvfs's in-tree static-analysis suite, built only on
-// the standard library's go/ast, go/parser, and go/types (no x/tools — the
-// repository stays a zero-dependency offline build).
+// the go command and the standard library's go/ast, go/parser, go/types and
+// go/importer (no x/tools — the repository stays a zero-dependency offline
+// build).
 //
 // The paper's methodology rests on properties that ordinary tests cannot
 // economically guard: every sample stream must be bit-reproducible (the
@@ -19,6 +20,14 @@
 // The driver in run.go loads packages (load.go), applies the per-check
 // package scopes, filters diagnostics through //lint:allow suppressions
 // (suppress.go), and renders text or JSON for cmd/mcdvfsvet.
+//
+// Loading goes through one `go list -e -deps -export` call, so the go
+// command decides what a package is. A file a build constraint excludes is
+// never read, as the go command does not read it. A package that does not
+// compile fails the run (mcdvfsvet exits 2) with the go command's message.
+// The `go` on PATH runs, and it must be the toolchain this package was
+// built with, because the standard library is imported from that
+// toolchain's export data.
 package analysis
 
 import (
@@ -58,11 +67,13 @@ type Package struct {
 	Dir string
 	// Fset positions every file below.
 	Fset *token.FileSet
-	// Syntax holds the parsed non-test files, sorted by filename.
+	// Syntax holds the parsed non-test files the build compiles, sorted by
+	// filename.
 	Syntax []*ast.File
-	// TestSyntax holds the parsed _test.go files, syntax only: test files
-	// are not type-checked (they may form a separate external test package)
-	// so checks that opt in via AnalyzeTests work purely on the AST.
+	// TestSyntax holds the parsed _test.go files the build constraints
+	// admit, sorted by filename, syntax only: test files are not
+	// type-checked (they may form a separate external test package) so
+	// checks that opt in via AnalyzeTests work purely on the AST.
 	TestSyntax []*ast.File
 	// Types and Info are the go/types results for Syntax.
 	Types *types.Package
@@ -74,8 +85,8 @@ type Package struct {
 type Pass struct {
 	Pkg *Package
 	// Prog indexes every function of every loaded module package — the
-	// substrate for interprocedural checks. It is shared, read-only after
-	// construction, and safe to use from concurrent passes.
+	// substrate for interprocedural checks. Every pass shares it, and it is
+	// read-only after construction.
 	Prog *flow.Program
 	// IncludeSrc and IncludeTests tell the check which file sets are in
 	// scope for this package: the driver resolves Applies/AnalyzeTests (a
@@ -100,7 +111,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name is the identifier used by -disable and //lint:allow.
+	// Name is the identifier //lint:allow directives and -list use.
 	Name string
 	// Doc is a one-line description for -list.
 	Doc string
@@ -111,9 +122,8 @@ type Analyzer struct {
 	// _test.go files (AST only) for the given import path.
 	AnalyzeTests func(pkgPath string) bool
 	// Prepare, if set, runs once before any pass, with the whole-module
-	// Program — the place to compute call-graph summaries. It runs serially;
-	// whatever it stores must be read-only afterwards, because Run executes
-	// concurrently across packages.
+	// Program — the place to compute call-graph summaries the passes then
+	// read.
 	Prepare func(prog *flow.Program)
 	// Run executes the check against one package.
 	Run func(pass *Pass)

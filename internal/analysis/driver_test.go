@@ -8,9 +8,8 @@ package analysis_test
 //	go test ./internal/analysis -run TestFixtureGolden -update
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,11 +24,10 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 var fixtures = []string{"determfix", "ctxfix", "lintfix", "goleakfix", "errflowfix"}
 
 // runFixture executes the whole suite, scope-free, over one fixture.
-func runFixture(t *testing.T, name string, disable map[string]bool) string {
+func runFixture(t *testing.T, name string) string {
 	t.Helper()
 	diags, err := analysis.Run(analysis.Options{
 		Patterns: []string{"./testdata/src/" + name},
-		Disable:  disable,
 		ScopeAll: true,
 	})
 	if err != nil {
@@ -51,7 +49,7 @@ func runFixture(t *testing.T, name string, disable map[string]bool) string {
 func TestFixtureGolden(t *testing.T) {
 	for _, name := range fixtures {
 		t.Run(name, func(t *testing.T) {
-			got := runFixture(t, name, nil)
+			got := runFixture(t, name)
 			golden := filepath.Join("testdata", "golden", name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -76,7 +74,7 @@ func TestFixtureGolden(t *testing.T) {
 // never appears).
 func TestFixturesHaveHitsAndSuppressions(t *testing.T) {
 	for _, name := range fixtures {
-		got := runFixture(t, name, nil)
+		got := runFixture(t, name)
 		if got == "" {
 			t.Errorf("%s: fixture produced no diagnostics; positive cases are broken", name)
 		}
@@ -86,8 +84,17 @@ func TestFixturesHaveHitsAndSuppressions(t *testing.T) {
 	}
 }
 
-// TestSuiteNamesStable pins the check names: they are the -disable and
-// //lint:allow vocabulary, so renaming one silently orphans every waiver.
+// TestBuildConstraintsApply pins that the loader reads only the files the
+// go command compiles: buildtagfix's other.go redeclares F behind
+// //go:build ignore. The fixture has no hits, so it stays out of fixtures.
+func TestBuildConstraintsApply(t *testing.T) {
+	if got := runFixture(t, "buildtagfix"); got != "" {
+		t.Errorf("buildtagfix produced diagnostics:\n%s", got)
+	}
+}
+
+// TestSuiteNamesStable pins the check names: they are the //lint:allow
+// vocabulary, so renaming one silently orphans every waiver.
 func TestSuiteNamesStable(t *testing.T) {
 	want := []string{"determinism", "ctx", "goleak", "errflow"}
 	suite := analysis.Suite()
@@ -104,90 +111,19 @@ func TestSuiteNamesStable(t *testing.T) {
 	}
 }
 
-func TestDisableSkipsCheck(t *testing.T) {
-	got := runFixture(t, "determfix", map[string]bool{"determinism": true})
-	if strings.Contains(got, "[determinism]") {
-		t.Errorf("disabled check still reported:\n%s", got)
-	}
-}
-
-// BenchmarkVet measures the full-repository suite run — load, type-check,
-// flow construction, every check — serial against the default worker pool.
-// The parallel/serial ratio is the headline number for the driver's bounded
-// worker pool; output determinism across the two is covered by the golden
-// tests, which run through the same bucketed collection path.
+// BenchmarkVet measures one whole-repository run of the suite: the go list
+// call, type-checking, flow construction and every check.
 func BenchmarkVet(b *testing.B) {
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // 0 = GOMAXPROCS
-	}
-	// Warm the process-wide stdlib importer so both variants measure the
-	// module-level work the worker pool actually parallelizes, not the
-	// one-time stdlib type-check.
-	if _, err := analysis.Run(analysis.Options{
-		Dir: filepath.Join("..", ".."), Patterns: []string{"./..."},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				diags, err := analysis.Run(analysis.Options{
-					Dir:      filepath.Join("..", ".."),
-					Patterns: []string{"./..."},
-					Workers:  bc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(diags) != 0 {
-					b.Fatalf("repo not clean under benchmark: %v", diags[0])
-				}
-			}
-		})
-	}
-}
-
-// TestWorkersDeterministicJSON pins the scheduler-independence contract
-// end to end: the JSON rendering of the full diagnostic set — the same
-// bytes mcdvfsvet -json emits — is identical no matter how many workers
-// ran the passes, including the purity summaries determinism's Prepare
-// computes and its passes read concurrently.
-func TestWorkersDeterministicJSON(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runJSON := func(workers int) []byte {
+	for i := 0; i < b.N; i++ {
 		diags, err := analysis.Run(analysis.Options{
-			Patterns: []string{
-				"./testdata/src/determfix", "./testdata/src/goleakfix",
-				"./testdata/src/errflowfix",
-			},
-			ScopeAll: true,
-			Workers:  workers,
+			Dir:      filepath.Join("..", ".."),
+			Patterns: []string{"./..."},
 		})
 		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", workers, err)
+			b.Fatal(err)
 		}
-		analysis.RelTo(diags, wd)
-		b, err := json.Marshal(diags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	serial := runJSON(1)
-	if !strings.Contains(string(serial), `"check":"determinism"`) {
-		t.Fatalf("serial run missing expected findings:\n%s", serial)
-	}
-	for _, w := range []int{2, 8} {
-		if got := runJSON(w); !bytes.Equal(serial, got) {
-			t.Errorf("workers=%d output differs from serial\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				w, serial, w, got)
+		if len(diags) != 0 {
+			b.Fatalf("repo not clean under benchmark: %v", diags[0])
 		}
 	}
 }
@@ -222,8 +158,19 @@ func TestWaiversSortedInventory(t *testing.T) {
 // exactness or scoping decision must carry its waiver; a failure here is
 // either a real regression or a missing reason.
 func TestRepoCleanAtHead(t *testing.T) {
+	// The loader learns which files a package has from go list, a
+	// subprocess whose reads go test's result cache does not see. Listing
+	// every directory here makes an added or removed file rerun this test
+	// instead of replaying a cached pass.
+	root := filepath.Join("..", "..")
+	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		return err
+	})
 	diags, err := analysis.Run(analysis.Options{
-		Dir:      filepath.Join("..", ".."),
+		Dir:      root,
 		Patterns: []string{"./..."},
 	})
 	if err != nil {

@@ -1,21 +1,22 @@
 package analysis
 
-// Package loading without x/tools: a module-aware loader that resolves
-// intra-module import paths by walking the repository and everything else
-// (the standard library) through go/importer's source importer. The loader
-// exists so the analyzer suite can type-check the whole module offline with
-// zero dependencies beyond the Go toolchain's own source tree.
+// Package loading through the go command. One `go list -e -deps -export
+// -json` call expands the patterns and names every package they reach, in
+// dependency order, with the compiled export data of each. The standard
+// library is imported from that export data; the module's own packages are
+// parsed and type-checked from source, one after another in go list's
+// order, so every check gets syntax, types.Info and test-file syntax.
 //
-// The loader is safe for concurrent LoadDir calls: each import path is
-// type-checked exactly once behind a per-path flight, concurrent requests
-// for the same path wait on the winner, and a waits-for walk turns the
-// mutual-import deadlock (only reachable from already-illegal Go) into an
-// error instead of a hang. The standard-library source importer is not
-// documented concurrency-safe, so it sits behind its own mutex — stdlib
-// type-checking serializes, module packages and the analyzer passes over
-// them parallelize.
+// The go command decides what a package is: "./..." skips testdata, "_"
+// and "." directories, and a file a build constraint excludes is never
+// read. A package that does not compile fails the run with the go
+// command's message. The `go` on PATH runs, and it must be the toolchain
+// this package was built with: the importer compiled in here reads that
+// toolchain's export data.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -23,219 +24,118 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Loader loads and type-checks packages of a single module.
-type Loader struct {
-	Fset    *token.FileSet
-	modPath string
-	modRoot string
-
-	mu      sync.Mutex
-	flights map[string]*pkgFlight // import path -> load in progress or done
+// listedPackage is the part of one `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Export       string
+	Standard     bool
+	DepOnly      bool
+	Error        *struct{ Err string }
 }
 
-// The standard library never changes while a process runs, and go/importer's
-// source importer re-type-checks it from scratch per instance — by far the
-// most expensive part of a cold run (a full std walk dwarfs the module's own
-// type-check). One process-wide importer serves every Loader, so repeated
-// Run calls — the fixture tests, an editor loop, the benchmark — pay for the
-// stdlib exactly once. It owns a private FileSet: stdlib object positions
-// resolve only against that set, which is safe because diagnostics only
-// ever point into module syntax. The source importer is not
-// documented concurrency-safe, so all access serializes behind stdImportMu —
-// stdlib type-checking serializes, module packages and the analyzer passes
-// over them parallelize.
-var (
-	stdImportMu   sync.Mutex
-	stdImportFset = token.NewFileSet()
-	stdImporter   = importer.ForCompiler(stdImportFset, "source", nil)
-)
-
-// pkgFlight is one package's load: done closes when pkg/err are final.
-// waitingOn names the import path this flight's owner is currently blocked
-// on, for deadlock detection across flights.
-type pkgFlight struct {
-	done      chan struct{}
-	pkg       *Package
-	err       error
-	waitingOn string
-}
-
-// NewLoader builds a loader for the module containing dir.
-func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
+// goList runs go list in dir and decodes its records.
+func goList(dir string, patterns []string) ([]listedPackage, error) {
+	args := append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Export,Standard,DepOnly,Error"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	return &Loader{
-		Fset:    token.NewFileSet(),
-		modPath: modPath,
-		modRoot: root,
-		flights: make(map[string]*pkgFlight),
-	}, nil
-}
-
-// Loaded returns every successfully loaded module package, sorted by import
-// path — the set the flow.Program indexes, including transitive
-// dependencies of the requested patterns.
-func (l *Loader) Loaded() []*Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var pkgs []*Package
-	for _, f := range l.flights {
-		select {
-		case <-f.done:
-			if f.err == nil {
-				pkgs = append(pkgs, f.pkg)
-			}
-		default:
+	var listed []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("analysis: go list: %w", err)
 		}
+		listed = append(listed, p)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs
+	return listed, nil
 }
 
-// findModule walks up from dir to the enclosing go.mod and reads its module
-// path.
-func findModule(dir string) (root, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadPackages lists the packages opts matches ("./..." when there are no
+// patterns) in opts.Dir and loads them. It returns the matched packages in
+// go list's order and every module package it loaded, the matched ones'
+// module dependencies included: the set flow.Program indexes. The first
+// package go list reports broken fails the run.
+func loadPackages(opts Options) (fset *token.FileSet, matched, module []*Package, err error) {
+	patterns := opts.Patterns
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	listed, err := goList(opts.Dir, patterns)
 	if err != nil {
-		return "", "", err
+		return nil, nil, nil, err
 	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("analysis: %s/go.mod has no module directive", dir)
+	exports := make(map[string]string)
+	for _, p := range listed {
+		if p.Error != nil {
+			return nil, nil, nil, fmt.Errorf("analysis: %s", strings.TrimSpace(p.Error.Err))
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", errors.New("analysis: no go.mod found; run from inside the module")
+		exports[p.ImportPath] = p.Export
+	}
+
+	fset = token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("analysis: go list named no export data for %s", path)
 		}
-		dir = parent
-	}
-}
-
-// chainImporter implements types.Importer for one package under check,
-// threading the chain of in-progress import paths so same-goroutine cycles
-// are detected directly.
-type chainImporter struct {
-	l     *Loader
-	chain []string
-}
-
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	l := c.l
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
-		pkg, err := l.load(path, filepath.Join(l.modRoot, rel), c.chain)
+		return os.Open(exports[path])
+	})
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return std.Import(path)
+	})
+	for _, p := range listed {
+		if p.Standard {
+			continue
+		}
+		pkg, err := checkPackage(fset, imp, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		return pkg.Types, nil
-	}
-	stdImportMu.Lock()
-	defer stdImportMu.Unlock()
-	return stdImporter.Import(path)
-}
-
-// LoadDir loads and type-checks the package in dir (non-test files), parsing
-// its _test.go files syntax-only alongside. Results are cached by import
-// path, so shared dependencies type-check once no matter how many goroutines
-// ask.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	path, err := l.dirImportPath(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(path, dir, nil)
-}
-
-// load returns the package for an import path, joining an in-flight load or
-// owning a new one. chain holds the import paths the calling flight is in
-// the middle of loading, for cycle detection.
-func (l *Loader) load(path, dir string, chain []string) (*Package, error) {
-	for _, p := range chain {
-		if p == path {
-			return nil, fmt.Errorf("analysis: import cycle through %s", path)
+		checked[p.ImportPath] = pkg.Types
+		module = append(module, pkg)
+		if !p.DepOnly {
+			matched = append(matched, pkg)
 		}
 	}
-	l.mu.Lock()
-	if f, ok := l.flights[path]; ok {
-		// Another flight owns this path. Before waiting, walk the waits-for
-		// chain: if it leads back to a path we are loading, two flights are
-		// waiting on each other through a (necessarily illegal) mutual
-		// import — fail instead of deadlocking.
-		if len(chain) > 0 {
-			owner := chain[len(chain)-1]
-			for hop, seen := path, map[string]bool{}; hop != "" && !seen[hop]; {
-				seen[hop] = true
-				for _, p := range chain {
-					if hop == p {
-						l.mu.Unlock()
-						return nil, fmt.Errorf("analysis: import cycle through %s", path)
-					}
-				}
-				next, ok := l.flights[hop]
-				if !ok {
-					break
-				}
-				hop = next.waitingOn
-				_ = owner
-			}
-			if of, ok := l.flights[owner]; ok {
-				of.waitingOn = path
-				defer func() {
-					l.mu.Lock()
-					of.waitingOn = ""
-					l.mu.Unlock()
-				}()
-			}
-		}
-		l.mu.Unlock()
-		<-f.done
-		return f.pkg, f.err
+	if len(matched) == 0 {
+		return nil, nil, nil, fmt.Errorf("analysis: no packages match %v", opts.Patterns)
 	}
-	f := &pkgFlight{done: make(chan struct{})}
-	l.flights[path] = f
-	l.mu.Unlock()
-
-	f.pkg, f.err = l.loadFresh(path, dir, append(chain, path))
-	close(f.done)
-	return f.pkg, f.err
+	return fset, matched, module, nil
 }
 
-// loadFresh parses and type-checks one package; the caller owns its flight.
-func (l *Loader) loadFresh(path, dir string, chain []string) (*Package, error) {
-	srcs, tests, err := splitGoFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
-	}
+// checkPackage parses one listed package and type-checks its non-test files,
+// parsing its _test.go files syntax-only alongside.
+func checkPackage(fset *token.FileSet, imp types.Importer, p listedPackage) (*Package, error) {
 	parse := func(names []string) ([]*ast.File, error) {
 		files := make([]*ast.File, 0, len(names))
 		for _, name := range names {
-			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil,
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil,
 				parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return nil, err
@@ -244,10 +144,12 @@ func (l *Loader) loadFresh(path, dir string, chain []string) (*Package, error) {
 		}
 		return files, nil
 	}
-	syntax, err := parse(srcs)
+	syntax, err := parse(p.GoFiles)
 	if err != nil {
 		return nil, err
 	}
+	tests := append(append([]string(nil), p.TestGoFiles...), p.XTestGoFiles...)
+	sort.Strings(tests)
 	testSyntax, err := parse(tests)
 	if err != nil {
 		return nil, err
@@ -261,116 +163,24 @@ func (l *Loader) loadFresh(path, dir string, chain []string) (*Package, error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: &chainImporter{l: l, chain: chain},
+		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(path, l.Fset, syntax, info)
+	tpkg, _ := conf.Check(p.ImportPath, fset, syntax, info)
 	if len(typeErrs) > 0 {
 		const max = 5
 		if len(typeErrs) > max {
 			typeErrs = append(typeErrs[:max], fmt.Errorf("... and %d more", len(typeErrs)-max))
 		}
-		return nil, fmt.Errorf("analysis: type-checking %s failed: %w", path, errors.Join(typeErrs...))
+		return nil, fmt.Errorf("analysis: type-checking %s failed: %w", p.ImportPath, errors.Join(typeErrs...))
 	}
-
 	return &Package{
-		Path:       path,
-		Dir:        dir,
-		Fset:       l.Fset,
+		Path:       p.ImportPath,
+		Dir:        p.Dir,
+		Fset:       fset,
 		Syntax:     syntax,
 		TestSyntax: testSyntax,
 		Types:      tpkg,
 		Info:       info,
 	}, nil
-}
-
-// dirImportPath maps a directory inside the module to its import path.
-func (l *Loader) dirImportPath(dir string) (string, error) {
-	rel, err := filepath.Rel(l.modRoot, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.modRoot)
-	}
-	if rel == "." {
-		return l.modPath, nil
-	}
-	return l.modPath + "/" + filepath.ToSlash(rel), nil
-}
-
-// splitGoFiles lists dir's Go files split into sources and tests, sorted so
-// parse order (and therefore diagnostic order) is deterministic.
-func splitGoFiles(dir string) (srcs, tests []string, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") {
-			tests = append(tests, name)
-		} else {
-			srcs = append(srcs, name)
-		}
-	}
-	sort.Strings(srcs)
-	sort.Strings(tests)
-	return srcs, tests, nil
-}
-
-// Expand resolves command-line patterns to package directories. "./..."
-// (or "dir/...") walks recursively; other patterns name single directories.
-// testdata, vendor, and hidden directories are skipped, matching the go
-// tool's convention — analyzer fixtures under testdata never load here.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	var dirs []string
-	seen := make(map[string]bool)
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		base, recursive := strings.CutSuffix(pat, "...")
-		base = filepath.Clean(strings.TrimSuffix(base, "/"))
-		if base == "" {
-			base = "."
-		}
-		abs, err := filepath.Abs(base)
-		if err != nil {
-			return nil, err
-		}
-		if !recursive {
-			add(abs)
-			continue
-		}
-		err = filepath.WalkDir(abs, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != abs && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			srcs, _, err := splitGoFiles(p)
-			if err != nil {
-				return err
-			}
-			if len(srcs) > 0 {
-				add(p)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dirs, nil
 }

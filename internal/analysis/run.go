@@ -1,52 +1,40 @@
 package analysis
 
-// The driver: expand → load (parallel) → prepare → run (parallel) →
-// suppress → sort. cmd/mcdvfsvet is a thin flag-parsing shell over
-// Run; tests call Run directly with ScopeAll to point every check at fixture
-// packages.
-//
-// Parallelism shape: package loading fans out over a bounded worker pool
-// (the loader's per-path flights dedup shared dependencies), then the
-// per-package analyzer passes fan out the same way. Everything that orders
-// output — suppression filtering, staleness, sorting — stays serial, so two
-// runs over the same tree produce byte-identical reports regardless of
-// worker count. That property is load-bearing: CI diffs mcdvfsvet -json
-// output between branches.
+// The driver: load → prepare → run → suppress → sort. loadPackages
+// (load.go) lists and type-checks the packages; every check's Prepare hook
+// then runs once over the whole-module flow.Program, and the passes run in
+// one loop, package by package, in go list's order. Suppression filtering,
+// staleness and sorting follow, so a run's output depends only on the
+// tree. cmd/mcdvfsvet is a thin flag-parsing shell over Run; tests call Run
+// directly with ScopeAll to point every check at fixture packages.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 
 	"mcdvfs/internal/analysis/flow"
 )
 
 // Options configures one driver run.
 type Options struct {
-	// Patterns are package patterns: directories, or "dir/..." recursive
-	// walks. Empty defaults to "./...".
+	// Patterns are go package patterns, "./..." included. Empty defaults to
+	// "./...".
 	Patterns []string
-	// Dir anchors module discovery and relative patterns; "" means the
-	// current directory.
+	// Dir is where go list runs: it anchors module discovery and relative
+	// patterns. "" means the current directory.
 	Dir string
-	// Disable names checks to skip.
-	Disable map[string]bool
 	// ScopeAll ignores every check's package scoping and test opt-in,
 	// running everything everywhere. Fixture tests use it so a check can be
 	// pointed at testdata packages whose import paths its scope would never
 	// match.
 	ScopeAll bool
-	// Workers bounds the load/check worker pool; <=0 means GOMAXPROCS.
-	Workers int
 }
 
 // Run executes the suite and returns the surviving diagnostics in stable
-// order. A non-nil error means the run itself failed (unparsable source,
-// type errors, bad pattern) — distinct from "found violations".
+// order. A non-nil error means the run itself failed (a package that does
+// not compile, a bad pattern) — distinct from "found violations".
 func Run(opts Options) ([]Diagnostic, error) {
 	res, err := execute(opts)
 	if err != nil {
@@ -57,10 +45,8 @@ func Run(opts Options) ([]Diagnostic, error) {
 
 // ListWaivers executes the suite and returns every //lint:allow directive in
 // the matched packages, with staleness computed against the run's raw
-// diagnostics. All checks are force-enabled: a waiver's liveness is only
-// meaningful if its check actually ran.
+// diagnostics.
 func ListWaivers(opts Options) ([]Waiver, error) {
-	opts.Disable = nil
 	res, err := execute(opts)
 	if err != nil {
 		return nil, err
@@ -74,76 +60,21 @@ type result struct {
 	waivers []Waiver
 }
 
-// loadPackages loads the packages opts matches, in the order Expand lists
-// them: patterns ("./..." when there are none) resolve against opts.Dir,
-// not the process cwd, and the packages load in parallel over
-// opts.workers(). The first load error in that order wins, so failures
-// are as deterministic as successes. The loader keeps every module
-// package it saw, dependencies included.
-func loadPackages(opts Options) (*Loader, []*Package, error) {
-	dir := opts.Dir
-	if dir == "" {
-		dir = "."
-	}
-	loader, err := NewLoader(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	resolved := make([]string, len(patterns))
-	for i, p := range patterns {
-		if filepath.IsAbs(p) {
-			resolved[i] = p
-		} else {
-			resolved[i] = filepath.Join(dir, p)
-		}
-	}
-	dirs, err := loader.Expand(resolved)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(dirs) == 0 {
-		return nil, nil, fmt.Errorf("analysis: no packages match %v", opts.Patterns)
-	}
-	pkgs := make([]*Package, len(dirs))
-	loadErrs := make([]error, len(dirs))
-	forEach(len(dirs), opts.workers(), func(i int) {
-		pkgs[i], loadErrs[i] = loader.LoadDir(dirs[i])
-	})
-	for _, err := range loadErrs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return loader, pkgs, nil
-}
-
-// workers is the worker-pool bound: opts.Workers, or GOMAXPROCS.
-func (opts Options) workers() int {
-	if opts.Workers > 0 {
-		return opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func execute(opts Options) (*result, error) {
-	loader, pkgs, err := loadPackages(opts)
+	fset, pkgs, module, err := loadPackages(opts)
 	if err != nil {
 		return nil, err
 	}
 
-	// The Program spans every module package the loader saw — the matched
+	// The Program spans every module package go list reached — the matched
 	// ones plus their transitive module dependencies — so call-graph
 	// summaries cross package boundaries even when only one package is in
 	// the pattern.
 	var fpkgs []*flow.Package
-	for _, p := range loader.Loaded() {
+	for _, p := range module {
 		fpkgs = append(fpkgs, &flow.Package{Path: p.Path, Files: p.Syntax, Types: p.Types, Info: p.Info})
 	}
-	prog := flow.NewProgram(loader.Fset, fpkgs)
+	prog := flow.NewProgram(fset, fpkgs)
 
 	suite := Suite()
 	known := map[string]bool{LintCheckName: true}
@@ -167,10 +98,8 @@ func execute(opts Options) (*result, error) {
 		lintDiags = append(lintDiags, bad...)
 	}
 
-	// Prepare hooks run serially, before any pass: summaries they compute
-	// are read concurrently afterwards.
 	for _, a := range suite {
-		if a.Prepare != nil && !opts.Disable[a.Name] {
+		if a.Prepare != nil {
 			a.Prepare(prog)
 		}
 	}
@@ -178,10 +107,7 @@ func execute(opts Options) (*result, error) {
 	// covered records which checks ran over which files, the precondition
 	// for calling one of that file's waivers stale.
 	covered := map[string]map[string]bool{}
-	var coveredMu sync.Mutex
-	markCovered := func(check string, files []*ast.File, fset *token.FileSet) {
-		coveredMu.Lock()
-		defer coveredMu.Unlock()
+	markCovered := func(check string, files []*ast.File) {
 		for _, f := range files {
 			name := fset.Position(f.Pos()).Filename
 			if covered[name] == nil {
@@ -191,28 +117,25 @@ func execute(opts Options) (*result, error) {
 		}
 	}
 
-	// Per-package passes fan out; raw diagnostics land in per-(package,
-	// analyzer) buckets so the serial filtering below sees a deterministic
-	// stream.
-	raw := make([][][]Diagnostic, len(pkgs))
-	forEach(len(pkgs), opts.workers(), func(i int) {
-		pkg := pkgs[i]
-		raw[i] = make([][]Diagnostic, len(suite))
-		for ai, a := range suite {
-			if opts.Disable[a.Name] {
-				continue
-			}
+	// Each (package, check) pass's findings are filtered as it ends: waived
+	// diagnostics drop out and mark their keys used; everything else
+	// survives.
+	used := map[allowKey]bool{}
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		for _, a := range suite {
 			src := opts.ScopeAll || a.Applies(pkg.Path)
 			tests := opts.ScopeAll || (a.AnalyzeTests != nil && a.AnalyzeTests(pkg.Path))
 			if !src && !tests {
 				continue
 			}
 			if src {
-				markCovered(a.Name, pkg.Syntax, pkg.Fset)
+				markCovered(a.Name, pkg.Syntax)
 			}
 			if tests {
-				markCovered(a.Name, pkg.TestSyntax, pkg.Fset)
+				markCovered(a.Name, pkg.TestSyntax)
 			}
+			var raw []Diagnostic
 			pass := &Pass{
 				Pkg:          pkg,
 				Prog:         prog,
@@ -221,19 +144,10 @@ func execute(opts Options) (*result, error) {
 			}
 			pass.report = func(d Diagnostic) {
 				d.Check = a.Name
-				raw[i][ai] = append(raw[i][ai], d)
+				raw = append(raw, d)
 			}
 			a.Run(pass)
-		}
-	})
-
-	// Serial filtering: waived diagnostics drop out and mark their keys
-	// used; everything else survives.
-	used := map[allowKey]bool{}
-	var diags []Diagnostic
-	for i := range raw {
-		for _, ds := range raw[i] {
-			diags = append(diags, sup.filter(ds, used)...)
+			diags = append(diags, sup.filter(raw, used)...)
 		}
 	}
 
@@ -243,10 +157,7 @@ func execute(opts Options) (*result, error) {
 	// liveness would be self-referential).
 	for i := range waivers {
 		w := &waivers[i]
-		if w.Check == LintCheckName || opts.Disable[w.Check] {
-			continue
-		}
-		if !covered[w.File][w.Check] {
+		if w.Check == LintCheckName || !covered[w.File][w.Check] {
 			continue
 		}
 		if used[allowKey{w.File, w.Line, w.Check}] || used[allowKey{w.File, w.Line + 1, w.Check}] {
@@ -259,9 +170,7 @@ func execute(opts Options) (*result, error) {
 			Message: fmt.Sprintf("stale lint:allow %s waiver: no %s finding on this or the next line", w.Check, w.Check),
 		})
 	}
-	if !opts.Disable[LintCheckName] {
-		diags = append(diags, sup.filter(lintDiags, used)...)
-	}
+	diags = append(diags, sup.filter(lintDiags, used)...)
 
 	SortDiagnostics(diags)
 	sort.Slice(waivers, func(i, j int) bool {
@@ -275,35 +184,6 @@ func execute(opts Options) (*result, error) {
 		return a.Check < b.Check
 	})
 	return &result{diags: diags, waivers: waivers}, nil
-}
-
-// forEach runs fn(0..n-1) over a bounded worker pool.
-func forEach(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // RelTo rewrites diagnostic file paths relative to base where possible, for

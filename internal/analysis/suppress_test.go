@@ -147,23 +147,7 @@ func TestStaleWaiverForNewlyAddedCheck(t *testing.T) {
 		t.Errorf("errflow waiver with nothing to absorb not reported stale; diagnostics: %v", diags)
 	}
 
-	// Disabling the newly added check removes the evidence, not the waiver:
-	// staleness must not be claimed for a check that did not run.
-	disabled := opts
-	disabled.Disable = map[string]bool{"errflow": true}
-	diags, err = Run(disabled)
-	if err != nil {
-		t.Fatalf("Run(disable errflow): %v", err)
-	}
-	for _, d := range diags {
-		if d.Check == LintCheckName && strings.Contains(d.Message, "stale") {
-			t.Errorf("waiver called stale while its check was disabled: %v", d)
-		}
-	}
-
-	// The -waivers inventory force-enables every check (liveness is only
-	// meaningful if the check ran), so it marks the waiver stale even when
-	// the caller's options disable the new check.
+	// The -waivers inventory computes the same staleness.
 	ws, err := ListWaivers(opts)
 	if err != nil {
 		t.Fatalf("ListWaivers: %v", err)
@@ -171,11 +155,15 @@ func TestStaleWaiverForNewlyAddedCheck(t *testing.T) {
 	if len(ws) != 1 || ws[0].Check != "errflow" || !ws[0].Stale {
 		t.Errorf("inventory = %+v; want the single errflow waiver marked stale", ws)
 	}
-	if ws, err = ListWaivers(disabled); err != nil {
-		t.Fatalf("ListWaivers(disable errflow): %v", err)
+
+	// And not before: a check that never ran over a file is no evidence
+	// against its waivers. Without ScopeAll determinism's scope leaves
+	// determfix out, so neither of its determinism waivers is stale.
+	if ws, err = ListWaivers(Options{Patterns: []string{"./testdata/src/determfix"}}); err != nil {
+		t.Fatalf("ListWaivers(determfix): %v", err)
 	}
-	if len(ws) != 1 || !ws[0].Stale {
-		t.Errorf("inventory under -disable = %+v; want staleness still computed (ListWaivers force-enables checks)", ws)
+	if len(ws) != 2 || ws[0].Stale || ws[1].Stale {
+		t.Errorf("inventory = %+v; want determfix's two determinism waivers, neither stale", ws)
 	}
 }
 

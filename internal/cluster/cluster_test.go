@@ -372,13 +372,16 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 	}
 
 	ownerNode.BeginDrain()
-	if !ownerNode.Draining() {
-		t.Fatal("BeginDrain did not mark the node draining")
+	// Peers and operators see the drain in the owner's ring view.
+	resp, data := get(t, h.URL(ownerIdx), "/v1/cluster/ring")
+	var ring RingResponse
+	if err := json.Unmarshal(data, &ring); err != nil || !ring.Draining {
+		t.Fatalf("owner's ring after BeginDrain: status %d, body %s; want \"draining\": true", resp.StatusCode, data)
 	}
 
 	// A proxied write arriving now must be refused with the hint, and the
 	// receiver answers it from its own Lab.
-	resp, data := post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: lateBench}, nil)
+	resp, data = post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: lateBench}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("late write status %d: %s", resp.StatusCode, data)
 	}

@@ -343,9 +343,6 @@ func (n *Node) BeginDrain() {
 	}
 }
 
-// Draining reports whether the drain has begun.
-func (n *Node) Draining() bool { return n.draining.Load() }
-
 // Run serves the node on addr until ctx is cancelled, then drains in two
 // phases: first the node deregisters from the ring's write path — it
 // keeps answering for DrainHint, refusing newly proxied writes with the

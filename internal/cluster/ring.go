@@ -102,12 +102,6 @@ func (r *Ring) Nodes() []string {
 // Len is the number of member nodes.
 func (r *Ring) Len() int { return len(r.ids) }
 
-// Contains reports ring membership.
-func (r *Ring) Contains(id string) bool {
-	i := sort.SearchStrings(r.ids, id)
-	return i < len(r.ids) && r.ids[i] == id
-}
-
 // Owner returns the node that owns key: the first virtual point clockwise
 // of the key's hash, wrapping past the top of the hash space.
 func (r *Ring) Owner(key string) string {

@@ -77,9 +77,6 @@ func TestRingValidation(t *testing.T) {
 	if got := r.Nodes(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Nodes() = %v, want deduplicated sorted [a b]", got)
 	}
-	if !r.Contains("a") || r.Contains("c") {
-		t.Error("Contains is wrong")
-	}
 }
 
 // TestRingKeyMovementOnJoin checks the property consistent hashing exists
