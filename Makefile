@@ -8,7 +8,9 @@
 # exercises the parallel collection engine and the Lab's bounded
 # singleflight cache under real contention. `make lint` first fails on any
 # file `gofmt -l .` lists, as CI's gofmt step does (gofmt -l exits 0, so
-# the guard turns its output into a failure), then runs go vet (`go test`
+# the guard turns its output into a failure), and on any command that
+# links `testing` or `net/http/httptest` (test-only code in a non-test
+# file of a package the command imports), then runs go vet (`go test`
 # runs only part of vet, and not copylocks, which catches copied mutexes
 # and atomics), then cmd/mcdvfsvet, the stdlib-only analyzer suite
 # enforcing determinism, context discipline, goroutine joins and error
@@ -33,6 +35,9 @@ verify: lint
 
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
+	@deps="$$($(GO) list -deps ./cmd/...)" || exit 1; \
+	out="$$(echo "$$deps" | grep -x -e testing -e net/http/httptest)"; \
+	if [ -n "$$out" ]; then echo "commands link test-only packages:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mcdvfsvet ./...
 

@@ -24,6 +24,7 @@ import (
 	"mcdvfs/internal/governor"
 	"mcdvfs/internal/memctrl"
 	"mcdvfs/internal/sim"
+	"mcdvfs/internal/trace"
 	"mcdvfs/internal/workload"
 )
 
@@ -105,7 +106,7 @@ func BenchmarkGridCollection(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := CollectOn(sys, "gobmk", CoarseSpace()); err != nil {
+		if _, err := CollectOn(context.Background(), sys, "gobmk", CoarseSpace()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,6 +122,7 @@ func BenchmarkCollect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	gobmk := workload.MustByName("gobmk")
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -132,10 +134,10 @@ func BenchmarkCollect(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ctx := context.Background()
-			opts := CollectOptions{Workers: bc.workers}
+			opts := trace.CollectOptions{Workers: bc.workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := CollectOnContext(ctx, sys, "gobmk", FineSpace(), opts); err != nil {
+				if _, err := trace.CollectContext(ctx, sys, gobmk, freq.FineSpace(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,7 +31,7 @@ func run(ctx context.Context) error {
 	fmt.Printf("%-11s %6s %7s %7s %9s %12s %8s %8s %8s\n",
 		"benchmark", "Imax", "I(slow)", "I(fast)", "Emin@", "optT/Binstr", "reg(1%)", "reg(3%)", "reg(5%)")
 	for _, name := range mcdvfs.HeadlineBenchmarks() {
-		g, err := mcdvfs.CollectContext(ctx, name, space, mcdvfs.CollectOptions{})
+		g, err := mcdvfs.Collect(ctx, name, space)
 		if err != nil {
 			return err
 		}

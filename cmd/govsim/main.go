@@ -87,7 +87,7 @@ func run(ctx context.Context, bench, govName string, budget, threshold float64, 
 	}
 
 	// Whole-run Emin reference for the achieved-inefficiency report.
-	grid, err := mcdvfs.CollectOnContext(ctx, sys, bench, space, mcdvfs.CollectOptions{})
+	grid, err := mcdvfs.CollectOn(ctx, sys, bench, space)
 	if err != nil {
 		return err
 	}

@@ -2,18 +2,15 @@
 //
 // Usage:
 //
-//	mcdvfs list                          list available experiments
-//	mcdvfs [flags] run <id>...           run one or more experiments (e.g. fig8)
-//	mcdvfs [flags] all                   run every experiment in paper order
-//
-// Flags:
-//
-//	-workers N      collection worker-pool size (0 = all cores)
+//	mcdvfs list              list available experiments
+//	mcdvfs run <id>...       run one or more experiments (e.g. fig8)
+//	mcdvfs all               run every experiment in paper order
 //
 // Each experiment prints aligned text tables reproducing the corresponding
 // figure of the paper. Grids are collected once per run and shared by
-// every experiment in it. SIGINT or SIGTERM stops a run at its next
-// collection.
+// every experiment in it, each on GOMAXPROCS workers (GOMAXPROCS=1 runs
+// every collection serially; the output is the same). SIGINT or SIGTERM
+// stops a run at its next collection.
 package main
 
 import (
@@ -27,23 +24,18 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "collection worker-pool size (0 = all cores)")
 	flag.Usage = func() { usage() }
 	flag.Parse()
 
-	var opts []mcdvfs.LabOption
-	if *workers != 0 {
-		opts = append(opts, mcdvfs.WithWorkers(*workers))
-	}
 	ctx, stop := cliutil.Context(0)
 	defer stop()
-	if err := run(ctx, flag.Args(), opts); err != nil {
+	if err := run(ctx, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "mcdvfs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, labOpts []mcdvfs.LabOption) error {
+func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing command")
@@ -81,7 +73,7 @@ func run(ctx context.Context, args []string, labOpts []mcdvfs.LabOption) error {
 		if len(args) < 2 {
 			return fmt.Errorf("run: need at least one experiment id")
 		}
-		lab, err := mcdvfs.NewLab(labOpts...)
+		lab, err := mcdvfs.NewLab()
 		if err != nil {
 			return err
 		}
@@ -97,7 +89,7 @@ func run(ctx context.Context, args []string, labOpts []mcdvfs.LabOption) error {
 		}
 		return nil
 	case "all":
-		lab, err := mcdvfs.NewLab(labOpts...)
+		lab, err := mcdvfs.NewLab()
 		if err != nil {
 			return err
 		}
@@ -120,11 +112,8 @@ func run(ctx context.Context, args []string, labOpts []mcdvfs.LabOption) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  mcdvfs list                  list available experiments
-  mcdvfs workloads             list the benchmark suite
-  mcdvfs [flags] run <id>...   run experiments by id (fig2..fig12, extensions)
-  mcdvfs [flags] all           run every experiment
-
-flags:
-  -workers N      collection worker-pool size (0 = all cores)`)
+  mcdvfs list          list available experiments
+  mcdvfs workloads     list the benchmark suite
+  mcdvfs run <id>...   run experiments by id (fig2..fig12, extensions)
+  mcdvfs all           run every experiment`)
 }

@@ -11,7 +11,7 @@ import (
 func TestRunStopsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := run(ctx, []string{"run", "fig12"}, nil); !errors.Is(err, context.Canceled) {
+	if err := run(ctx, []string{"run", "fig12"}); !errors.Is(err, context.Canceled) {
 		t.Errorf("run fig12 under a cancelled context: err %v, want context.Canceled", err)
 	}
 }

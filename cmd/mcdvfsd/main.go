@@ -51,7 +51,7 @@ func main() {
 	advertise := flag.String("advertise", "", "this node's own base URL; must appear in -peers")
 	drainHint := flag.Duration("drain-hint", 250*time.Millisecond,
 		"how long a draining node keeps refusing proxied writes before closing the listener (cluster mode)")
-	timeout := cliutil.TimeoutFlag(nil) // here: per-request deadline, not whole-process
+	timeout := flag.Duration("timeout", 0, "per-request deadline: a request still working after this long answers 504 (0 = none)")
 	flag.Parse()
 
 	serveCfg := serve.Config{

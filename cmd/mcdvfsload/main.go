@@ -5,23 +5,25 @@
 //
 // Usage:
 //
-//	mcdvfsload -url http://127.0.0.1:8080 -c 8 -d 10s
-//	mcdvfsload -url http://127.0.0.1:8080 -c 64 -n 6400 -seed 1  # deterministic
+//	mcdvfsload -c 8 -d 10s                     # the daemon at http://127.0.0.1:8080
+//	mcdvfsload -targets http://127.0.0.1:8080 -c 64 -n 6400 -seed 1  # deterministic
 //
-// Multi-target mode drives a cluster: -targets takes every node's URL,
-// -policy picks how each request chooses one, and the report's cache
-// counters become cluster-wide sums with a per-node collection breakdown
-// — the cluster-wide coalescing hit rate is read straight off the run.
+// With several -targets it drives a cluster: each client rotates through
+// the node URLs, and the report's cache counters become cluster-wide sums
+// with a per-node collection breakdown — the cluster-wide coalescing hit
+// rate is read straight off the run.
 //
-//	mcdvfsload -targets http://a:8080,http://b:8080,http://c:8080 -policy random -c 64 -n 6400
+//	mcdvfsload -targets http://a:8080,http://b:8080,http://c:8080 -c 64 -n 6400
 //
 // The exit status is nonzero if any request got a 5xx or failed at the
 // transport level, which is what `make loadtest` keys off.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,75 +33,68 @@ import (
 	"mcdvfs/internal/serve"
 )
 
-func main() {
-	url := flag.String("url", "http://127.0.0.1:8080", "daemon base URL")
-	targets := flag.String("targets", "", "comma-separated cluster node URLs (overrides -url)")
-	policy := flag.String("policy", serve.PolicyRoundRobin,
-		"per-request target selection for -targets: round-robin or random")
-	clients := flag.Int("c", 8, "concurrent closed-loop clients")
-	duration := flag.Duration("d", 5*time.Second, "run duration (ignored when -n is set)")
-	requests := flag.Int("n", 0, "total request budget (deterministic mode; 0 = run for -d)")
-	seed := flag.Int64("seed", 1, "base RNG seed (client i uses seed+i)")
-	zipf := flag.Float64("zipf", 1.4, "zipf skew of benchmark popularity (>1)")
-	mix := flag.String("mix", "", "request mix, e.g. grid=10,optimal=70,stability=10,emin=5,benchmarks=5")
-	space := flag.String("space", "coarse", "setting space for grid/optimal requests")
-	budget := flag.Float64("budget", 1.3, "inefficiency budget for optimal requests")
-	retryAfterMax := flag.Duration("retry-after-max", 2*time.Second,
-		"cap on honoring a 429's Retry-After hint (negative = ignore hints)")
-	timeout := cliutil.TimeoutFlag(nil)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*url, *targets, *policy, *clients, *duration, *requests,
-		*seed, *zipf, *mix, *space, *budget, *retryAfterMax, *timeout); err != nil {
-		fmt.Fprintln(os.Stderr, "mcdvfsload:", err)
-		os.Exit(1)
+// run parses args, drives one load run and prints its report. It returns
+// the exit status: 0 for a healthy run or -h, 1 for a malformed mix or a
+// failed or unhealthy run, and 2 for a flag the command does not define
+// or cannot parse, as flag.ExitOnError would.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcdvfsload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	targets := fs.String("targets", "http://127.0.0.1:8080",
+		"comma-separated daemon base URLs; with several, each client rotates through them")
+	clients := fs.Int("c", 8, "concurrent closed-loop clients")
+	duration := fs.Duration("d", 5*time.Second, "run duration (ignored when -n is set)")
+	requests := fs.Int("n", 0, "total request budget (deterministic mode; 0 = run for -d)")
+	seed := fs.Int64("seed", 1, "base RNG seed (client i uses seed+i)")
+	zipf := fs.Float64("zipf", 1.4, "zipf skew of benchmark popularity (>1)")
+	mixSpec := fs.String("mix", "", "request mix, e.g. grid=10,optimal=70,stability=10,emin=5,benchmarks=5")
+	space := fs.String("space", "coarse", "setting space for grid/optimal requests")
+	budget := fs.Float64("budget", 1.3, "inefficiency budget for optimal requests")
+	timeout := cliutil.TimeoutFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-}
 
-func run(url, targets, policy string, clients int, duration time.Duration, requests int,
-	seed int64, zipf float64, mixSpec, space string, budget float64,
-	retryAfterMax, timeout time.Duration) error {
-	mix, err := parseMix(mixSpec)
+	mix, err := parseMix(*mixSpec)
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "mcdvfsload:", err)
+		return 1
 	}
-	ctx, stop := cliutil.Context(timeout)
+	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
-
-	list := parseTargets(targets)
-	if list == nil {
-		list = []string{strings.TrimRight(url, "/")}
-	}
 	report, err := serve.RunLoad(ctx, serve.LoadConfig{
-		Targets:       list,
-		Policy:        policy,
-		Clients:       clients,
-		Requests:      requests,
-		Duration:      duration,
-		Seed:          seed,
-		Mix:           mix,
-		ZipfS:         zipf,
-		Space:         space,
-		Budget:        budget,
-		RetryAfterMax: retryAfterMax,
+		Targets:  parseTargets(*targets),
+		Clients:  *clients,
+		Requests: *requests,
+		Duration: *duration,
+		Seed:     *seed,
+		Mix:      mix,
+		ZipfS:    *zipf,
+		Space:    *space,
+		Budget:   *budget,
 	})
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "mcdvfsload:", err)
+		return 1
 	}
-	fmt.Print(report)
+	fmt.Fprint(stdout, report)
 	if report.Status5xx > 0 || report.TransportErrors > 0 {
-		return fmt.Errorf("unhealthy run: %d 5xx, %d transport errors",
+		fmt.Fprintf(stderr, "mcdvfsload: unhealthy run: %d 5xx, %d transport errors\n",
 			report.Status5xx, report.TransportErrors)
+		return 1
 	}
-	return nil
+	return 0
 }
 
-// parseTargets splits the -targets list; empty entries drop out and an
-// empty spec returns nil so run falls back to -url.
+// parseTargets splits the -targets list, trimming spaces and trailing
+// slashes; empty entries drop out, and a list with none left is nil,
+// which RunLoad refuses.
 func parseTargets(spec string) []string {
-	if spec == "" {
-		return nil
-	}
 	var out []string
 	for _, t := range strings.Split(spec, ",") {
 		if t = strings.TrimRight(strings.TrimSpace(t), "/"); t != "" {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	profile build -bench lbm -budget 1.3 -threshold 0.05 [-workers N] -o lbm.profile.json
+//	profile build -bench lbm -budget 1.3 -threshold 0.05 -o lbm.profile.json
 //	profile show -i lbm.profile.json
 //	profile replay -i lbm.profile.json -bench lbm
 package main
@@ -50,7 +50,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  profile build -bench <name> [-budget 1.3] [-threshold 0.05] [-workers N] [-o out.json]
+  profile build -bench <name> [-budget 1.3] [-threshold 0.05] [-o out.json]
   profile show -i profile.json
   profile replay -i profile.json -bench <name>`)
 }
@@ -60,7 +60,6 @@ func cmdBuild(ctx context.Context, args []string) error {
 	bench := fs.String("bench", "", "benchmark name")
 	budget := fs.Float64("budget", 1.3, "inefficiency budget")
 	threshold := fs.Float64("threshold", 0.05, "cluster threshold")
-	workers := fs.Int("workers", 0, "collection worker-pool size (0 = all cores)")
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,8 +67,7 @@ func cmdBuild(ctx context.Context, args []string) error {
 	if *bench == "" {
 		return fmt.Errorf("missing -bench")
 	}
-	grid, err := mcdvfs.CollectContext(ctx, *bench, mcdvfs.CoarseSpace(),
-		mcdvfs.CollectOptions{Workers: *workers})
+	grid, err := mcdvfs.Collect(ctx, *bench, mcdvfs.CoarseSpace())
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	sweep -bench gobmk [-space coarse|fine] [-workers N] [-o grid.json]
+//	sweep -bench gobmk [-space coarse|fine] [-o grid.json]
 //	sweep -workload my-app.json            # user-defined workload file
 //
 // SIGINT/SIGTERM (or an elapsed -timeout) cancels the collection cleanly.
@@ -26,7 +26,6 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name (see -list)")
 	workloadFile := flag.String("workload", "", "JSON workload definition file (alternative to -bench)")
 	space := flag.String("space", "coarse", "setting space: coarse (70) or fine (496)")
-	workers := flag.Int("workers", 0, "collection worker-pool size (0 = all cores)")
 	out := flag.String("o", "", "output file (default stdout)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	timeout := cliutil.TimeoutFlag(nil)
@@ -34,13 +33,13 @@ func main() {
 
 	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
-	if err := run(ctx, *bench, *workloadFile, *space, *out, *workers, *list); err != nil {
+	if err := run(ctx, *bench, *workloadFile, *space, *out, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, bench, workloadFile, spaceName, out string, workers int, list bool) error {
+func run(ctx context.Context, bench, workloadFile, spaceName, out string, list bool) error {
 	if list {
 		for _, name := range mcdvfs.Benchmarks() {
 			fmt.Println(name)
@@ -73,13 +72,13 @@ func run(ctx context.Context, bench, workloadFile, spaceName, out string, worker
 		if err != nil {
 			return err
 		}
-		grid, err = trace.CollectContext(ctx, sys, b, space, trace.CollectOptions{Workers: workers})
+		grid, err = trace.CollectContext(ctx, sys, b, space, trace.CollectOptions{})
 		if err != nil {
 			return err
 		}
 	case bench != "":
 		var err error
-		grid, err = mcdvfs.CollectContext(ctx, bench, space, mcdvfs.CollectOptions{Workers: workers})
+		grid, err = mcdvfs.Collect(ctx, bench, space)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	}
 
 	// Whole-run Emin reference so achieved inefficiency can be reported.
-	grid, err := mcdvfs.CollectOn(sys, bench, space)
+	grid, err := mcdvfs.CollectOn(context.Background(), sys, bench, space)
 	if err != nil {
 		log.Fatal(err)
 	}

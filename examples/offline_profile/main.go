@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	)
 
 	// 1. Offline: characterize and profile.
-	grid, err := mcdvfs.Collect(bench, mcdvfs.CoarseSpace())
+	grid, err := mcdvfs.Collect(context.Background(), bench, mcdvfs.CoarseSpace())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func main() {
 
 		// References: the application's own Emin and its unconstrained
 		// (performance-governor) run.
-		grid, err := mcdvfs.CollectOn(sys, a.bench, space)
+		grid, err := mcdvfs.CollectOn(context.Background(), sys, a.bench, space)
 		if err != nil {
 			log.Fatal(err)
 		}

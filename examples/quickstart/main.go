@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,7 +14,7 @@ import (
 func main() {
 	// Sweep gobmk across the paper's 70-setting space (10 CPU x 7 memory
 	// frequencies) on the simulated platform.
-	grid, err := mcdvfs.Collect("gobmk", mcdvfs.CoarseSpace())
+	grid, err := mcdvfs.Collect(context.Background(), "gobmk", mcdvfs.CoarseSpace())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 		budget    = 1.3
 		threshold = 0.05
 	)
-	grid, err := mcdvfs.Collect(bench, mcdvfs.CoarseSpace())
+	grid, err := mcdvfs.Collect(context.Background(), bench, mcdvfs.CoarseSpace())
 	if err != nil {
 		log.Fatal(err)
 	}

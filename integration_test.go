@@ -8,6 +8,7 @@ package mcdvfs_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	)
 
 	// 1. Characterize.
-	grid, err := mcdvfs.Collect(bench, mcdvfs.CoarseSpace())
+	grid, err := mcdvfs.Collect(context.Background(), bench, mcdvfs.CoarseSpace())
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}

@@ -63,8 +63,6 @@ func (d Diagnostic) String() string {
 type Package struct {
 	// Path is the import path ("mcdvfs/internal/sim").
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Fset positions every file below.
 	Fset *token.FileSet
 	// Syntax holds the parsed non-test files the build compiles, sorted by

@@ -176,7 +176,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, p listedPackage) (*Pa
 	}
 	return &Package{
 		Path:       p.ImportPath,
-		Dir:        p.Dir,
 		Fset:       fset,
 		Syntax:     syntax,
 		TestSyntax: testSyntax,

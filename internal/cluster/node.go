@@ -108,7 +108,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for id := range cfg.Peers {
 		ids = append(ids, id)
 	}
-	ring, err := NewRing(ids, DefaultVirtualNodes)
+	ring, err := NewRing(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +321,7 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, RingResponse{
 		Self:     n.self,
 		Nodes:    n.ring.Nodes(),
-		VNodes:   n.ring.vnodes,
+		VNodes:   DefaultVirtualNodes,
 		Draining: n.draining.Load(),
 	})
 }

@@ -22,13 +22,12 @@ import (
 const DefaultVirtualNodes = 192
 
 // Ring is an immutable consistent-hash ring over opaque node IDs.
-// Ownership is deterministic: the same (IDs, vnodes) always produces the
-// same ring, so every node in a static cluster computes identical routing
-// without any coordination. IDs are typically advertise URLs in
-// production and stable logical names in the test harness.
+// Ownership is deterministic: the same IDs always produce the same ring,
+// so every node in a static cluster computes identical routing without
+// any coordination. IDs are typically advertise URLs in production and
+// stable logical names in the test harness.
 type Ring struct {
 	ids    []string
-	vnodes int
 	points []ringPoint // sorted by hash; ties broken by ID so order is total
 }
 
@@ -37,13 +36,10 @@ type ringPoint struct {
 	id   string
 }
 
-// NewRing builds a ring over the given node IDs with vnodes virtual
-// points per node (<= 0 selects DefaultVirtualNodes). IDs are
-// deduplicated; at least one is required.
-func NewRing(ids []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over the given node IDs with DefaultVirtualNodes
+// virtual points per node. IDs are deduplicated; at least one is
+// required.
+func NewRing(ids []string) (*Ring, error) {
 	seen := make(map[string]bool, len(ids))
 	uniq := make([]string, 0, len(ids))
 	for _, id := range ids {
@@ -59,9 +55,9 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
 	sort.Strings(uniq)
-	r := &Ring{ids: uniq, vnodes: vnodes, points: make([]ringPoint, 0, len(uniq)*vnodes)}
+	r := &Ring{ids: uniq, points: make([]ringPoint, 0, len(uniq)*DefaultVirtualNodes)}
 	for _, id := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", id, v)), id: id})
 		}
 	}

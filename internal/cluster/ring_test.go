@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestRingGoldenOwnership pins the ring function itself: the same IDs and
-// vnode count must route the same keys to the same owners on every node
-// of every build, forever — ownership drift would strand every node's
-// cache and split singleflight across the cluster. The table was
+// TestRingGoldenOwnership pins the ring function itself: the same IDs
+// must route the same keys to the same owners on every node of every
+// build, forever — ownership drift would strand every node's cache and
+// split singleflight across the cluster. The table was
 // generated once from the 18-benchmark registry keyspace at
 // DefaultVirtualNodes; a failure here means the hash or point layout
 // changed, which is a routing-compatibility break, not a refactor.
 func TestRingGoldenOwnership(t *testing.T) {
-	r, err := NewRing([]string{"node0", "node1", "node2"}, 0)
+	r, err := NewRing([]string{"node0", "node1", "node2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func TestRingGoldenOwnership(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("NewRing(nil) succeeded, want error")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("NewRing with empty ID succeeded, want error")
 	}
-	r, err := NewRing([]string{"b", "a", "b"}, 4)
+	r, err := NewRing([]string{"b", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestRingValidation(t *testing.T) {
 // surviving nodes.
 func TestRingKeyMovementOnJoin(t *testing.T) {
 	ids := []string{"node0", "node1", "node2"}
-	before, err := NewRing(ids, 0)
+	before, err := NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := NewRing(append(ids, "node3"), 0)
+	after, err := NewRing(append(ids, "node3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRingKeyMovementOnJoin(t *testing.T) {
 		moved++
 	}
 	// The joiner should take about a quarter of the keyspace; allow a wide
-	// band since 256 vnodes still carry a few percent imbalance.
+	// band since 192 vnodes per node still carry a few percent imbalance.
 	if frac := float64(moved) / keys; frac < 0.15 || frac > 0.35 {
 		t.Errorf("join moved %.1f%% of keys, want roughly 25%%", 100*frac)
 	}
@@ -117,11 +117,11 @@ func TestRingKeyMovementOnJoin(t *testing.T) {
 // TestRingKeyMovementOnLeave is the inverse: removing a node reassigns
 // only that node's keys.
 func TestRingKeyMovementOnLeave(t *testing.T) {
-	before, err := NewRing([]string{"node0", "node1", "node2"}, 0)
+	before, err := NewRing([]string{"node0", "node1", "node2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := NewRing([]string{"node0", "node2"}, 0)
+	after, err := NewRing([]string{"node0", "node2"})
 	if err != nil {
 		t.Fatal(err)
 	}

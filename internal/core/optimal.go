@@ -6,11 +6,12 @@ import (
 	"mcdvfs/internal/freq"
 )
 
-// preferHigher reports whether setting a should be preferred over b under
+// PreferHigher reports whether setting a should be preferred over b under
 // the paper's tie-break rule: highest CPU frequency first, then highest
 // memory frequency. Among similar-speedup settings this choice is "bound to
-// have highest performance among the other possibilities".
-func preferHigher(a, b freq.Setting) bool {
+// have highest performance among the other possibilities". The budget
+// governor breaks its ties with it too.
+func PreferHigher(a, b freq.Setting) bool {
 	if a.CPU != b.CPU {
 		return a.CPU > b.CPU
 	}
@@ -41,7 +42,7 @@ func (a *Analysis) OptimalSetting(sample int, budget float64) (freq.SettingID, e
 		if !(ineff[k] <= budget) || sp < best*(1-SpeedupTieBand) {
 			continue
 		}
-		if id := freq.SettingID(k); chosen < 0 || preferHigher(a.grid.Setting(id), a.grid.Setting(chosen)) {
+		if id := freq.SettingID(k); chosen < 0 || PreferHigher(a.grid.Setting(id), a.grid.Setting(chosen)) {
 			chosen = id
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mcdvfs/internal/freq"
@@ -140,8 +141,8 @@ func TestPreferHigher(t *testing.T) {
 		{freq.Setting{CPU: 500, Mem: 400}, freq.Setting{CPU: 500, Mem: 400}, false},
 	}
 	for _, c := range cases {
-		if got := preferHigher(c.a, c.b); got != c.want {
-			t.Errorf("preferHigher(%v, %v) = %v", c.a, c.b, got)
+		if got := PreferHigher(c.a, c.b); got != c.want {
+			t.Errorf("PreferHigher(%v, %v) = %v", c.a, c.b, got)
 		}
 	}
 }
@@ -165,7 +166,7 @@ func composedOptimal(a *Analysis, sample int, budget float64) (freq.SettingID, b
 		if a.Speedup(sample, k) < best*(1-SpeedupTieBand) {
 			continue
 		}
-		if chosen < 0 || preferHigher(a.Grid().Setting(k), a.Grid().Setting(chosen)) {
+		if chosen < 0 || PreferHigher(a.Grid().Setting(k), a.Grid().Setting(chosen)) {
 			chosen = k
 		}
 	}
@@ -179,7 +180,7 @@ func TestOptimalSettingMatchesComposedSelection(t *testing.T) {
 	budgets := []float64{1.0, 1.1, 1.2, 1.3, 1.6, Unconstrained}
 	for _, name := range []string{"gobmk", "milc", "lbm"} {
 		for _, space := range []*freq.Space{freq.CoarseSpace(), freq.FineSpace()} {
-			g, err := trace.Collect(sys, workload.MustByName(name), space)
+			g, err := trace.CollectContext(context.Background(), sys, workload.MustByName(name), space, trace.CollectOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

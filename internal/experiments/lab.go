@@ -34,7 +34,7 @@ type Lab struct {
 	fine   *freq.Space
 	spaces map[string]keyedSpace // "coarse" and "fine" with their hashes
 
-	workers  int // Collect worker-pool size; 0 means GOMAXPROCS
+	workers  int // collection worker-pool size; 0 means GOMAXPROCS
 	maxGrids int // resident-grid bound; <= 0 means every registry key in both spaces
 
 	observer func(GridEvent)                  // grid-cache outcome hook; nil disables

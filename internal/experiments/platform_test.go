@@ -138,7 +138,7 @@ func TestHeteroLittleCoreSharesLabPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := trace.Collect(sys, workload.MustByName("gobmk"), littleSpace())
+	g, err := trace.CollectContext(context.Background(), sys, workload.MustByName("gobmk"), littleSpace(), trace.CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

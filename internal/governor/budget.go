@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mcdvfs/internal/core"
 	"mcdvfs/internal/freq"
 	"mcdvfs/internal/predict"
 	"mcdvfs/internal/workload"
@@ -298,9 +299,9 @@ func (b *Budget) pick(cands []candidate, emin float64, searched int) (Decision, 
 	var currentOK *candidate
 	for i := range admissible {
 		c := &admissible[i]
-		// The paper's 0.5% tie band, then highest CPU/mem.
-		if c.timeNS <= bestTime*(1+0.005) {
-			if opt == nil || preferHigher(c.st, opt.st) {
+		// The paper's tie band, then highest CPU/mem.
+		if c.timeNS <= bestTime*(1+core.SpeedupTieBand) {
+			if opt == nil || core.PreferHigher(c.st, opt.st) {
 				opt = c
 			}
 		}
@@ -314,14 +315,6 @@ func (b *Budget) pick(cands []candidate, emin float64, searched int) (Decision, 
 	// opt is set: admissible is never empty (fallback above) and its
 	// minimum-time candidate sits inside its own tie band.
 	return Decision{Setting: opt.st, Searched: searched}, nil
-}
-
-// preferHigher mirrors the core package's tie-break rule.
-func preferHigher(a, b freq.Setting) bool {
-	if a.CPU != b.CPU {
-		return a.CPU > b.CPU
-	}
-	return a.Mem > b.Mem
 }
 
 // ladderIndex returns the index of the ladder entry nearest to f.

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func grid(t *testing.T) *trace.Grid {
 			gridErr = err
 			return
 		}
-		lbmGrid, gridErr = trace.Collect(sys, workload.MustByName("lbm"), freq.CoarseSpace())
+		lbmGrid, gridErr = trace.CollectContext(context.Background(), sys, workload.MustByName("lbm"), freq.CoarseSpace(), trace.CollectOptions{})
 	})
 	if gridErr != nil {
 		t.Fatal(gridErr)

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -37,12 +38,18 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 }
 
-// decode parses a strict JSON body into dst.
+// decode parses a strict JSON body into dst: one JSON value, followed by
+// nothing but whitespace. The cluster router probes a body with
+// json.Unmarshal, which refuses trailing data too, so a body routes and
+// decodes alike.
 func decode(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("invalid request body: data after the JSON value")
 	}
 	return nil
 }

@@ -45,26 +45,18 @@ func DefaultLoadMix() LoadMix {
 
 func (m LoadMix) total() int { return m.Grid + m.Optimal + m.Stability + m.Emin + m.Benchmarks }
 
-// Target-selection policies for multi-node runs.
-const (
-	// PolicyRoundRobin rotates each client through the target list
-	// (client i starts at target i, so clients spread immediately).
-	PolicyRoundRobin = "round-robin"
-	// PolicyRandom picks a uniformly random target per request from the
-	// client's seeded generator — the "users hit a random node" shape.
-	PolicyRandom = "random"
-)
+// maxRetryAfter caps how long a shed (429) response's Retry-After hint is
+// honored before the client's next request.
+const maxRetryAfter = 2 * time.Second
 
 // LoadConfig parameterizes one load run.
 type LoadConfig struct {
 	// Targets lists the daemon roots, e.g. "http://127.0.0.1:8080"; at
-	// least one is required. With several, each request picks one node
-	// according to Policy, and the report's cache counters are
-	// cluster-wide sums of per-node /metrics deltas.
+	// least one is required. With several, each client rotates through
+	// them (client i starts at target i, so clients spread immediately),
+	// and the report's cache counters are cluster-wide sums of per-node
+	// /metrics deltas.
 	Targets []string
-	// Policy selects the per-request target for multi-target runs:
-	// PolicyRoundRobin (default) or PolicyRandom.
-	Policy string
 	// Clients is the closed-loop concurrency. Default 8; never more than
 	// a positive Requests budget.
 	Clients int
@@ -84,12 +76,6 @@ type LoadConfig struct {
 	// Space and Budget parameterize grid/optimal requests.
 	Space  string
 	Budget float64
-	// RetryAfterMax caps how long a shed (429) response's Retry-After hint
-	// is honored before the client's next request; the actual backoff is
-	// jittered within the cap so a shed cohort does not re-arrive in
-	// lockstep. Default 2s; negative disables the backoff entirely
-	// (the pre-PR-8 hammer behavior).
-	RetryAfterMax time.Duration
 	// Client overrides the HTTP client (tests inject the in-process one).
 	Client *http.Client
 }
@@ -116,12 +102,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 1.3
-	}
-	if c.Policy == "" {
-		c.Policy = PolicyRoundRobin
-	}
-	if c.RetryAfterMax == 0 {
-		c.RetryAfterMax = 2 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -202,12 +182,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("serve: load run has no targets")
-	}
-	switch cfg.Policy {
-	case PolicyRoundRobin, PolicyRandom:
-	default:
-		return nil, fmt.Errorf("serve: unknown target policy %q (use %s or %s)",
-			cfg.Policy, PolicyRoundRobin, PolicyRandom)
 	}
 	// The scrapes use the caller's context: the run context below expires
 	// with the duration, which must not kill the after-run scrape.
@@ -292,15 +266,6 @@ func runClient(ctx context.Context, cfg LoadConfig, id, budget int) []sample {
 	benches := workload.HeadlineNames()
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(benches)-1))
 	pickBench := func() string { return benches[zipf.Uint64()] }
-	pickTarget := func(n int) string {
-		if len(cfg.Targets) == 1 {
-			return cfg.Targets[0]
-		}
-		if cfg.Policy == PolicyRandom {
-			return cfg.Targets[rng.Intn(len(cfg.Targets))]
-		}
-		return cfg.Targets[(id+n)%len(cfg.Targets)]
-	}
 
 	var samples []sample
 	for n := 0; budget == 0 || n < budget; n++ {
@@ -309,7 +274,8 @@ func runClient(ctx context.Context, cfg LoadConfig, id, budget int) []sample {
 		}
 		endpoint, method, path, body := nextRequest(cfg, rng, pickBench)
 		start := time.Now()
-		status, retryAfter := issue(ctx, cfg, pickTarget(n), method, path, body)
+		target := cfg.Targets[(id+n)%len(cfg.Targets)]
+		status, retryAfter := issue(ctx, cfg, target, method, path, body)
 		elapsed := time.Since(start)
 		if status == 0 && ctx.Err() != nil {
 			break // shutdown race, not a transport failure
@@ -320,26 +286,23 @@ func runClient(ctx context.Context, cfg LoadConfig, id, budget int) []sample {
 			ms:       float64(elapsed.Nanoseconds()) / 1e6,
 		})
 		if status == http.StatusTooManyRequests {
-			backoff(ctx, jitter, retryAfter, cfg.RetryAfterMax)
+			backoff(ctx, jitter, retryAfter)
 		}
 	}
 	return samples
 }
 
 // backoff honors a 429's Retry-After hint: sleep at least half the hinted
-// delay with the rest jittered, capped at max, so a shed cohort neither
-// hammers the server immediately nor re-arrives in lockstep. A zero hint
-// still backs off briefly; a negative max disables the wait.
-func backoff(ctx context.Context, jitter *rand.Rand, hint, max time.Duration) {
-	if max < 0 {
-		return
-	}
+// delay with the rest jittered, capped at maxRetryAfter, so a shed cohort
+// neither hammers the server immediately nor re-arrives in lockstep. A
+// zero hint still backs off briefly.
+func backoff(ctx context.Context, jitter *rand.Rand, hint time.Duration) {
 	d := hint
 	if d <= 0 {
 		d = 100 * time.Millisecond
 	}
-	if d > max {
-		d = max
+	if d > maxRetryAfter {
+		d = maxRetryAfter
 	}
 	d = d/2 + time.Duration(jitter.Int63n(int64(d/2)+1))
 	t := time.NewTimer(d)

@@ -154,7 +154,7 @@ func (s *Server) Handler() http.Handler {
 // flips to 503 for load balancers, listeners close, and in-flight requests
 // get up to drain to finish. A nil error means a clean drain.
 func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) error {
-	return ListenAndDrain(ctx, addr, s.Handler(), s.beginDrain, 0, drain)
+	return ListenAndDrain(ctx, addr, s.Handler(), s.BeginDrain, 0, drain)
 }
 
 // ListenAndDrain serves h on addr until ctx is cancelled, then drains in
@@ -188,19 +188,15 @@ func ListenAndDrain(ctx context.Context, addr string, h http.Handler, beginDrain
 	return srv.Shutdown(shutCtx)
 }
 
-// beginDrain flips the server into draining mode: /healthz starts
-// reporting 503 so load balancers stop routing here.
-func (s *Server) beginDrain() {
+// BeginDrain flips the server into draining mode: /healthz starts
+// reporting 503 so load balancers stop routing here. Run calls it when
+// its context ends; a cluster node calls it as phase one of its
+// two-phase drain, before its listener closes.
+func (s *Server) BeginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.met.draining.Store(1)
 	}
 }
-
-// BeginDrain is the exported drain trigger for layers that own the
-// server's lifecycle themselves (the cluster node flips the embedded
-// server into draining as phase one of its two-phase drain, before its
-// listener closes).
-func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Lab exposes the daemon's Lab to layered subsystems: the cluster router
 // takes its routing keys from Lab.Key.

@@ -33,10 +33,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// postJSON posts v and returns the response with its decoded body.
+// rawBody is a request body postJSON sends as it is, unmarshalled.
+type rawBody string
+
+// postJSON posts v, marshalled unless it is a rawBody, and returns the
+// response with its body.
 func postJSON(t *testing.T, ts *httptest.Server, path string, v any) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(v)
+	if raw, ok := v.(rawBody); ok {
+		body, err = []byte(raw), nil
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestHealthzAndDrain(t *testing.T) {
 	if resp, _ := getBody(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d, want 200", resp.StatusCode)
 	}
-	s.beginDrain()
+	s.BeginDrain()
 	if resp, _ := getBody(t, ts, "/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz status %d, want 503", resp.StatusCode)
 	}
@@ -173,6 +180,9 @@ func TestGridValidation(t *testing.T) {
 		{"bad space", GridRequest{Benchmark: "gobmk", Space: "medium"}, http.StatusBadRequest},
 		{"empty", GridRequest{}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"bench": "gobmk"}, http.StatusBadRequest},
+		{"trailing garbage", rawBody(`{"benchmark":"gobmk"} x`), http.StatusBadRequest},
+		{"two objects", rawBody(`{"benchmark":"gobmk"}{"benchmark":"lbm"}`), http.StatusBadRequest},
+		{"trailing newline", rawBody("{\"benchmark\":\"gobmk\"}\n"), http.StatusOK},
 	}
 	for _, c := range cases {
 		resp, data := postJSON(t, ts, "/v1/grid", c.req)
@@ -416,13 +426,16 @@ func TestOptimalValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
-		req  OptimalRequest
+		req  any
 		want int
 	}{
 		{"unknown benchmark", OptimalRequest{Benchmark: "no-such", Budget: 1.3}, http.StatusNotFound},
 		{"budget below 1", OptimalRequest{Benchmark: "gobmk", Budget: 0.5}, http.StatusBadRequest},
 		{"zero budget", OptimalRequest{Benchmark: "gobmk"}, http.StatusBadRequest},
 		{"bad space", OptimalRequest{Benchmark: "gobmk", Space: "ultra", Budget: 1.3}, http.StatusBadRequest},
+		{"trailing garbage", rawBody(`{"benchmark":"gobmk","budget":1.3} x`), http.StatusBadRequest},
+		{"two objects", rawBody(`{"benchmark":"gobmk","budget":1.3}{"benchmark":"lbm","budget":1.3}`), http.StatusBadRequest},
+		{"trailing newline", rawBody("{\"benchmark\":\"gobmk\",\"budget\":1.3}\n"), http.StatusOK},
 	}
 	for _, c := range cases {
 		resp, data := postJSON(t, ts, "/v1/optimal", c.req)

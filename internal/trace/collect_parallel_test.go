@@ -51,8 +51,8 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 				t.Errorf("%s: workers=%d grid differs from serial reference", name, workers)
 			}
 		}
-		// The default (GOMAXPROCS) path is what Collect callers get.
-		def, err := Collect(sys, b, space)
+		// The default (GOMAXPROCS) path is what the façade and the CLIs get.
+		def, err := CollectContext(context.Background(), sys, b, space, CollectOptions{})
 		if err != nil {
 			t.Fatalf("%s default: %v", name, err)
 		}

@@ -6,6 +6,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -79,7 +80,7 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}{{"coarse", freq.CoarseSpace()}, {"fine", freq.FineSpace()}} {
 		for _, name := range workload.Names() {
 			t.Run(sp.name+"/"+name, func(t *testing.T) {
-				g, err := Collect(sys, workload.MustByName(name), sp.space)
+				g, err := CollectContext(context.Background(), sys, workload.MustByName(name), sp.space, CollectOptions{})
 				if err != nil {
 					t.Fatalf("Collect: %v", err)
 				}
@@ -213,7 +214,7 @@ func BenchmarkAppendJSON(b *testing.B) {
 		space *freq.Space
 	}{{"coarse", freq.CoarseSpace()}, {"fine", freq.FineSpace()}} {
 		b.Run("bzip2/"+sp.name, func(b *testing.B) {
-			g, err := Collect(sys, workload.MustByName("bzip2"), sp.space)
+			g, err := CollectContext(context.Background(), sys, workload.MustByName("bzip2"), sp.space, CollectOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -132,7 +132,7 @@ func oscillator() workload.Benchmark {
 
 func TestCollectSurfacesConvergenceFailures(t *testing.T) {
 	sys := sim.MustNew(sim.NoiselessConfig())
-	g, err := Collect(sys, oscillator(), freq.CoarseSpace())
+	g, err := CollectContext(context.Background(), sys, oscillator(), freq.CoarseSpace(), CollectOptions{})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestCollectSurfacesConvergenceFailures(t *testing.T) {
 		t.Errorf("parallel count %d != serial count %d", g.ConvergenceFailures, serial.ConvergenceFailures)
 	}
 	// A clean benchmark keeps the zero value (and the omitempty JSON shape).
-	clean, err := Collect(sys, smallBench(), freq.CoarseSpace())
+	clean, err := CollectContext(context.Background(), sys, smallBench(), freq.CoarseSpace(), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 //
 // The paper runs each benchmark once per (CPU, memory) frequency pair — 70
 // gem5 simulations for the coarse grid, 496 for the fine one — and samples
-// performance and energy every 10 million user-mode instructions. Collect
-// performs the equivalent sweep against the mcdvfs simulator, producing a
-// Grid indexed [sample][setting].
+// performance and energy every 10 million user-mode instructions.
+// CollectContext performs the equivalent sweep against the mcdvfs
+// simulator, producing a Grid indexed [sample][setting].
 package trace
 
 import (
@@ -151,19 +151,12 @@ func (o CollectOptions) workers(chains int) int {
 	return w
 }
 
-// Collect sweeps the benchmark across every setting in the space,
-// simulating each sample at each setting. Settings are simulated in
-// parallel across the machine's cores; use CollectContext for
-// cancellation or an explicit worker count.
-func Collect(sys *sim.System, bench workload.Benchmark, space *freq.Space) (*Grid, error) {
-	return CollectContext(context.Background(), sys, bench, space, CollectOptions{})
-}
-
-// CollectContext is Collect with cancellation and tuning. It runs the sweep
-// through the columnar batch engine (sim.Runner): the space is decomposed
-// into CPU-frequency chains — one chain is every memory step at one CPU
-// step, in ladder order — and chains are fanned out over a bounded worker
-// pool, each worker owning one Runner whose arenas are reused across every
+// CollectContext sweeps the benchmark across every setting in the space,
+// simulating each sample at each setting. It runs the sweep through the
+// columnar batch engine (sim.Runner): the space is decomposed into
+// CPU-frequency chains — one chain is every memory step at one CPU step,
+// in ladder order — and chains are fanned out over a bounded worker pool,
+// each worker owning one Runner whose arenas are reused across every
 // column it solves.
 //
 // Within a chain, columns are solved in descending memory order and each

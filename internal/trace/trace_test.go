@@ -26,7 +26,7 @@ func smallBench() workload.Benchmark {
 func collectSmall(t *testing.T) *Grid {
 	t.Helper()
 	sys := sim.MustNew(sim.DefaultConfig())
-	g, err := Collect(sys, smallBench(), freq.CoarseSpace())
+	g, err := CollectContext(context.Background(), sys, smallBench(), freq.CoarseSpace(), CollectOptions{})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestCollectPropagatesSimulationErrors(t *testing.T) {
 	sys := sim.MustNew(sim.DefaultConfig())
 	// A space outside the device's clock range must surface an error.
 	badSpace := freq.NewSpace([]freq.MHz{500}, []freq.MHz{1600})
-	if _, err := Collect(sys, smallBench(), badSpace); err == nil {
+	if _, err := CollectContext(context.Background(), sys, smallBench(), badSpace, CollectOptions{}); err == nil {
 		t.Error("out-of-range space accepted")
 	}
 }
@@ -142,7 +142,7 @@ func TestCollectAllSettingsFailingDoesNotDeadlock(t *testing.T) {
 	)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Collect(sys, smallBench(), badSpace)
+		_, err := CollectContext(context.Background(), sys, smallBench(), badSpace, CollectOptions{})
 		done <- err
 	}()
 	select {
@@ -158,7 +158,7 @@ func TestCollectAllSettingsFailingDoesNotDeadlock(t *testing.T) {
 func TestCollectRejectsInvalidBenchmark(t *testing.T) {
 	sys := sim.MustNew(sim.DefaultConfig())
 	bad := workload.Benchmark{Name: "bad", Repeat: 1}
-	if _, err := Collect(sys, bad, freq.CoarseSpace()); err == nil {
+	if _, err := CollectContext(context.Background(), sys, bad, freq.CoarseSpace(), CollectOptions{}); err == nil {
 		t.Error("invalid benchmark accepted")
 	}
 }

@@ -16,7 +16,7 @@
 //
 // A minimal session:
 //
-//	grid, err := mcdvfs.Collect("gobmk", mcdvfs.CoarseSpace())
+//	grid, err := mcdvfs.Collect(ctx, "gobmk", mcdvfs.CoarseSpace())
 //	a, err := mcdvfs.Analyze(grid)
 //	best, err := a.OptimalSetting(0, 1.3) // sample 0, inefficiency budget 1.3
 //	regions, err := a.StableRegions(1.3, 0.05)
@@ -75,10 +75,6 @@ type (
 	SystemConfig = sim.Config
 	// Lab caches grids and runs experiments.
 	Lab = experiments.Lab
-	// LabOption configures a Lab at construction.
-	LabOption = experiments.Option
-	// CollectOptions tunes grid collection (worker-pool size).
-	CollectOptions = trace.CollectOptions
 	// Governor is an online frequency governor.
 	Governor = governor.Governor
 	// GovernorResult summarizes an online governor run.
@@ -127,34 +123,24 @@ func DefaultSystemConfig() SystemConfig { return sim.DefaultConfig() }
 func NewSystem(cfg SystemConfig) (*System, error) { return sim.New(cfg) }
 
 // Collect sweeps a benchmark across a setting space on the default
-// platform, producing its characterization grid.
-func Collect(benchmark string, space *Space) (*Grid, error) {
-	return CollectContext(context.Background(), benchmark, space, CollectOptions{})
-}
-
-// CollectContext is Collect with cancellation and an explicit worker-pool
-// size. The parallel sweep is byte-identical to a serial one for any
-// worker count.
-func CollectContext(ctx context.Context, benchmark string, space *Space, opts CollectOptions) (*Grid, error) {
+// platform, producing its characterization grid. Cells are simulated on
+// GOMAXPROCS workers, and the grid is byte-identical at any pool size. If
+// ctx ends mid-sweep, Collect returns ctx's error and no grid.
+func Collect(ctx context.Context, benchmark string, space *Space) (*Grid, error) {
 	sys, err := sim.New(sim.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	return CollectOnContext(ctx, sys, benchmark, space, opts)
+	return CollectOn(ctx, sys, benchmark, space)
 }
 
 // CollectOn is Collect against a specific platform.
-func CollectOn(sys *System, benchmark string, space *Space) (*Grid, error) {
-	return CollectOnContext(context.Background(), sys, benchmark, space, CollectOptions{})
-}
-
-// CollectOnContext is CollectContext against a specific platform.
-func CollectOnContext(ctx context.Context, sys *System, benchmark string, space *Space, opts CollectOptions) (*Grid, error) {
+func CollectOn(ctx context.Context, sys *System, benchmark string, space *Space) (*Grid, error) {
 	b, err := workload.ByName(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	return trace.CollectContext(ctx, sys, b, space, opts)
+	return trace.CollectContext(ctx, sys, b, space, trace.CollectOptions{})
 }
 
 // Analyze builds the inefficiency/speedup analysis for a grid.
@@ -188,19 +174,14 @@ func NewProfileGovernor(p *Profile, fallback Governor, tolerance float64) (Gover
 // (500 µs, 30 µJ per 70-setting tune).
 func DefaultOverhead() Overhead { return core.DefaultOverhead() }
 
-// NewLab builds an experiment lab on the default platform. Options tune
-// the collection engine; a zero-option lab matches the paper's setup
-// exactly.
-func NewLab(opts ...LabOption) (*Lab, error) { return experiments.NewLab(opts...) }
+// NewLab builds an experiment lab on the default platform, the paper's
+// setup. Its collections run on GOMAXPROCS workers.
+func NewLab() (*Lab, error) { return experiments.NewLab() }
 
 // NewLabWithConfig builds an experiment lab on a custom platform.
-func NewLabWithConfig(cfg SystemConfig, opts ...LabOption) (*Lab, error) {
-	return experiments.NewLabWithConfig(cfg, opts...)
+func NewLabWithConfig(cfg SystemConfig) (*Lab, error) {
+	return experiments.NewLabWithConfig(cfg)
 }
-
-// WithWorkers bounds a Lab's collection worker pool; zero or negative
-// selects GOMAXPROCS.
-func WithWorkers(n int) LabOption { return experiments.WithWorkers(n) }
 
 // NewPerformanceGovernor pins the space's maximum setting.
 func NewPerformanceGovernor(space *Space) Governor { return governor.NewPerformance(space) }

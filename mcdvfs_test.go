@@ -9,7 +9,7 @@ import (
 )
 
 func TestFacadeCollectAnalyze(t *testing.T) {
-	g, err := Collect("gobmk", CoarseSpace())
+	g, err := Collect(context.Background(), "gobmk", CoarseSpace())
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -94,63 +94,20 @@ func TestFacadeSystemConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := CollectOn(sys, "bzip2", CoarseSpace())
+	g, err := CollectOn(context.Background(), sys, "bzip2", CoarseSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Benchmark != "bzip2" {
 		t.Errorf("grid benchmark %q", g.Benchmark)
-	}
-}
-
-func TestFacadeCollectContextWorkerEquivalence(t *testing.T) {
-	sys, err := NewSystem(DefaultSystemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := CollectOnContext(context.Background(), sys, "milc", CoarseSpace(), CollectOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := CollectOnContext(context.Background(), sys, "milc", CoarseSpace(), CollectOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bs, bp bytes.Buffer
-	if err := serial.WriteJSON(&bs); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteJSON(&bp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
-		t.Error("parallel façade collection differs from serial")
 	}
 }
 
 func TestFacadeCollectContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CollectContext(ctx, "gobmk", FineSpace(), CollectOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(ctx, "gobmk", FineSpace()); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestFacadeLabOptions(t *testing.T) {
-	lab, err := NewLab(WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := lab.Key("bzip2", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := lab.GridFor(context.Background(), k)
-	if err != nil {
-		t.Fatalf("GridFor: %v", err)
-	}
-	if g.Benchmark != "bzip2" {
-		t.Errorf("grid benchmark %q", g.Benchmark)
 	}
 }
 
