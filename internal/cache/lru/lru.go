@@ -168,6 +168,19 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	return true
 }
 
+// Peek returns key's value if its flight has completed, without marking
+// the entry used. It lets a caller that holds a value check that the
+// value is still the resident one.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.completedLocked(key); ok {
+		return el.Value.(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Len returns the number of resident entries, running flights included.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

@@ -30,17 +30,6 @@ func blocked(release <-chan struct{}, v int, err error) func() (int, error) {
 	}
 }
 
-// peek reads key's completed value without joining a running flight or
-// changing the eviction order.
-func peek(c *Cache[string, int], key string) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.completedLocked(key); ok {
-		return el.Value.(*entry[string, int]).val, true
-	}
-	return 0, false
-}
-
 // inflight lists the keys of resident entries whose flight is still
 // running, most recently used first.
 func inflight(c *Cache[string, int]) []string {
@@ -112,12 +101,12 @@ func TestEvictionOrderIsLeastRecentlyUsed(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("evicted %v, want [b]", evicted)
 	}
-	if _, ok := peek(c, "b"); ok {
+	if _, ok := c.Peek("b"); ok {
 		t.Error("b still present after eviction")
 	}
 	for k, want := range map[string]int{"a": 0, "c": 2, "d": 3} {
-		if v, ok := peek(c, k); !ok || v != want {
-			t.Errorf("peek(%s) = %d,%v, want %d,true", k, v, ok, want)
+		if v, ok := c.Peek(k); !ok || v != want {
+			t.Errorf("Peek(%s) = %d,%v, want %d,true", k, v, ok, want)
 		}
 	}
 }
@@ -208,7 +197,7 @@ func TestWaiterCancellationKeepsFlight(t *testing.T) {
 	if v := <-owner; v != 7 {
 		t.Fatalf("owner got %d, want 7", v)
 	}
-	if v, ok := peek(c, "k"); !ok || v != 7 {
+	if v, ok := c.Peek("k"); !ok || v != 7 {
 		t.Errorf("peek after the abandoned wait = %d,%v, want 7,true", v, ok)
 	}
 }
@@ -234,7 +223,7 @@ func TestFailedFlightRemovesOnlyItsOwnEntry(t *testing.T) {
 	if err := <-failed; err == nil {
 		t.Fatal("first flight succeeded, want its error")
 	}
-	if v, ok := peek(c, "k"); !ok || v != 9 {
+	if v, ok := c.Peek("k"); !ok || v != 9 {
 		t.Errorf("peek after the stale failure = %d,%v, want the newer 9,true", v, ok)
 	}
 
@@ -271,7 +260,7 @@ func TestEvictsRunningFlight(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != "a" {
 		t.Errorf("evicted %v, want [a]", evicted)
 	}
-	if _, ok := peek(c, "a"); ok {
+	if _, ok := c.Peek("a"); ok {
 		t.Error("evicted flight's result was kept")
 	}
 }
@@ -300,8 +289,8 @@ func TestConcurrentAccess(t *testing.T) {
 				case i%30 == 2:
 					c.Remove(key)
 				default:
-					if v, ok := peek(c, key); ok && v != n {
-						t.Errorf("peek(%s) = %d, want %d", key, v, n)
+					if v, ok := c.Peek(key); ok && v != n {
+						t.Errorf("Peek(%s) = %d, want %d", key, v, n)
 					}
 				}
 			}

@@ -158,6 +158,10 @@ func TestClusterRouting(t *testing.T) {
 	if got := resp.Header.Get(HeaderNode); got != nodeID(ownerIdx) {
 		t.Errorf("served by %q, want owner %q", got, nodeID(ownerIdx))
 	}
+	// The relay frames the owner's body as the owner did: by its length.
+	if te := resp.TransferEncoding; len(te) != 0 || resp.ContentLength != int64(len(data)) {
+		t.Errorf("relayed grid framing: Transfer-Encoding %v, Content-Length %d; want none and the body's %d", te, resp.ContentLength, len(data))
+	}
 	if _, err := trace.ReadJSON(bytes.NewReader(data)); err != nil {
 		t.Errorf("proxied grid body invalid: %v", err)
 	}

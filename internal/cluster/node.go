@@ -250,9 +250,9 @@ type peerResponse struct {
 
 // peer is the one request path to another ring member: a POST of body
 // (a GET when body is nil) carrying hdr, bounded by ProxyTimeout, with the
-// full response read. A peer that accepts the connection but never
-// answers therefore fails after ProxyTimeout, whether a forward or a
-// metrics scrape asked. Reading the whole body before relaying keeps a
+// full response read (readBody). A peer that accepts the connection but
+// never answers therefore fails after ProxyTimeout, whether a forward or
+// a metrics scrape asked. Reading the whole body before relaying keeps a
 // body cut short recoverable: the read fails and the proxy answers
 // locally instead of relaying a truncated 200.
 func (n *Node) peer(ctx context.Context, id, path string, body []byte, hdr http.Header) (*peerResponse, error) {
@@ -275,14 +275,36 @@ func (n *Node) peer(ctx context.Context, id, path string, body []byte, hdr http.
 	}
 	//lint:allow errflow read-only response body; a close error after a full read carries no data loss
 	defer resp.Body.Close()
-	// bytes.Buffer doubles as it reads. io.ReadAll grows by about a
-	// quarter per step, so it would reallocate a 2 MB grid body about 34
-	// times and copy it about five times over.
+	data, err := readBody(resp)
+	if err != nil {
+		return nil, err
+	}
+	return &peerResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// maxExactRead caps the buffer readBody allocates up front from a
+// response's Content-Length, so a peer announcing a length it never sends
+// cannot make this node allocate it. It is about twice the largest
+// built-in grid body, bzip2's fine one (15.2 MB).
+const maxExactRead = 32 << 20
+
+// readBody reads resp's whole body. A body with a Content-Length of at
+// most maxExactRead goes into one buffer of that length; a longer or
+// unlabelled one is read by growth, into a bytes.Buffer that doubles.
+// A body cut short of its Content-Length fails either way.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxExactRead {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
 	var data bytes.Buffer
 	if _, err := data.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
-	return &peerResponse{status: resp.StatusCode, header: resp.Header, body: data.Bytes()}, nil
+	return data.Bytes(), nil
 }
 
 // forward sends a routable request on to ring member id under the loop
@@ -296,10 +318,12 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 	return n.peer(ctx, id, path, body, hdr)
 }
 
-// relay writes a peer response through to the client. Shed and draining
-// refusals are never relayed, so neither are their hints.
+// relay writes a peer response through to the client, framed as the peer
+// framed it: a body the peer sent with its Content-Length, such as a
+// grid's, is relayed with it. Shed and draining refusals are never
+// relayed, so neither are their hints.
 func (n *Node) relay(w http.ResponseWriter, resp *peerResponse) {
-	for _, h := range []string{"Content-Type", HeaderNode} {
+	for _, h := range []string{"Content-Type", "Content-Length", HeaderNode} {
 		if v := resp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

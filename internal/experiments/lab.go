@@ -7,8 +7,10 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mcdvfs/internal/cache/lru"
@@ -26,7 +28,8 @@ import (
 // safe for concurrent use: grids live in one bounded singleflight cache
 // (internal/cache/lru) keyed by GridKey, so N goroutines requesting the
 // same grid trigger exactly one collection and requests for different
-// grids proceed independently.
+// grids proceed independently. Beside a hot grid it keeps the grid's
+// encoded JSON body, under a budget of bodyBudget bytes (GridJSON).
 type Lab struct {
 	cfg    sim.Config // the platform sys was built from
 	sys    *sim.System
@@ -43,6 +46,11 @@ type Lab struct {
 	span     func(bench, space string) func() // brackets every owned grid flight; nil disables
 
 	grids *lru.Cache[GridKey, *gridEntry]
+
+	// bodyMu guards every entry's reads and body, and kept and keptBytes.
+	bodyMu    sync.Mutex
+	kept      []*gridEntry // the entries whose body is kept
+	keptBytes int          // the sum of their bodies' lengths, at most bodyBudget
 
 	// collect is the collection entry point; tests swap it to count
 	// flights or inject faults.
@@ -84,14 +92,30 @@ type keyedSpace struct {
 }
 
 // gridEntry is one resident grid and its analysis, built at most once on
-// first use. Evicting the entry drops both.
+// first use, and the grid's kept JSON body if GridJSON admitted it.
+// Evicting the entry drops all three.
 type gridEntry struct {
+	key  GridKey
 	grid *trace.Grid
 
 	once     sync.Once
 	analysis *core.Analysis
 	err      error
+
+	reads int    // GridJSON requests the entry answered; guarded by Lab.bodyMu
+	body  []byte // the kept body, nil unless kept; guarded by Lab.bodyMu
 }
+
+// bodyBudget bounds the encoded grid bodies one Lab keeps, in bytes. On
+// serve-hot's traffic (zipf 1.4 over the six headline benchmarks) it
+// holds bzip2's and gobmk's coarse bodies (2.75 MB), which answer about
+// 63% of its grid requests, and a node of a 3-node ring keeps its one or
+// two hottest. Kept bytes cost about twice their size in peak RSS, since
+// the collector lets the heap grow in proportion to what is live: 5 MiB,
+// which also holds gcc's body, raised cluster-ring's peak RSS by 23% for
+// no more CPU saved than this, and keeping every resident body by 40%. No
+// fine body (4.25–15.23 MB) fits.
+const bodyBudget = 3 << 20
 
 func (e *gridEntry) analyze() (*core.Analysis, error) {
 	e.once.Do(func() { e.analysis, e.err = core.NewAnalysis(e.grid) })
@@ -186,7 +210,10 @@ func NewLabWithConfig(cfg sim.Config, opts ...Option) (*Lab, error) {
 	if l.maxGrids <= 0 {
 		l.maxGrids = 2 * len(workload.Names())
 	}
-	l.grids, err = lru.New[GridKey, *gridEntry](l.maxGrids, func(k GridKey) { l.emit(k, GridEvict) })
+	l.grids, err = lru.New[GridKey, *gridEntry](l.maxGrids, func(k GridKey) {
+		l.releaseBodies()
+		l.emit(k, GridEvict)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -251,6 +278,109 @@ func (l *Lab) AnalysisFor(ctx context.Context, k GridKey) (*core.Analysis, error
 	return e.analyze()
 }
 
+// GridJSON returns the JSON body of the grid k names,
+// trace.Grid.AppendJSON's bytes, reading the grid as GridFor does. From
+// the second body request a resident grid answers, the Lab keeps the body
+// on the grid's entry, under a budget of bodyBudget bytes per Lab. When
+// the budget is full, a kept body whose grid has answered fewer body
+// requests gives way, coldest first; a body larger than the budget is
+// never kept. Evicting or forgetting the grid returns its bytes to the
+// budget.
+//
+// kept reports whether body is the Lab's kept copy, which the caller must
+// not modify. Otherwise GridJSON appends the body to dst and returns the
+// extended buffer, as AppendJSON does, also when this call admits the
+// body: what the Lab keeps is a copy of exactly the body's length. An
+// error is the grid read's or the encoder's.
+func (l *Lab) GridJSON(ctx context.Context, k GridKey, dst []byte) (body []byte, kept bool, err error) {
+	e, err := l.entry(ctx, k)
+	if err != nil {
+		return dst, false, err
+	}
+	l.bodyMu.Lock()
+	e.reads++
+	body, reads := e.body, e.reads
+	l.bodyMu.Unlock()
+	if body != nil {
+		return body, true, nil
+	}
+	body, err = e.grid.AppendJSON(dst)
+	if err == nil && reads >= 2 {
+		l.keep(e, body)
+	}
+	return body, false, err
+}
+
+// keep admits a copy of body as e's kept body if it fits the budget once
+// the kept bodies of entries with fewer reads than e's are dropped,
+// coldest first; it drops them only if that makes room, so a body larger
+// than the budget is never kept. An entry that has left the cache keeps
+// nothing, so its bytes cannot stay charged.
+func (l *Lab) keep(e *gridEntry, body []byte) {
+	l.bodyMu.Lock()
+	defer l.bodyMu.Unlock()
+	if e.body != nil || !l.resident(e) {
+		return
+	}
+	over := l.keptBytes + len(body) - bodyBudget
+	if over > 0 {
+		colder := 0
+		for _, o := range l.kept {
+			if o.reads < e.reads {
+				colder += len(o.body)
+			}
+		}
+		if colder < over {
+			return
+		}
+		slices.SortFunc(l.kept, func(a, b *gridEntry) int { return cmp.Compare(a.reads, b.reads) })
+		for over > 0 {
+			over -= len(l.kept[0].body)
+			l.dropBody(0)
+		}
+	}
+	e.body = slices.Clone(body)
+	l.kept = append(l.kept, e)
+	l.keptBytes += len(body)
+}
+
+// releaseBodies returns to the budget the kept bodies of entries that
+// have left the cache. The cache reports an eviction after removing the
+// entry, so a body keep admitted just before is dropped here.
+func (l *Lab) releaseBodies() {
+	l.bodyMu.Lock()
+	defer l.bodyMu.Unlock()
+	for i := 0; i < len(l.kept); {
+		if l.resident(l.kept[i]) {
+			i++
+			continue
+		}
+		l.dropBody(i)
+	}
+}
+
+// resident reports whether e is still the cache's entry for its key. The
+// caller holds bodyMu.
+func (l *Lab) resident(e *gridEntry) bool {
+	cur, ok := l.grids.Peek(e.key)
+	return ok && cur == e
+}
+
+// dropBody drops the body of kept[i]. The caller holds bodyMu.
+func (l *Lab) dropBody(i int) {
+	e := l.kept[i]
+	l.keptBytes -= len(e.body)
+	e.body = nil
+	l.kept = slices.Delete(l.kept, i, i+1)
+}
+
+// KeptBodyBytes returns the bytes of the grid bodies the Lab keeps.
+func (l *Lab) KeptBodyBytes() int {
+	l.bodyMu.Lock()
+	defer l.bodyMu.Unlock()
+	return l.keptBytes
+}
+
 // entry returns the resident entry for k, running at most one flight per
 // entry: admission gate, then collection. It checks ctx before the cache
 // lookup, so a cancelled run stops at its next grid read, not only at its
@@ -277,7 +407,7 @@ func (l *Lab) entry(ctx context.Context, k GridKey) (*gridEntry, error) {
 			return nil, fmt.Errorf("experiments: collecting %s %s: %w", k.Space, k.Benchmark, err)
 		}
 		l.emit(k, GridCollect)
-		return &gridEntry{grid: g}, nil
+		return &gridEntry{key: k, grid: g}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -322,12 +452,15 @@ func (l *Lab) emit(k GridKey, kind GridEventKind) {
 }
 
 // Forget drops every cached artifact for a benchmark — coarse and fine
-// grids plus their analyses — so the next request recollects. In-flight
-// collections are unaffected: their waiters still get the result, it just
-// is not retained. It reports whether anything was cached.
+// grids plus their analyses and kept bodies — so the next request
+// recollects. In-flight collections are unaffected: their waiters still
+// get the result, it just is not retained. It reports whether anything
+// was cached.
 func (l *Lab) Forget(bench string) bool {
 	dropped := l.grids.Remove(l.key(bench, "coarse"))
-	return l.grids.Remove(l.key(bench, "fine")) || dropped
+	dropped = l.grids.Remove(l.key(bench, "fine")) || dropped
+	l.releaseBodies()
+	return dropped
 }
 
 // ResidentGrids returns how many grids the cache holds, running flights

@@ -56,7 +56,7 @@ func decode(r *http.Request, dst any) error {
 
 // WriteJSON writes v as a JSON response with the given status. The
 // cluster router answers with the same writer, so a routed response is
-// byte-identical to a local one. Grid bodies go through writeGrid.
+// byte-identical to a local one. Grid bodies go through writeBody.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -110,8 +110,6 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	var g *trace.Grid
-	encodeFail := http.StatusInternalServerError
 	switch {
 	case len(req.Workload) > 0 && req.Benchmark != "":
 		WriteError(w, http.StatusBadRequest, "benchmark and workload are mutually exclusive")
@@ -124,54 +122,74 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		}
 		// Inline workloads bypass the Lab cache but not admission control:
 		// they are always a full collection, so they always take a slot.
-		g, err = s.lab.CollectWorkload(ctx, b, key.Space)
+		g, err := s.lab.CollectWorkload(ctx, b, key.Space)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
 		s.met.workloadCollects.Add(1)
-		// Validation sets no upper bounds (a base CPI of 1e301 passes),
-		// so a posted definition can drive the model past float64.
-		encodeFail = http.StatusBadRequest
+		writeGrid(w, g)
 	case req.Benchmark != "":
 		if _, err := workload.ByName(req.Benchmark); err != nil {
 			WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		s.met.gridRequests.Add(1)
-		g, err = s.lab.GridFor(ctx, key)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
+		s.writeNamedGrid(ctx, w, key)
 	default:
 		WriteError(w, http.StatusBadRequest, "missing benchmark or workload")
-		return
 	}
-	writeGrid(w, g, encodeFail)
 }
 
-// gridBuffers recycles grid body buffers between /v1/grid responses. A
-// buffer holds a body only while that response is written; no encoded
-// grid outlives its request.
+// gridBuffers recycles grid encode buffers between /v1/grid responses. A
+// buffer holds a body only while that response is written; the bodies
+// that outlive their request are the Lab's kept ones (Lab.GridJSON).
 var gridBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeGrid answers 200 with g's JSON body (trace.Grid.AppendJSON, the
-// bytes encoding/json writes) in one Write, so the response is framed as
-// WriteJSON's are: only Content-Type set, chunked past net/http's write
-// buffer. It encodes before it commits a status: a grid JSON cannot
-// represent (a NaN or infinite cell) answers failCode with the
-// {"error": ...} body instead.
-func writeGrid(w http.ResponseWriter, g *trace.Grid, failCode int) {
+// writeNamedGrid answers a named benchmark's grid with the Lab's body: its
+// kept copy when the Lab keeps one, else an encoding into a pooled
+// buffer. A grid JSON cannot represent answers 500, as any other failed
+// grid read does.
+func (s *Server) writeNamedGrid(ctx context.Context, w http.ResponseWriter, key experiments.GridKey) {
+	buf := gridBuffers.Get().(*[]byte)
+	defer gridBuffers.Put(buf)
+	body, kept, err := s.lab.GridJSON(ctx, key, (*buf)[:0])
+	if kept {
+		s.met.gridBodyHits.Add(1)
+	} else {
+		*buf = body[:0]
+	}
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeBody(w, body)
+}
+
+// writeGrid answers 200 with an inline workload's grid body
+// (trace.Grid.AppendJSON, the bytes encoding/json writes), encoded into a
+// pooled buffer before a status is committed. Validation sets no upper
+// bounds (a base CPI of 1e301 passes), so a posted definition can drive
+// the model past float64: a grid JSON cannot represent (a NaN or infinite
+// cell) answers 400 with the {"error": ...} body instead.
+func writeGrid(w http.ResponseWriter, g *trace.Grid) {
 	buf := gridBuffers.Get().(*[]byte)
 	defer gridBuffers.Put(buf)
 	body, err := g.AppendJSON((*buf)[:0])
 	*buf = body[:0]
 	if err != nil {
-		WriteError(w, failCode, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, body)
+}
+
+// writeBody answers 200 with a grid body in one Write, framed by its
+// Content-Length, so net/http sends it as it is rather than in chunks.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // the status is sent; a failed write is a gone client
 }
@@ -475,5 +493,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.pool.running(), s.pool.queued(), s.lab.ResidentGrids())
+	s.met.write(w, s.pool.running(), s.pool.queued(), s.lab.ResidentGrids(), s.lab.KeptBodyBytes())
 }

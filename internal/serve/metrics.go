@@ -26,6 +26,7 @@ type metrics struct {
 	gridCollections  atomic.Int64 // full collections executed
 	gridColumns      atomic.Int64 // setting columns collected (progress hook)
 	workloadCollects atomic.Int64 // uncached collections for inline user workloads
+	gridBodyHits     atomic.Int64 // /v1/grid bodies answered from the Lab's kept copy
 
 	optimalRequests atomic.Int64
 	optimalMemoHits atomic.Int64
@@ -63,8 +64,8 @@ func (m *metrics) countResponse(code int) {
 }
 
 // write renders the exposition text. Gauges that live outside the struct
-// (pool occupancy, resident grids) are passed in.
-func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchmarks int) {
+// (pool occupancy, resident grids, kept body bytes) are passed in.
+func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchmarks, gridBodyBytes int) {
 	counter := func(name string, v int64) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
 	}
@@ -81,6 +82,7 @@ func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchm
 	counter("mcdvfsd_grid_collections_total", m.gridCollections.Load())
 	counter("mcdvfsd_grid_columns_collected_total", m.gridColumns.Load())
 	counter("mcdvfsd_workload_collections_total", m.workloadCollects.Load())
+	counter("mcdvfsd_grid_body_hits_total", m.gridBodyHits.Load())
 	counter("mcdvfsd_optimal_requests_total", m.optimalRequests.Load())
 	counter("mcdvfsd_optimal_memo_hits_total", m.optimalMemoHits.Load())
 	counter("mcdvfsd_bench_evictions_total", m.benchEvictions.Load())
@@ -89,6 +91,7 @@ func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchm
 	gauge("mcdvfsd_collections_running", int64(collectRunning))
 	gauge("mcdvfsd_collections_queued", int64(collectQueued))
 	gauge("mcdvfsd_cached_benchmarks", int64(cachedBenchmarks))
+	gauge("mcdvfsd_grid_body_bytes", int64(gridBodyBytes))
 }
 
 // statusRecorder captures the status code written by a handler so the

@@ -141,9 +141,9 @@ func TestGridEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	// One Write of the whole body: chunked, no Content-Length.
-	if ct, te := resp.Header.Get("Content-Type"), resp.TransferEncoding; ct != "application/json" || len(te) != 1 || te[0] != "chunked" || resp.ContentLength != -1 {
-		t.Errorf("framing: Content-Type %q, Transfer-Encoding %v, Content-Length %d; want application/json, chunked, none", ct, te, resp.ContentLength)
+	// One Write of the whole body, framed by its length: no chunks.
+	if ct, te := resp.Header.Get("Content-Type"), resp.TransferEncoding; ct != "application/json" || len(te) != 0 || resp.ContentLength != int64(len(data)) {
+		t.Errorf("framing: Content-Type %q, Transfer-Encoding %v, Content-Length %d; want application/json, none, the body's %d", ct, te, resp.ContentLength, len(data))
 	}
 	var g struct {
 		Benchmark string            `json:"benchmark"`
@@ -187,7 +187,7 @@ func TestGridValidation(t *testing.T) {
 	for _, c := range cases {
 		resp, data := postJSON(t, ts, "/v1/grid", c.req)
 		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.want, data)
+			t.Errorf("%s: status %d, want %d (%d-byte body %.200q)", c.name, resp.StatusCode, c.want, len(data), data)
 		}
 	}
 	if resp, _ := getBody(t, ts, "/v1/grid"); resp.StatusCode != http.StatusMethodNotAllowed {
@@ -440,7 +440,7 @@ func TestOptimalValidation(t *testing.T) {
 	for _, c := range cases {
 		resp, data := postJSON(t, ts, "/v1/optimal", c.req)
 		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.want, data)
+			t.Errorf("%s: status %d, want %d (%d-byte body %.200q)", c.name, resp.StatusCode, c.want, len(data), data)
 		}
 	}
 }
@@ -560,6 +560,58 @@ func TestBenchmarkEviction(t *testing.T) {
 	if got := metricValue(t, ts, "mcdvfsd_cached_benchmarks"); got != 1 {
 		t.Errorf("cached benchmarks gauge = %d, want 1", got)
 	}
+}
+
+// TestGridBodyMetrics follows the Lab's kept grid bodies through
+// /metrics: a benchmark's third grid request is answered from its kept
+// body, byte for byte the first's, and mcdvfsd_grid_body_bytes returns to
+// 0 when the LRU evicts the grid and when Forget drops it. Inline
+// workloads are never kept.
+func TestGridBodyMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxBenchmarks: 1})
+	grid := func(bench string) []byte {
+		t.Helper()
+		resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Benchmark: bench})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%d-byte body %.200q)", bench, resp.StatusCode, len(data), data)
+		}
+		return data
+	}
+	expect := func(when string, bodyBytes, hits int64) {
+		t.Helper()
+		if got := metricValue(t, ts, "mcdvfsd_grid_body_bytes"); got != bodyBytes {
+			t.Errorf("%s: mcdvfsd_grid_body_bytes = %d, want %d", when, got, bodyBytes)
+		}
+		if got := metricValue(t, ts, "mcdvfsd_grid_body_hits_total"); got != hits {
+			t.Errorf("%s: mcdvfsd_grid_body_hits_total = %d, want %d", when, got, hits)
+		}
+	}
+
+	first := grid("gobmk")
+	expect("gobmk read once", 0, 0)
+	if second := grid("gobmk"); !bytes.Equal(second, first) {
+		t.Fatal("second gobmk body differs from the first")
+	}
+	expect("gobmk read twice", int64(len(first)), 0)
+	if third := grid("gobmk"); !bytes.Equal(third, first) {
+		t.Fatal("kept gobmk body differs from the encoded one")
+	}
+	expect("gobmk read three times", int64(len(first)), 1)
+
+	milc := grid("milc") // evicts gobmk's grid, and its body with it
+	expect("gobmk evicted", 0, 1)
+	grid("milc")
+	expect("milc read twice", int64(len(milc)), 1)
+	s.lab.Forget("milc")
+	expect("milc forgotten", 0, 1)
+
+	raw := json.RawMessage(`{"name":"user-app","repeat":1,"phases":[{"name":"p0","base_cpi":1.1,"mpki":2,"samples":3,"mlp":1.5,"row_hit_rate":0.6}]}`)
+	for i := 0; i < 3; i++ {
+		if resp, data := postJSON(t, ts, "/v1/grid", GridRequest{Workload: raw}); resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(data)) {
+			t.Fatalf("inline workload: status %d, Content-Length %d for %d bytes", resp.StatusCode, resp.ContentLength, len(data))
+		}
+	}
+	expect("inline workload posted three times", 0, 1)
 }
 
 // TestRunGracefulDrain exercises the full lifecycle: serve on a real

@@ -86,13 +86,13 @@ func appendShortest(dst []byte, f float64) []byte {
 	q := int(b>>52&0x7ff) - 1075
 
 	// The digits as a 17-digit d, trailing zeros included, with f =
-	// 0.d1d2…d17 · 10^dp.
+	// 0.d1d2…d17 · 10^dp: a 16-digit d gains a zero, by a multiply
+	// rather than a branch, since grid values have 16 digits about as
+	// often as 17.
 	d, k := schubfach(c, q)
-	dp := 17 + k
-	if d < 1e16 {
-		d *= 10
-		dp--
-	}
+	short := b2u(d < 1e16)
+	d *= 1 + 9*short
+	dp := 17 + k - int(short)
 	// One digit, then two words of eight; sig counts the digits before
 	// the trailing zeros.
 	hi9 := d / 1e8
@@ -163,34 +163,37 @@ func schubfach(c uint64, q int) (uint64, int) {
 	vbr := roundOdd(g, cbr<<h)
 
 	// s·10^k <= v < (s+1)·10^k, and s has 16 or 17 digits. One digit
-	// fewer first: if exactly one multiple of 10^(k+1) next to v lies in
-	// the interval, it is the shortest (the interval is narrower than
-	// 10^(k+1), so both never do).
+	// fewer wins if exactly one multiple of 10^(k+1) next to v, sp or
+	// tp, lies in the interval (the interval is narrower than 10^(k+1),
+	// so both never do). Otherwise s or t = s+1 wins: the one that reads
+	// back if only one does, else the closer, and on a tie the even one.
+	// Each test is a 0/1 word and the answer is picked by arithmetic,
+	// not branches: grid values take either side of each choice often
+	// enough that a branch would mispredict.
 	s := vb >> 2
 	sp := s / 10 * 10
 	tp := sp + 10
-	upin := vbl+out <= sp<<2
-	wpin := tp<<2+out <= vbr
-	if upin != wpin {
-		if upin {
-			return sp, k
-		}
-		return tp, k
-	}
+	upin := b2u(vbl+out <= sp<<2)
+	wpin := b2u(tp<<2+out <= vbr)
 	t := s + 1
-	uin := vbl+out <= s<<2
-	win := t<<2+out <= vbr
-	if uin != win {
-		if uin {
-			return s, k
-		}
-		return t, k
+	uin := b2u(vbl+out <= s<<2)
+	win := b2u(t<<2+out <= vbr)
+	cmp := int64(vb - (s+t)<<1)
+	closer := b2u(cmp < 0) | b2u(cmp == 0)&^s
+	pickS := uin&^win | (uin^win^1)&closer
+	long := t - pickS       // s or t
+	shorter := tp - 10*upin // sp if it reads back, else tp
+	fewer := -(upin ^ wpin) // all ones if exactly one of sp, tp reads back
+	return long ^ (long^shorter)&fewer, k
+}
+
+// b2u is 1 for true and 0 for false, which the compiler reads off the
+// flags rather than branching.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	// Both s and t read back: the closer wins, and a tie the even one.
-	if cmp := int64(vb - (s+t)<<1); cmp < 0 || cmp == 0 && s&1 == 0 {
-		return s, k
-	}
-	return t, k
+	return 0
 }
 
 // roundOdd returns cp·g / 2^127, truncated, with its low bit set if the
