@@ -52,9 +52,10 @@ loadtest:
 
 # Cluster smoke tier: the full internal/cluster suite — 3-node harness,
 # 64-client cluster-wide coalescing, local fallback past a shedding,
-# unreachable, wedged, late or truncating owner, relay from an owner that
-# answers within ProxyTimeout, two-phase drain — under the race detector
-# (see DESIGN.md §9).
+# unreachable, wedged, late, truncating or flapping owner, relay from an
+# owner that answers within ProxyTimeout, one-phase drain (a stopping
+# owner's keys answered by the receiver) — under the race detector (see
+# DESIGN.md §9).
 loadtest-cluster:
 	$(GO) test -race ./internal/cluster -count=1
 

@@ -9,24 +9,23 @@
 //
 // Multi-node mode shards the grid keyspace over a consistent-hash ring
 // (DESIGN.md §9). Every node gets the same static -peers list and names
-// itself with -advertise. A request whose key owner sheds, stalls, is
-// unreachable or is draining is answered by the node that received it:
+// itself with -advertise. A request whose key owner sheds, stalls or is
+// unreachable is answered by the node that received it:
 //
 //	mcdvfsd -addr :8080 -advertise http://node-a:8080 \
 //	        -peers http://node-a:8080,http://node-b:8080,http://node-c:8080
 //
-// SIGINT/SIGTERM drains gracefully: /healthz flips to 503, listeners
-// close, and in-flight requests get -drain to finish. In cluster mode the
-// drain is two-phase: the node first refuses newly proxied ring writes
-// (with a draining hint, so the proxying node answers them itself) for
-// -drain-hint, then closes the listener.
+// SIGINT/SIGTERM drains gracefully in either mode: the listener closes,
+// and requests already accepted get -drain to finish. In cluster mode the
+// other nodes then answer this node's keys themselves, as they answer any
+// owner they cannot reach. A second signal exits at once.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -38,69 +37,86 @@ import (
 	"mcdvfs/internal/serve"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	poolSize := flag.Int("pool", 2, "concurrent grid collections")
-	queueDepth := flag.Int("queue", 8, "admissions waiting behind a full pool before shedding (-1 = none)")
-	lruSize := flag.Int("lru", serve.DefaultMaxBenchmarks,
-		"grids kept resident, least recently used evicted first (a benchmark cached in both spaces takes two; in cluster mode, per node)")
-	collectWorkers := flag.Int("collect-workers", 0, "worker pool inside one collection (0 = all cores)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown grace period")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses, sent in whole seconds rounded up")
-	peers := flag.String("peers", "", "comma-separated base URLs of every cluster member (empty = single-node)")
-	advertise := flag.String("advertise", "", "this node's own base URL; must appear in -peers")
-	drainHint := flag.Duration("drain-hint", 250*time.Millisecond,
-		"how long a draining node keeps refusing proxied writes before closing the listener (cluster mode)")
-	timeout := flag.Duration("timeout", 0, "per-request deadline: a request still working after this long answers 504 (0 = none)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-	serveCfg := serve.Config{
+// run parses args, serves until SIGINT or SIGTERM and drains. It returns
+// the exit status: 0 for a clean drain or -h, 1 for a configuration the
+// daemon cannot serve, a failed listen or a drain that outlived -drain,
+// and 2 for a flag the command does not define or cannot parse, as
+// flag.ExitOnError would.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcdvfsd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	poolSize := fs.Int("pool", 2, "concurrent grid collections")
+	queueDepth := fs.Int("queue", 8, "admissions waiting behind a full pool before shedding (-1 = none)")
+	lruSize := fs.Int("lru", serve.DefaultMaxBenchmarks,
+		"grids kept resident, least recently used evicted first (a benchmark cached in both spaces takes two; in cluster mode, per node)")
+	collectWorkers := fs.Int("collect-workers", 0, "worker pool inside one collection (0 = all cores)")
+	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown grace period")
+	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses, sent in whole seconds rounded up")
+	peers := fs.String("peers", "", "comma-separated base URLs of every cluster member (empty = single-node)")
+	advertise := fs.String("advertise", "", "this node's own base URL; must appear in -peers")
+	timeout := fs.Duration("timeout", 0, "per-request deadline: a request still working after this long answers 504 (0 = none)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	logger := log.New(stderr, "", log.LstdFlags)
+	h, err := handler(logger, *addr, *peers, *advertise, serve.Config{
 		CollectWorkers: *collectWorkers,
 		PoolSize:       *poolSize,
 		QueueDepth:     *queueDepth,
 		MaxBenchmarks:  *lruSize,
 		RequestTimeout: *timeout,
 		RetryAfter:     *retryAfter,
+	})
+	if err == nil {
+		ctx, stop := cliutil.Context(0)
+		defer stop()
+		err = serve.ListenAndDrain(ctx, *addr, h, *drain)
 	}
-	err := run(*addr, serveCfg, *peers, *advertise, *drain, *drainHint)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcdvfsd:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mcdvfsd:", err)
+		return 1
 	}
+	logger.Printf("mcdvfsd drained cleanly")
+	return 0
 }
 
-func run(addr string, serveCfg serve.Config, peers, advertise string, drain, drainHint time.Duration) error {
-	ctx, stop := cliutil.Context(0)
-	defer stop()
-
+// handler builds what the daemon serves: a single daemon when peers is
+// empty, otherwise this node of the ring.
+func handler(logger *log.Logger, addr, peers, advertise string, serveCfg serve.Config) (http.Handler, error) {
 	if peers == "" {
 		srv, err := serve.New(serveCfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		log.Printf("mcdvfsd listening on %s (pool %d, queue %d, lru %d)",
+		logger.Printf("mcdvfsd listening on %s (pool %d, queue %d, lru %d)",
 			addr, serveCfg.PoolSize, serveCfg.QueueDepth, serveCfg.MaxBenchmarks)
-		return finish(srv.Run(ctx, addr, drain))
+		return srv.Handler(), nil
 	}
 
 	peerMap, err := parsePeers(peers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if advertise == "" {
-		return fmt.Errorf("cluster mode needs -advertise (this node's URL from the -peers list)")
+		return nil, fmt.Errorf("cluster mode needs -advertise (this node's URL from the -peers list)")
 	}
 	node, err := cluster.NewNode(cluster.Config{
-		Self:      strings.TrimRight(advertise, "/"),
-		Peers:     peerMap,
-		DrainHint: drainHint,
-		Serve:     serveCfg,
+		Self:  strings.TrimRight(advertise, "/"),
+		Peers: peerMap,
+		Serve: serveCfg,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	log.Printf("mcdvfsd listening on %s as %s (ring of %d)", addr, node.ID(), node.Ring().Len())
-	return finish(node.Run(ctx, addr, drain))
+	logger.Printf("mcdvfsd listening on %s as %s (ring of %d)", addr, node.ID(), node.Ring().Len())
+	return node.Handler(), nil
 }
 
 // parsePeers reads the static peer list. In production node IDs are the
@@ -121,14 +137,4 @@ func parsePeers(spec string) (map[string]string, error) {
 		return nil, fmt.Errorf("-peers %q has no usable URLs", spec)
 	}
 	return out, nil
-}
-
-func finish(err error) error {
-	switch {
-	case err == nil, errors.Is(err, http.ErrServerClosed), errors.Is(err, context.Canceled):
-		log.Printf("mcdvfsd drained cleanly")
-		return nil
-	default:
-		return err
-	}
 }

@@ -24,9 +24,13 @@ func TimeoutFlag(fs *flag.FlagSet) *time.Duration {
 
 // Context returns the root context for a command: cancelled on SIGINT or
 // SIGTERM, and additionally deadline-bounded when timeout is positive.
-// Callers must call stop to release the signal handler.
+// The first signal only cancels the context; the signal handler is then
+// released, so a second signal kills the process with the signal's
+// default action while the command winds down. Callers must call stop to
+// release the signal handler when no signal came.
 func Context(timeout time.Duration) (context.Context, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
 	if timeout <= 0 {
 		return ctx, stop
 	}

@@ -14,9 +14,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,7 +142,7 @@ func TestClusterRouting(t *testing.T) {
 		if err := json.Unmarshal(data, &ring); err != nil {
 			t.Fatal(err)
 		}
-		if len(ring.Nodes) != 3 || ring.Self != nodeID(i) || ring.Draining {
+		if len(ring.Nodes) != 3 || ring.Self != nodeID(i) {
 			t.Errorf("node %d ring = %+v", i, ring)
 		}
 	}
@@ -320,7 +322,7 @@ func TestNodeBoundIsMaxBenchmarks(t *testing.T) {
 		}
 	}
 	for i := 0; i < h.Len(); i++ {
-		resident := h.Node(i).Server().Lab().ResidentGrids()
+		resident := h.Node(i).srv.Lab().ResidentGrids()
 		gauge := metric(t, h.URL(i), "mcdvfsd_cached_benchmarks")
 		if resident != 1 || gauge != 1 {
 			t.Errorf("node %d: %d grids resident, gauge %d; want 1 and 1", i, resident, gauge)
@@ -329,9 +331,10 @@ func TestNodeBoundIsMaxBenchmarks(t *testing.T) {
 }
 
 // TestDrainRefusalAndFailover is the graceful-drain acceptance case: a
-// draining node keeps serving its in-flight proxied collection but
-// refuses new proxied ring writes, and the refusing hint makes the node
-// that received the write answer it from its own Lab.
+// stopping owner closes its listener, so a new write for a key it owns
+// fails at the transport and the node that received it answers from its
+// own Lab, while the proxied collection already in the owner's queue
+// still completes from the owner before its Shutdown returns.
 func TestDrainRefusalAndFailover(t *testing.T) {
 	h, err := NewTestHarness(HarnessConfig{
 		Nodes: 3,
@@ -359,7 +362,7 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 	proxyIdx := (ownerIdx + 1) % 3
 	inflightBench, lateBench := owned[0], owned[1]
 
-	release, err := ownerNode.Server().AcquireCollectSlot(context.Background())
+	release, err := ownerNode.srv.AcquireCollectSlot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,32 +378,39 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 		t.Fatal("proxied flight never queued on the owner")
 	}
 
-	ownerNode.BeginDrain()
-	// Peers and operators see the drain in the owner's ring view.
-	resp, data := get(t, h.URL(ownerIdx), "/v1/cluster/ring")
-	var ring RingResponse
-	if err := json.Unmarshal(data, &ring); err != nil || !ring.Draining {
-		t.Fatalf("owner's ring after BeginDrain: status %d, body %s; want \"draining\": true", resp.StatusCode, data)
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- h.servers[ownerIdx].Config.Shutdown(context.Background()) }()
+	ownerAddr := h.servers[ownerIdx].Listener.Addr().String()
+	if !waitFor(t, 5*time.Second, func() bool {
+		c, err := net.Dial("tcp", ownerAddr)
+		if err != nil {
+			return true
+		}
+		c.Close()
+		return false
+	}) {
+		release()
+		t.Fatal("owner's listener still accepting 5s after Shutdown began")
 	}
 
-	// A proxied write arriving now must be refused with the hint, and the
-	// receiver answers it from its own Lab.
-	resp, data = post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: lateBench}, nil)
+	// A write arriving now fails at the transport, and the receiver
+	// answers it from its own Lab.
+	resp, data := post(t, h.URL(proxyIdx), "/v1/grid", serve.GridRequest{Benchmark: lateBench}, nil)
 	if resp.StatusCode != http.StatusOK {
+		release()
 		t.Fatalf("late write status %d: %s", resp.StatusCode, data)
 	}
 	if got := resp.Header.Get(HeaderNode); got != nodeID(proxyIdx) {
 		t.Errorf("late write served by %q, want the receiver %q", got, nodeID(proxyIdx))
 	}
-	if got := metric(t, h.URL(ownerIdx), "mcdvfsd_cluster_drain_refusals_total"); got != 1 {
-		t.Errorf("drain_refusals_total = %d, want 1", got)
-	}
-	if got := metric(t, h.URL(proxyIdx), "mcdvfsd_cluster_local_fallbacks_total"); got != 1 {
-		t.Errorf("local_fallbacks_total = %d, want 1", got)
+	for _, name := range []string{"mcdvfsd_cluster_proxy_errors_total", "mcdvfsd_cluster_local_fallbacks_total"} {
+		if got := metric(t, h.URL(proxyIdx), name); got != 1 {
+			t.Errorf("receiver %s = %d, want 1", name, got)
+		}
 	}
 
-	// The collection already in flight on the draining owner still
-	// completes for its proxied caller.
+	// The collection already in flight on the stopping owner still
+	// completes for its proxied caller, and only then does Shutdown return.
 	release()
 	select {
 	case resp := <-inflightDone:
@@ -408,10 +418,18 @@ func TestDrainRefusalAndFailover(t *testing.T) {
 			t.Fatalf("in-flight proxied collection status %d after drain, want 200", resp.StatusCode)
 		}
 		if got := resp.Header.Get(HeaderNode); got != nodeID(ownerIdx) {
-			t.Errorf("in-flight collection served by %q, want draining owner %q", got, nodeID(ownerIdx))
+			t.Errorf("in-flight collection served by %q, want stopping owner %q", got, nodeID(ownerIdx))
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("in-flight proxied collection never completed")
+	}
+	select {
+	case err := <-shutdown:
+		if err != nil {
+			t.Errorf("owner's Shutdown returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("owner's Shutdown never returned")
 	}
 }
 
@@ -504,6 +522,27 @@ func truncate(h *TestHarness, i int) {
 	})
 }
 
+// flap replaces node i's handler with one that alternates between
+// answering through the node and dropping the connection after reading
+// the request: an owner that comes and goes. It answers first.
+func flap(h *TestHarness, i int) {
+	node := h.Node(i).Handler()
+	var calls atomic.Int64
+	swap(h, i, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%2 == 1 {
+			node.ServeHTTP(w, r)
+			return
+		}
+		_, _ = io.Copy(io.Discard, r.Body) // the request is read, then dropped
+		conn, _, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		conn.Close()
+	})
+}
+
 // doWithin sends one request under a client deadline and reads the whole
 // response, returning how long it took.
 func doWithin(t *testing.T, d time.Duration, method, url string, v any) (*http.Response, []byte, time.Duration) {
@@ -569,7 +608,7 @@ func TestOwnerFailureFallsBackLocally(t *testing.T) {
 		proxyErrors, fallbacks int64
 	}{
 		{"shedding", func(t *testing.T, h *TestHarness, owner int) func() {
-			release, err := h.Node(owner).Server().AcquireCollectSlot(context.Background())
+			release, err := h.Node(owner).srv.AcquireCollectSlot(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -665,7 +704,7 @@ func TestOwnerFailureFallsBackLocally(t *testing.T) {
 				return
 			}
 
-			release, err := h.Node(recvIdx).Server().AcquireCollectSlot(context.Background())
+			release, err := h.Node(recvIdx).srv.AcquireCollectSlot(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -681,6 +720,64 @@ func TestOwnerFailureFallsBackLocally(t *testing.T) {
 				t.Errorf("Retry-After %q, want 7", got)
 			}
 		})
+	}
+}
+
+// TestFlappingOwner completes the peer fault tier with an owner that
+// alternates between answering and dropping the connection after reading
+// the request. Every request answers 200 with the same body: the answered
+// ones are relayed stamped with the owner, the dropped ones answered by the
+// receiver, whose proxy-error and local-fallback counters rise once per
+// dropped forward, and each side collects the grid once.
+func TestFlappingOwner(t *testing.T) {
+	const (
+		bench    = "milc"
+		requests = 6
+	)
+	h, err := NewTestHarness(HarnessConfig{
+		Nodes:  3,
+		Mutate: func(i int, cfg *Config) { cfg.ProxyTimeout = 2 * time.Second },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ownerIdx := h.NodeFor(bench, "coarse")
+	recvIdx := (ownerIdx + 1) % h.Len()
+	flap(h, ownerIdx)
+
+	var first []byte
+	for i := 0; i < requests; i++ {
+		resp, data := post(t, h.URL(recvIdx), "/v1/grid", serve.GridRequest{Benchmark: bench}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		servedBy := nodeID(ownerIdx)
+		if i%2 == 1 {
+			servedBy = nodeID(recvIdx)
+		}
+		if got := resp.Header.Get(HeaderNode); got != servedBy {
+			t.Errorf("request %d: served by %q, want %q", i, got, servedBy)
+		}
+		if i == 0 {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Errorf("request %d: body differs from the first answer's", i)
+		}
+	}
+	for name, want := range map[string]int64{
+		"mcdvfsd_cluster_proxied_total":         requests,
+		"mcdvfsd_cluster_proxy_errors_total":    requests / 2,
+		"mcdvfsd_cluster_local_fallbacks_total": requests / 2,
+		"mcdvfsd_grid_collections_total":        1,
+	} {
+		if got := metric(t, h.URL(recvIdx), name); got != want {
+			t.Errorf("receiver %s = %d, want %d", name, got, want)
+		}
+	}
+	swap(h, ownerIdx, h.Node(ownerIdx).Handler().ServeHTTP) // so its /metrics answers
+	if got := metric(t, h.URL(ownerIdx), "mcdvfsd_grid_collections_total"); got != 1 {
+		t.Errorf("owner mcdvfsd_grid_collections_total = %d, want 1", got)
 	}
 }
 

@@ -26,8 +26,7 @@ type clusterMetrics struct {
 	proxied         atomic.Int64 // requests this node forwarded to a key's owner
 	forwardedServed atomic.Int64 // forwarded requests this node served as owner (or loop-guard target)
 	proxyErrors     atomic.Int64 // forwards that failed at the transport layer or timed out
-	localFallbacks  atomic.Int64 // proxied requests answered from this node's own Lab after the owner failed or declined
-	drainRefusals   atomic.Int64 // proxied ring writes refused because this node is draining
+	localFallbacks  atomic.Int64 // proxied requests answered from this node's own Lab after the owner failed or shed
 }
 
 // write renders the exposition lines. The ring size comes from the node.
@@ -39,7 +38,6 @@ func (m *clusterMetrics) write(w io.Writer, ringNodes int) {
 	counter("mcdvfsd_cluster_forwarded_served_total", m.forwardedServed.Load())
 	counter("mcdvfsd_cluster_proxy_errors_total", m.proxyErrors.Load())
 	counter("mcdvfsd_cluster_local_fallbacks_total", m.localFallbacks.Load())
-	counter("mcdvfsd_cluster_drain_refusals_total", m.drainRefusals.Load())
 	fmt.Fprintf(w, "# TYPE mcdvfsd_cluster_nodes gauge\nmcdvfsd_cluster_nodes %d\n", ringNodes)
 }
 

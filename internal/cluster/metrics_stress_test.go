@@ -25,7 +25,6 @@ func metricsCounterOps(m *clusterMetrics) map[string]func() {
 		"mcdvfsd_cluster_forwarded_served_total": func() { m.forwardedServed.Add(1) },
 		"mcdvfsd_cluster_proxy_errors_total":     func() { m.proxyErrors.Add(1) },
 		"mcdvfsd_cluster_local_fallbacks_total":  func() { m.localFallbacks.Add(1) },
-		"mcdvfsd_cluster_drain_refusals_total":   func() { m.drainRefusals.Add(1) },
 	}
 }
 

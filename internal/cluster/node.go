@@ -16,14 +16,11 @@ package cluster
 //     singleflight coalesces every caller of a key while the owner
 //     answers.
 //   - Local fallback, the one recovery: when the owner is unreachable,
-//     outlives ProxyTimeout, sheds (429) or refuses as draining, the
-//     receiving node answers from its own Lab, behind its own admission
-//     gate. A grid is a pure function of its key, so the answer is the
-//     one the owner would have given.
-//   - Drain: a draining node refuses newly proxied ring writes with 503 +
-//     X-MCDVFS-Draining, so the proxying node answers them itself, while
-//     flights already in progress finish under the normal connection
-//     drain.
+//     outlives ProxyTimeout or sheds (429), the receiving node answers
+//     from its own Lab, behind its own admission gate. A grid is a pure
+//     function of its key, so the answer is the one the owner would have
+//     given. A stopping owner has closed its listener, so it is just an
+//     unreachable one.
 
 import (
 	"bytes"
@@ -33,7 +30,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"mcdvfs/internal/serve"
@@ -44,9 +40,6 @@ const (
 	// HeaderForwarded carries the proxying node's ID; its presence is the
 	// loop guard.
 	HeaderForwarded = "X-MCDVFS-Forwarded"
-	// HeaderDraining marks a refusal from a draining node; the proxying
-	// node answers the request itself.
-	HeaderDraining = "X-MCDVFS-Draining"
 	// HeaderNode names the node that actually served a routed response.
 	HeaderNode = "X-MCDVFS-Node"
 )
@@ -62,11 +55,6 @@ type Config struct {
 	// metrics scrape. On a forward's expiry the proxy answers locally.
 	// Default 15s.
 	ProxyTimeout time.Duration
-	// DrainHint is phase one of the two-phase drain: how long the node
-	// keeps answering (refusing ring writes with the draining hint) after
-	// shutdown begins, so peers observe the hint and answer locally before
-	// the listener closes. Default 250ms.
-	DrainHint time.Duration
 	// Serve configures the embedded daemon.
 	Serve serve.Config
 }
@@ -75,22 +63,18 @@ func (c Config) withDefaults() Config {
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 15 * time.Second
 	}
-	if c.DrainHint <= 0 {
-		c.DrainHint = 250 * time.Millisecond
-	}
 	return c
 }
 
 // Node is one cluster member.
 type Node struct {
-	cfg      Config
-	self     string
-	ring     *Ring
-	srv      *serve.Server
-	met      *clusterMetrics
-	client   *http.Client
-	mux      *http.ServeMux
-	draining atomic.Bool
+	cfg    Config
+	self   string
+	ring   *Ring
+	srv    *serve.Server
+	met    *clusterMetrics
+	client *http.Client
+	mux    *http.ServeMux
 }
 
 // NewNode builds a node and its embedded daemon. The ring is fixed at
@@ -127,10 +111,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n.routes()
 	return n, nil
 }
-
-// Server exposes the embedded daemon (harnesses saturate its admission
-// pool and reach its Lab through it).
-func (n *Node) Server() *serve.Server { return n.srv }
 
 // Ring exposes the node's routing ring.
 func (n *Node) Ring() *Ring { return n.ring }
@@ -177,18 +157,6 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return
 	}
-	forwarded := r.Header.Get(HeaderForwarded)
-	if forwarded != "" && n.draining.Load() {
-		// Phase one of the drain: this node is leaving the ring, so newly
-		// proxied writes are refused with the hint and the proxying node
-		// answers them itself. Requests from this node's own clients still
-		// drain normally.
-		n.met.drainRefusals.Add(1)
-		w.Header().Set(HeaderDraining, "1")
-		serve.WriteError(w, http.StatusServiceUnavailable, "node draining; fail over")
-		return
-	}
-
 	var probe routeProbe
 	_ = json.Unmarshal(body, &probe) // malformed bodies route local; the handler 400s
 	key, err := n.srv.Lab().Key(probe.Benchmark, probe.Space)
@@ -200,6 +168,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	}
 	owner := n.ring.Owner(key.String())
 
+	forwarded := r.Header.Get(HeaderForwarded)
 	if owner == n.self || forwarded != "" {
 		if forwarded != "" {
 			n.met.forwardedServed.Add(1)
@@ -212,8 +181,8 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 
 // proxy forwards a routable request to its owner and relays the answer.
 // Its one recovery is the local answer: when the forward fails, outlives
-// ProxyTimeout, or the owner declines it, this node answers from its own
-// Lab, behind its own admission gate, which sheds with this node's own
+// ProxyTimeout, or the owner sheds it (429), this node answers from its
+// own Lab, behind its own admission gate, which sheds with this node's own
 // hint if it is saturated too. A client that has already gone gets 504.
 func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, owner string) {
 	ctx := r.Context()
@@ -225,20 +194,13 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, body []byte, owner 
 	switch {
 	case err != nil && ctx.Err() != nil:
 		serve.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("forward to %s: %v", owner, err))
-	case err == nil && !declined(resp):
+	case err == nil && resp.status != http.StatusTooManyRequests:
 		n.relay(w, resp)
 	default:
 		n.met.localFallbacks.Add(1)
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		n.serveLocal(w, r)
 	}
-}
-
-// declined reports whether the owner refused to answer: it shed the
-// request (429) or is draining (503 with the draining hint).
-func declined(resp *peerResponse) bool {
-	return resp.status == http.StatusTooManyRequests ||
-		resp.status == http.StatusServiceUnavailable && resp.header.Get(HeaderDraining) != ""
 }
 
 // peerResponse is one fully read peer response.
@@ -320,8 +282,8 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 
 // relay writes a peer response through to the client, framed as the peer
 // framed it: a body the peer sent with its Content-Length, such as a
-// grid's, is relayed with it. Shed and draining refusals are never
-// relayed, so neither are their hints.
+// grid's, is relayed with it. A shed is never relayed, so neither is its
+// Retry-After hint.
 func (n *Node) relay(w http.ResponseWriter, resp *peerResponse) {
 	for _, h := range []string{"Content-Type", "Content-Length", HeaderNode} {
 		if v := resp.header.Get(h); v != "" {
@@ -334,19 +296,17 @@ func (n *Node) relay(w http.ResponseWriter, resp *peerResponse) {
 
 // RingResponse is the JSON body of GET /v1/cluster/ring.
 type RingResponse struct {
-	Self     string   `json:"self"`
-	Nodes    []string `json:"nodes"`
-	VNodes   int      `json:"vnodes"`
-	Draining bool     `json:"draining"`
+	Self   string   `json:"self"`
+	Nodes  []string `json:"nodes"`
+	VNodes int      `json:"vnodes"`
 }
 
 // handleRing describes this node's view of the ring.
 func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, RingResponse{
-		Self:     n.self,
-		Nodes:    n.ring.Nodes(),
-		VNodes:   DefaultVirtualNodes,
-		Draining: n.draining.Load(),
+		Self:   n.self,
+		Nodes:  n.ring.Nodes(),
+		VNodes: DefaultVirtualNodes,
 	})
 }
 
@@ -355,24 +315,4 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n.srv.Handler().ServeHTTP(w, r)
 	n.met.write(w, n.ring.Len())
-}
-
-// BeginDrain starts phase one of the drain: newly proxied ring writes are
-// refused with the draining hint (so peers answer them) and the embedded
-// daemon's health check flips to 503. In-flight work, including proxied
-// collections already past the router, continues.
-func (n *Node) BeginDrain() {
-	if n.draining.CompareAndSwap(false, true) {
-		n.srv.BeginDrain()
-	}
-}
-
-// Run serves the node on addr until ctx is cancelled, then drains in two
-// phases: first the node deregisters from the ring's write path — it
-// keeps answering for DrainHint, refusing newly proxied writes with the
-// draining hint so peers answer them — then the listener closes and
-// in-flight requests get up to drain to finish. A nil error is a clean
-// drain.
-func (n *Node) Run(ctx context.Context, addr string, drain time.Duration) error {
-	return serve.ListenAndDrain(ctx, addr, n.Handler(), n.BeginDrain, n.cfg.DrainHint, drain)
 }

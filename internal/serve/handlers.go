@@ -484,10 +484,6 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 

@@ -19,7 +19,6 @@ type metrics struct {
 	resp4xx  atomic.Int64
 	resp5xx  atomic.Int64
 	shed     atomic.Int64 // 429 responses (subset of resp4xx)
-	draining atomic.Int64 // gauge: 1 once shutdown has begun
 
 	gridRequests     atomic.Int64 // /v1/grid and analysis-backed requests that asked the Lab for a grid
 	gridCacheHits    atomic.Int64 // served from memory, incl. coalesced joins of in-flight collections
@@ -87,7 +86,6 @@ func (m *metrics) write(w io.Writer, collectRunning, collectQueued, cachedBenchm
 	counter("mcdvfsd_optimal_memo_hits_total", m.optimalMemoHits.Load())
 	counter("mcdvfsd_bench_evictions_total", m.benchEvictions.Load())
 	gauge("mcdvfsd_inflight_requests", m.inflight.Load())
-	gauge("mcdvfsd_draining", m.draining.Load())
 	gauge("mcdvfsd_collections_running", int64(collectRunning))
 	gauge("mcdvfsd_collections_queued", int64(collectQueued))
 	gauge("mcdvfsd_cached_benchmarks", int64(cachedBenchmarks))

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"mcdvfs/internal/cache/lru"
@@ -80,13 +79,12 @@ func (c Config) withDefaults() Config {
 // Server is the mcdvfsd daemon: a Lab wrapped in admission control,
 // memoization, and metrics, exposed over HTTP.
 type Server struct {
-	cfg      Config
-	lab      *experiments.Lab
-	pool     *pool
-	met      *metrics
-	optMemo  *lru.Cache[optimalKey, *OptimalResponse] // answers are pure functions of grid and budget
-	mux      *http.ServeMux
-	draining atomic.Bool
+	cfg     Config
+	lab     *experiments.Lab
+	pool    *pool
+	met     *metrics
+	optMemo *lru.Cache[optimalKey, *OptimalResponse] // answers are pure functions of grid and budget
+	mux     *http.ServeMux
 }
 
 // New builds a server. The Lab is constructed here so the cache hooks
@@ -150,20 +148,13 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Run serves on addr until ctx is cancelled, then drains: the health check
-// flips to 503 for load balancers, listeners close, and in-flight requests
-// get up to drain to finish. A nil error means a clean drain.
-func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) error {
-	return ListenAndDrain(ctx, addr, s.Handler(), s.BeginDrain, 0, drain)
-}
-
-// ListenAndDrain serves h on addr until ctx is cancelled, then drains in
-// two phases. Phase one calls beginDrain and keeps the listener open for
-// hint, so peers and load balancers observe the drain before connections
-// are refused; a zero hint skips it. Phase two closes the listener and
-// gives in-flight requests up to drain to finish. A nil error is a clean
-// drain.
-func ListenAndDrain(ctx context.Context, addr string, h http.Handler, beginDrain func(), hint, drain time.Duration) error {
+// ListenAndDrain serves h on addr until ctx is cancelled, then drains:
+// the listener closes at once, so new connections are refused, and
+// requests already accepted get up to drain to finish. A nil error is a
+// clean drain; a failed listen returns a serve: error. A cluster node
+// needs nothing more: its peers answer a closed node's keys themselves,
+// as they answer any owner they cannot reach.
+func ListenAndDrain(ctx context.Context, addr string, h http.Handler, drain time.Duration) error {
 	// No BaseContext tied to ctx: a graceful drain must let in-flight
 	// requests finish, not cancel them the moment shutdown begins.
 	srv := &http.Server{Addr: addr, Handler: h}
@@ -174,28 +165,10 @@ func ListenAndDrain(ctx context.Context, addr string, h http.Handler, beginDrain
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
-	beginDrain()
-	// Both timers must survive the cancellation that triggered the drain.
-	t := time.NewTimer(hint)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case err := <-errCh:
-		return fmt.Errorf("serve: %w", err)
-	}
+	// The drain period must survive the cancellation that triggered it.
 	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
 	defer cancel()
 	return srv.Shutdown(shutCtx)
-}
-
-// BeginDrain flips the server into draining mode: /healthz starts
-// reporting 503 so load balancers stop routing here. Run calls it when
-// its context ends; a cluster node calls it as phase one of its
-// two-phase drain, before its listener closes.
-func (s *Server) BeginDrain() {
-	if s.draining.CompareAndSwap(false, true) {
-		s.met.draining.Store(1)
-	}
 }
 
 // Lab exposes the daemon's Lab to layered subsystems: the cluster router

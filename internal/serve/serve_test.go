@@ -121,17 +121,13 @@ func TestBenchmarksEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthzAndDrain: /healthz is a liveness check. It answers 200 while
+// the listener accepts connections; a drain closes the listener instead
+// (TestRunGracefulDrain).
 func TestHealthzAndDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	if resp, _ := getBody(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d, want 200", resp.StatusCode)
-	}
-	s.BeginDrain()
-	if resp, _ := getBody(t, ts, "/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz status %d, want 503", resp.StatusCode)
-	}
-	if got := metricValue(t, ts, "mcdvfsd_draining"); got != 1 {
-		t.Errorf("mcdvfsd_draining = %d, want 1", got)
 	}
 }
 
@@ -614,82 +610,88 @@ func TestGridBodyMetrics(t *testing.T) {
 	expect("inline workload posted three times", 0, 1)
 }
 
-// TestRunGracefulDrain exercises the full lifecycle: serve on a real
-// listener, overlap a request, cancel, and verify the drain completes and
-// the listener refuses new work.
-func TestRunGracefulDrain(t *testing.T) {
-	s, err := New(Config{})
+// answers reports whether a GET of / on addr answers 200.
+func answers(addr string) bool {
+	resp, err := http.Get("http://" + addr + "/")
 	if err != nil {
-		t.Fatal(err)
+		return false
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, "127.0.0.1:0", 2*time.Second) }()
-	// The listener address is not exposed; drive lifecycle only. Give the
-	// goroutine a moment to bind, then shut down.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Run returned %v, want clean drain", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not drain within 5s")
-	}
-	if !s.draining.Load() {
-		t.Error("server not marked draining after shutdown")
-	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
-// TestListenAndDrainHint drives the two-phase drain cluster nodes run: a
-// cancel calls beginDrain at once, the listener keeps answering for the
-// hint so peers can observe the drain, and only then does the connection
-// drain run. A failed listen is reported, not served.
-func TestListenAndDrainHint(t *testing.T) {
+// startListenAndDrain runs ListenAndDrain(ctx, addr, h, drain) in a
+// goroutine and waits until addr answers; the call's result arrives on the
+// returned channel.
+func startListenAndDrain(ctx context.Context, t *testing.T, addr string, h http.Handler, drain time.Duration) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- ListenAndDrain(ctx, addr, h, drain) }()
+	for deadline := time.Now().Add(5 * time.Second); !answers(addr); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("listener never came up")
+		}
+	}
+	return done
+}
+
+// TestRunGracefulDrain exercises the full lifecycle on a real listener:
+// overlap a request, cancel, and verify that new connections are refused
+// while the request already in its handler completes with 200, and that
+// the drain returns nil only after it.
+func TestRunGracefulDrain(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
-	taken, stop := context.WithTimeout(context.Background(), 5*time.Second)
-	err = ListenAndDrain(taken, addr, ok, func() {}, 0, time.Second)
-	stop()
-	if err == nil || !strings.HasPrefix(err.Error(), "serve: ") {
-		t.Errorf("listen on a taken address returned %v, want a serve: error", err)
-	}
 	l.Close()
-
-	const hint = 500 * time.Millisecond
+	entered, finish := make(chan struct{}), make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/slow" {
+			close(entered)
+			<-finish
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	began := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- ListenAndDrain(ctx, addr, ok, func() { close(began) }, hint, 2*time.Second) }()
-	up := func() bool {
-		resp, err := http.Get("http://" + addr + "/")
+	done := startListenAndDrain(ctx, t, addr, h, 5*time.Second)
+	slow := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/slow")
 		if err != nil {
-			return false
+			t.Errorf("request in its handler at cancel: %v", err)
+			slow <- 0
+			return
 		}
 		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
+		slow <- resp.StatusCode
+	}()
+	<-entered
+
+	cancel()
+	refused := func() bool {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return true
+		}
+		c.Close()
+		return false
 	}
-	for deadline := time.Now().Add(5 * time.Second); !up(); time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); !refused(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("listener never came up")
+			close(finish)
+			t.Fatal("listener still accepting 5s after cancel")
 		}
 	}
-
-	cancelled := time.Now()
-	cancel()
 	select {
-	case <-began:
-	case <-time.After(5 * time.Second):
-		t.Fatal("beginDrain not called at cancel")
+	case err := <-done:
+		t.Fatalf("ListenAndDrain returned %v with a request still in its handler", err)
+	default:
 	}
-	if !up() {
-		t.Error("listener stopped answering inside the drain hint")
+	close(finish)
+	if code := <-slow; code != http.StatusOK {
+		t.Errorf("request in its handler at cancel answered %d, want 200", code)
 	}
 	select {
 	case err := <-done:
@@ -699,10 +701,40 @@ func TestListenAndDrainHint(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ListenAndDrain did not drain within 5s")
 	}
-	if d := time.Since(cancelled); d < hint {
-		t.Errorf("drained %v after cancel, sooner than the %v hint", d, hint)
+}
+
+// TestListenAndDrainHint checks that the drain has no hint period. A
+// failed listen is reported, not served, and a cancel on an idle listener
+// closes it and returns nil at once, well inside a drain period of a
+// minute.
+func TestListenAndDrainHint(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if up() {
+	addr := l.Addr().String()
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	taken, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	err = ListenAndDrain(taken, addr, ok, time.Second)
+	stop()
+	if err == nil || !strings.HasPrefix(err.Error(), "serve: ") {
+		t.Errorf("listen on a taken address returned %v, want a serve: error", err)
+	}
+	l.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := startListenAndDrain(ctx, t, addr, ok, time.Minute)
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ListenAndDrain returned %v, want clean drain", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ListenAndDrain still running 5s after cancel on an idle listener")
+	}
+	if answers(addr) {
 		t.Error("listener still answering after the drain")
 	}
 }
